@@ -24,17 +24,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::AtpgError;
 use crate::podem::{Podem, PodemConfig, PodemOutcome};
-use crate::sat_atpg::{SatAtpg, SatAtpgConfig, SatAtpgOutcome};
-
-/// Which deterministic engine targets the random-resistant residue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeterministicEngine {
-    /// Structural search (PODEM) — the default.
-    #[default]
-    Podem,
-    /// CNF-miter encoding solved by the in-tree DPLL solver.
-    Sat,
-}
 
 /// Configuration for [`generate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +36,6 @@ pub struct CombTsetConfig {
     pub random_max_blocks: usize,
     /// PODEM backtrack budget per fault.
     pub podem: PodemConfig,
-    /// Which deterministic engine handles faults the random phase missed.
-    pub engine: DeterministicEngine,
     /// Whether to run reverse-order compaction at the end.
     pub reverse_compact: bool,
     /// Threading for the fault-simulation stages (random phase, reverse
@@ -64,7 +51,6 @@ impl Default for CombTsetConfig {
             random_stale_blocks: 3,
             random_max_blocks: 200,
             podem: PodemConfig::default(),
-            engine: DeterministicEngine::default(),
             reverse_compact: true,
             sim: SimConfig::default(),
         }
@@ -159,24 +145,13 @@ pub fn generate(
 
     drop(sp_random);
 
-    // Phase 2: a deterministic engine for the random-resistant residue.
+    // Phase 2: PODEM for the random-resistant residue.
     let sp_det = atspeed_trace::span("comb.deterministic-phase");
     let mut podem = Podem::new(nl, cfg.podem);
-    let sat = SatAtpg::new(nl, SatAtpgConfig::default());
-    let mut deterministic = |fault| -> PodemOutcome {
-        match cfg.engine {
-            DeterministicEngine::Podem => podem.generate(fault),
-            DeterministicEngine::Sat => match sat.generate(fault) {
-                SatAtpgOutcome::Test(t) => PodemOutcome::Test(t),
-                SatAtpgOutcome::Untestable => PodemOutcome::Untestable,
-                SatAtpgOutcome::Aborted => PodemOutcome::Aborted,
-            },
-        }
-    };
     let mut untestable = Vec::new();
     let mut aborted = Vec::new();
     while let Some(&target) = alive.first() {
-        match deterministic(universe.fault(target)) {
+        match podem.generate(universe.fault(target)) {
             PodemOutcome::Test(t) => {
                 let filled = fill_x(nl, t, &mut rng);
                 let masks = sim.detect_block(std::slice::from_ref(&filled), &alive, universe);
@@ -370,20 +345,27 @@ mod tests {
         assert!(a.tests != b.tests || a.len() == b.len());
     }
 
+    /// SAT-ATPG stays PODEM's differential reference: its tests for every
+    /// collapsed s27 fault, don't-cares filled the way [`generate`] fills
+    /// PODEM's, must reach complete coverage too.
     #[test]
-    fn sat_engine_also_reaches_complete_coverage() {
+    fn sat_atpg_also_reaches_complete_coverage() {
+        use crate::sat_atpg::{SatAtpg, SatAtpgConfig, SatAtpgOutcome};
+        use atspeed_sim::CombFaultSim;
         let nl = s27();
         let u = FaultUniverse::full(&nl);
-        let cfg = CombTsetConfig {
-            engine: DeterministicEngine::Sat,
-            ..CombTsetConfig::default()
-        };
-        let set = generate(&nl, &u, &cfg).unwrap();
-        assert!(set.untestable.is_empty());
-        assert_eq!(set.detected, u.num_collapsed());
-        // Both engines see the same random phase, so the sets are close in
-        // size; the SAT engine must stay compact too.
-        assert!(set.len() <= 16, "{} tests", set.len());
+        let sat = SatAtpg::new(&nl, SatAtpgConfig::default());
+        let mut rng = StdRng::seed_from_u64(1);
+        let tests: Vec<CombTest> = u
+            .representatives()
+            .iter()
+            .map(|&fid| match sat.generate(u.fault(fid)) {
+                SatAtpgOutcome::Test(t) => fill_x(&nl, t, &mut rng),
+                other => panic!("{}: {other:?}", u.fault(fid).describe(&nl)),
+            })
+            .collect();
+        let detected = CombFaultSim::new(&nl).detect_all(&tests, u.representatives(), &u);
+        assert!(detected.iter().all(|&d| d), "SAT tests miss a fault");
     }
 
     #[test]

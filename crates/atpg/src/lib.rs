@@ -29,7 +29,7 @@ pub mod sat_atpg;
 pub mod scoap;
 pub mod seq_tgen;
 
-pub use comb_tset::{CombTestSet, CombTsetConfig, DeterministicEngine};
+pub use comb_tset::{CombTestSet, CombTsetConfig};
 pub use error::AtpgError;
 pub use podem::{Podem, PodemConfig, PodemOutcome};
 pub use restore::{restore_vectors, RestorationConfig, RestorationStats};

@@ -11,8 +11,7 @@
 //!   table giving each gate its span;
 //! - the evaluation `schedule` pre-sorts gates into level buckets
 //!   (`level_offsets` delimits the gates of each combinational level), so a
-//!   full pass is a single linear sweep and an event-driven pass can seek
-//!   directly to the first affected level;
+//!   full pass is a single linear sweep;
 //! - the gate-sink fanout of every net is one `fanout_gates` array with a
 //!   `fanout_offsets` table (net → span of consuming gates, deduplicated);
 //! - per-gate [`GateKind`]/output/level and per-net observability and

@@ -44,7 +44,6 @@ pub mod bench_fmt;
 pub mod catalog;
 mod compiled;
 mod error;
-pub mod fuse;
 mod gate;
 mod id;
 mod netlist;
@@ -53,7 +52,6 @@ pub mod synth;
 
 pub use compiled::CompiledCircuit;
 pub use error::CircuitError;
-pub use fuse::{FusedCircuit, FusedOp};
 pub use gate::GateKind;
 pub use id::{FfId, GateId, NetId, PoId};
 pub use netlist::{Driver, Ff, Gate, Netlist, NetlistBuilder, Sink};

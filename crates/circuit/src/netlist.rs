@@ -111,8 +111,6 @@ pub struct Netlist {
     // (`OnceLock` itself is not `Clone`). The netlist is immutable after
     // construction, so the cache can never go stale.
     compiled: Arc<OnceLock<CompiledCircuit>>,
-    // Lazily-built cone-fusion view over `compiled`, same sharing story.
-    fused: Arc<OnceLock<crate::fuse::FusedCircuit>>,
 }
 
 impl Netlist {
@@ -259,14 +257,6 @@ impl Netlist {
     #[inline]
     pub fn compiled(&self) -> &CompiledCircuit {
         self.compiled.get_or_init(|| CompiledCircuit::compile(self))
-    }
-
-    /// The cone-fusion view of this netlist (see [`crate::fuse`]), built on
-    /// first use over [`Netlist::compiled`] and cached (clones share it).
-    #[inline]
-    pub fn fused(&self) -> &crate::fuse::FusedCircuit {
-        self.fused
-            .get_or_init(|| crate::fuse::FusedCircuit::fuse(self.compiled()))
     }
 }
 
@@ -598,7 +588,6 @@ impl NetlistBuilder {
             levels,
             max_level,
             compiled: Arc::new(OnceLock::new()),
-            fused: Arc::new(OnceLock::new()),
         })
     }
 }

@@ -113,7 +113,7 @@ impl PipelineConfig {
     /// This is the basis of config fingerprints: two configs with equal
     /// canonical lines yield byte-identical [`PipelineResult`]s on the
     /// same netlist. Execution knobs that are guaranteed not to change
-    /// results — worker threads, chunk size, the evaluation kernel — are
+    /// results — worker threads and chunk size — are
     /// deliberately **excluded**, so a cache keyed on these lines serves
     /// a result computed at any thread count to a client asking at any
     /// other.
@@ -659,13 +659,12 @@ mod tests {
     fn canonical_lines_track_results_not_execution_knobs() {
         let base = PipelineConfig::default();
 
-        // Execution knobs (threads, engine, chunking) never change results,
-        // so they must not change the canonical rendering either.
+        // Execution knobs (threads, chunking) never change results, so
+        // they must not change the canonical rendering either.
         let mut threaded = base;
         threaded.sim = SimConfig {
             threads: 8,
             chunk_size: 3,
-            engine: atspeed_sim::EngineKind::WideFused,
         };
         assert_eq!(base.canonical_lines(), threaded.canonical_lines());
 

@@ -53,8 +53,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Job worker threads (how many jobs run concurrently).
     pub workers: usize,
-    /// Default simulation config for jobs that don't override
-    /// `threads`/`engine` in their submission.
+    /// Default simulation config for jobs that don't override `threads`
+    /// in their submission.
     pub job_sim: SimConfig,
     /// Cache capacity bounds.
     pub budget: CacheBudget,
@@ -169,7 +169,13 @@ impl Server {
 }
 
 fn request_stop(shared: &Shared) {
-    shared.stop.store(true, Ordering::SeqCst);
+    // Set the flag under the queue lock: a worker reads `stop` and parks
+    // on the condvar while holding that lock, so it either sees the flag
+    // or is already parked when the notification below arrives.
+    {
+        let _queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        shared.stop.store(true, Ordering::SeqCst);
+    }
     shared.queue_cv.notify_all();
     // Unblock the acceptor's blocking accept() with a throwaway connect.
     let _ = TcpStream::connect(shared.addr);

@@ -288,3 +288,62 @@ fn per_job_history_records_are_appended() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `Server::wait` must return after a shutdown that races worker start-up.
+/// A worker that had just read `stop == false` and not yet parked on the
+/// queue condvar used to miss the stop notification and never exit. Many
+/// servers with many workers, started and stopped at once from several
+/// threads, land shutdowns inside that window; each `wait` runs on a
+/// helper thread and must finish within a deadline.
+#[test]
+fn shutdown_racing_worker_startup_never_hangs() {
+    const LOOPS: usize = 8;
+    const ROUNDS: usize = 200;
+    std::thread::scope(|s| {
+        for l in 0..LOOPS {
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    let server = Server::start(ServeConfig {
+                        workers: 16,
+                        ..ServeConfig::default()
+                    })
+                    .expect("bind loopback");
+                    server.shutdown();
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    std::thread::spawn(move || {
+                        server.wait();
+                        let _ = tx.send(());
+                    });
+                    assert!(
+                        rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+                        "Server::wait hung after shutdown (loop {l}, round {round})"
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// Flags retired with the evaluation-kernel knob are unknown arguments:
+/// both binaries refuse them before binding or connecting.
+#[test]
+fn retired_engine_flag_is_rejected() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_serve"), &["--engine", "scalar"][..]),
+        (
+            env!("CARGO_BIN_EXE_atspeedctl"),
+            &["ping", "--engine", "scalar"][..],
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("spawn binary");
+        assert!(!out.status.success(), "{bin} accepted --engine");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown argument `--engine`"),
+            "{bin}: {stderr}"
+        );
+    }
+}

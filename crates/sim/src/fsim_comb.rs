@@ -14,8 +14,7 @@ use atspeed_circuit::{CompiledCircuit, Driver, GateId, NetId, Netlist};
 use crate::comb::CombSim;
 use crate::fault::{FaultId, FaultSite, FaultUniverse};
 use crate::kernel::CompiledSim;
-use crate::logic::{W3x4, LANES, V3, W3};
-use crate::parallel::EngineKind;
+use crate::logic::{V3, W3};
 use crate::vectors::State;
 
 /// A combinational (single-vector, full-scan) test: a scan-in state and one
@@ -41,26 +40,11 @@ impl CombTest {
 /// Evaluation runs over the netlist's [`CompiledCircuit`] view: the good
 /// machine is a full compiled levelized pass, and each fault's propagation
 /// walks the compiled CSR fanout spans event-driven through level buckets.
-///
-/// # Engine selection
-///
-/// Under [`EngineKind::Wide`] the multi-block entry points
-/// ([`CombFaultSim::detect_all`], [`CombFaultSim::detect_matrix`]) batch
-/// [`LANES`] blocks of 64 tests into one wide good-machine pass and then
-/// propagate faults lane by lane against the extracted per-block values —
-/// per-(test, fault) outcomes are bit-identical to the scalar engine.
-/// [`EngineKind::WideFused`] degrades to `Wide` here: fault propagation
-/// reads arbitrary interior nets of the good machine, which a fused pass
-/// leaves stale. [`CombFaultSim::detect_block`] has a single block and no
-/// lane dimension to batch, so it always runs the scalar good pass.
 #[derive(Debug)]
 pub struct CombFaultSim<'a> {
     nl: &'a Netlist,
     cc: &'a CompiledCircuit,
-    engine: EngineKind,
     good: Vec<W3>,
-    // Wide good machine (LANES blocks at once), empty until first use.
-    wgood: Vec<W3x4>,
     fval: Vec<W3>,
     has_fval: Vec<bool>,
     touched: Vec<NetId>,
@@ -70,21 +54,13 @@ pub struct CombFaultSim<'a> {
 }
 
 impl<'a> CombFaultSim<'a> {
-    /// Creates a simulator for `nl` on the scalar kernel.
+    /// Creates a simulator for `nl`.
     pub fn new(nl: &'a Netlist) -> Self {
-        Self::with_engine(nl, EngineKind::Scalar)
-    }
-
-    /// Creates a simulator for `nl` on the given kernel (see the type docs
-    /// for how each [`EngineKind`] behaves here).
-    pub fn with_engine(nl: &'a Netlist, engine: EngineKind) -> Self {
         let cc = nl.compiled();
         CombFaultSim {
             nl,
             cc,
-            engine,
             good: vec![W3::ALL_X; cc.num_nets()],
-            wgood: Vec::new(),
             fval: vec![W3::ALL_X; cc.num_nets()],
             has_fval: vec![false; cc.num_nets()],
             touched: Vec::new(),
@@ -97,11 +73,6 @@ impl<'a> CombFaultSim<'a> {
     /// The netlist being simulated.
     pub fn netlist(&self) -> &'a Netlist {
         self.nl
-    }
-
-    /// The kernel this simulator runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// Simulates one block of up to 64 tests against `faults`.
@@ -141,10 +112,14 @@ impl<'a> CombFaultSim<'a> {
         crate::stats::add_invocation();
         let mut detected = vec![false; faults.len()];
         let mut alive: Vec<usize> = (0..faults.len()).collect();
-        let mut run_block = |sim: &mut Self, alive: &mut Vec<usize>| {
+        for block in tests.chunks(64) {
+            if alive.is_empty() {
+                break;
+            }
+            self.seed_and_eval_good(block);
             let before = alive.len();
             alive.retain(|&k| {
-                let mask = sim.propagate_one(faults[k], universe);
+                let mask = self.propagate_one(faults[k], universe);
                 if mask != 0 {
                     detected[k] = true;
                     false
@@ -153,33 +128,6 @@ impl<'a> CombFaultSim<'a> {
                 }
             });
             crate::stats::add_dropped((before - alive.len()) as u64);
-        };
-        if self.engine == EngineKind::Scalar {
-            for block in tests.chunks(64) {
-                if alive.is_empty() {
-                    break;
-                }
-                self.seed_and_eval_good(block);
-                run_block(self, &mut alive);
-            }
-        } else {
-            // One wide good pass covers LANES blocks; dropping still
-            // happens between blocks (lanes), so per-(test, fault)
-            // outcomes and drop counts match the scalar engine exactly.
-            for superblock in tests.chunks(64 * LANES) {
-                if alive.is_empty() {
-                    break;
-                }
-                let blocks: Vec<&[CombTest]> = superblock.chunks(64).collect();
-                self.seed_and_eval_good_wide(&blocks);
-                for l in 0..blocks.len() {
-                    if alive.is_empty() {
-                        break;
-                    }
-                    self.load_good_lane(l);
-                    run_block(self, &mut alive);
-                }
-            }
         }
         detected
     }
@@ -196,24 +144,10 @@ impl<'a> CombFaultSim<'a> {
         crate::stats::add_invocation();
         let words = tests.len().div_ceil(64);
         let mut matrix = vec![vec![0u64; words]; faults.len()];
-        if self.engine == EngineKind::Scalar {
-            for (b, block) in tests.chunks(64).enumerate() {
-                self.seed_and_eval_good(block);
-                for (k, &fid) in faults.iter().enumerate() {
-                    matrix[k][b] = self.propagate_one(fid, universe);
-                }
-            }
-        } else {
-            for (sb, superblock) in tests.chunks(64 * LANES).enumerate() {
-                let blocks: Vec<&[CombTest]> = superblock.chunks(64).collect();
-                self.seed_and_eval_good_wide(&blocks);
-                for l in 0..blocks.len() {
-                    self.load_good_lane(l);
-                    let b = sb * LANES + l;
-                    for (k, &fid) in faults.iter().enumerate() {
-                        matrix[k][b] = self.propagate_one(fid, universe);
-                    }
-                }
+        for (b, block) in tests.chunks(64).enumerate() {
+            self.seed_and_eval_good(block);
+            for (k, &fid) in faults.iter().enumerate() {
+                matrix[k][b] = self.propagate_one(fid, universe);
             }
         }
         matrix
@@ -237,52 +171,7 @@ impl<'a> CombFaultSim<'a> {
             }
             self.good[q.index()] = w;
         }
-        CompiledSim::new(cc).eval_slice(&mut self.good);
-    }
-
-    /// Seeds up to [`LANES`] blocks (one per lane) and runs one wide good
-    /// pass. The fused kernel is not used here even under
-    /// [`EngineKind::WideFused`]: fault propagation reads arbitrary
-    /// interior nets, which a fused pass leaves stale.
-    fn seed_and_eval_good_wide(&mut self, blocks: &[&[CombTest]]) {
-        let cc = self.cc;
-        debug_assert!(!blocks.is_empty() && blocks.len() <= LANES);
-        if self.wgood.len() < cc.num_nets() {
-            self.wgood.resize(cc.num_nets(), W3x4::ALL_X);
-        }
-        for (i, &pi) in cc.pis().iter().enumerate() {
-            let mut wb = W3x4::ALL_X;
-            for (l, block) in blocks.iter().enumerate() {
-                let mut w = W3::ALL_X;
-                for (s, t) in block.iter().enumerate() {
-                    debug_assert_eq!(t.inputs.len(), cc.pis().len(), "input width mismatch");
-                    w.set(s, t.inputs[i]);
-                }
-                wb.set_lane(l, w);
-            }
-            self.wgood[pi.index()] = wb;
-        }
-        for (f, &q) in cc.ff_qs().iter().enumerate() {
-            let mut wb = W3x4::ALL_X;
-            for (l, block) in blocks.iter().enumerate() {
-                let mut w = W3::ALL_X;
-                for (s, t) in block.iter().enumerate() {
-                    debug_assert_eq!(t.state.len(), cc.ff_qs().len(), "state width mismatch");
-                    w.set(s, t.state[f]);
-                }
-                wb.set_lane(l, w);
-            }
-            self.wgood[q.index()] = wb;
-        }
-        CompiledSim::new(cc).eval_slice_wide(&mut self.wgood);
-    }
-
-    /// Extracts lane `l` of the wide good machine into the scalar good
-    /// array that fault propagation reads.
-    fn load_good_lane(&mut self, l: usize) {
-        for (g, wb) in self.good.iter_mut().zip(self.wgood.iter()) {
-            *g = wb.lane(l);
-        }
+        CompiledSim::new(cc).eval(&mut self.good);
     }
 
     /// Event-driven single-fault propagation; returns the detect mask.
@@ -597,58 +486,6 @@ mod tests {
         let det = sim.detect_all(&tests, &faults, &u);
         // s27 is fully testable: every representative must fall.
         assert!(det.iter().all(|&d| d), "all s27 faults detectable");
-    }
-
-    /// Every engine variant must report exactly the scalar engine's
-    /// detections and detection matrices, including on partially-filled
-    /// wide superblocks and X-heavy tests.
-    #[test]
-    fn all_engines_match_scalar_detection() {
-        let synth = generate(&SynthSpec::new("eng", 5, 3, 8, 160, 7)).unwrap();
-        for nl in [s27(), synth] {
-            let u = FaultUniverse::full(&nl);
-            let faults: Vec<FaultId> = u.representatives().to_vec();
-            // 300 tests: one full 256-test wide superblock plus a ragged
-            // tail, with a sprinkling of X values.
-            let mut x = 0xdead_beefu64;
-            let mut rnd = || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let v3 = |r: u64| match r % 5 {
-                0 => V3::X,
-                n => V3::from_bool(n & 1 == 1),
-            };
-            let tests: Vec<CombTest> = (0..300)
-                .map(|_| {
-                    CombTest::new(
-                        (0..nl.num_ffs()).map(|_| v3(rnd())).collect(),
-                        (0..nl.num_pis()).map(|_| v3(rnd())).collect(),
-                    )
-                })
-                .collect();
-
-            let mut scalar = CombFaultSim::new(&nl);
-            let det = scalar.detect_all(&tests, &faults, &u);
-            let matrix = scalar.detect_matrix(&tests, &faults, &u);
-            for engine in EngineKind::ALL {
-                let mut sim = CombFaultSim::with_engine(&nl, engine);
-                assert_eq!(
-                    sim.detect_all(&tests, &faults, &u),
-                    det,
-                    "{engine} detect_all diverges on {}",
-                    nl.name()
-                );
-                assert_eq!(
-                    sim.detect_matrix(&tests, &faults, &u),
-                    matrix,
-                    "{engine} detect_matrix diverges on {}",
-                    nl.name()
-                );
-            }
-        }
     }
 
     #[test]

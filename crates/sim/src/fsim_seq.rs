@@ -13,10 +13,8 @@ use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId};
 
 use crate::comb::Overrides;
 use crate::fault::{FaultId, FaultUniverse};
-use crate::fused::FusedSim;
-use crate::kernel::{CompiledSim, SimScratch};
+use crate::kernel::CompiledSim;
 use crate::logic::{V3, W3};
-use crate::parallel::EngineKind;
 use crate::vectors::{Sequence, State};
 
 /// Fault-free trace of a sequence: per-cycle primary-output values and the
@@ -30,37 +28,20 @@ pub struct GoodTrace {
     pub states: Vec<State>,
 }
 
-/// Fault-free sequential simulator.
-///
-/// Reads only observed nets (primary outputs and flip-flop D inputs),
-/// which are always fused-unit roots, so [`EngineKind::WideFused`] runs
-/// the cone-fused kernel per cycle. [`EngineKind::Wide`] maps to scalar
-/// here: there is no pattern dimension to widen (the whole word simulates
-/// one trace).
+/// Fault-free sequential simulator: one full compiled pass per cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct SeqSim<'a> {
     nl: &'a Netlist,
-    engine: EngineKind,
 }
 
 impl<'a> SeqSim<'a> {
-    /// Creates a simulator for `nl` on the scalar kernel.
+    /// Creates a simulator for `nl`.
     pub fn new(nl: &'a Netlist) -> Self {
-        Self::with_engine(nl, EngineKind::Scalar)
-    }
-
-    /// Creates a simulator for `nl` on the given kernel (see the type docs
-    /// for how each [`EngineKind`] behaves here).
-    pub fn with_engine(nl: &'a Netlist, engine: EngineKind) -> Self {
-        SeqSim { nl, engine }
+        SeqSim { nl }
     }
 
     /// Simulates `seq` from the initial state `init` (use all-X for a
     /// circuit that has not been scan-loaded).
-    ///
-    /// The first cycle is a full pass; later cycles run event-driven,
-    /// re-evaluating only the cone of the inputs and state bits that
-    /// changed between cycles.
     ///
     /// # Panics
     ///
@@ -69,35 +50,18 @@ impl<'a> SeqSim<'a> {
         assert_eq!(init.len(), self.nl.num_ffs(), "state width mismatch");
         let cc = self.nl.compiled();
         let sim = CompiledSim::new(cc);
-        let mut fused =
-            (self.engine == EngineKind::WideFused).then(|| FusedSim::new(cc, self.nl.fused()));
-        let mut scratch = SimScratch::new(cc);
+        let mut vals = vec![W3::ALL_X; cc.num_nets()];
         let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
         let mut po_values = Vec::with_capacity(seq.len());
         let mut states = Vec::with_capacity(seq.len());
         for t in 0..seq.len() {
             let vec = seq.vector(t);
             assert_eq!(vec.len(), self.nl.num_pis(), "input width mismatch");
-            for (i, &pi) in cc.pis().iter().enumerate() {
-                scratch.set_source(pi, W3::broadcast(vec[i]));
-            }
-            for (f, &q) in cc.ff_qs().iter().enumerate() {
-                scratch.set_source(q, state[f]);
-            }
-            match (&mut fused, t) {
-                (Some(f), 0) => f.eval(&mut scratch),
-                (Some(f), _) => f.eval_delta(&mut scratch),
-                (None, 0) => sim.eval(&mut scratch),
-                (None, _) => sim.eval_delta(&mut scratch),
-            }
-            po_values.push(
-                cc.pos()
-                    .iter()
-                    .map(|&po| scratch.value(po).get(0))
-                    .collect(),
-            );
+            seed_sources(cc, &mut vals, vec, &state);
+            sim.eval(&mut vals);
+            po_values.push(cc.pos().iter().map(|&po| vals[po.index()].get(0)).collect());
             for (f, &d) in cc.ff_ds().iter().enumerate() {
-                state[f] = scratch.value(d);
+                state[f] = vals[d.index()];
             }
             states.push(state.iter().map(|w| w.get(0)).collect());
         }
@@ -169,28 +133,16 @@ pub enum FinalObserve<'m> {
     PartialState(&'m [bool]),
 }
 
-/// Parallel-fault sequential fault simulator with reusable scratch buffers.
+/// Parallel-fault sequential fault simulator with reusable buffers.
 ///
-/// Evaluates over the netlist's [`CompiledCircuit`]: within each 63-fault
-/// chunk the first cycle is a full compiled pass under the injected
-/// overrides, and subsequent cycles propagate event-driven from the input
-/// and state bits that changed (the override set is fixed for the whole
-/// chunk, so values outside the changed cone stay valid).
-///
-/// # Engine selection
-///
-/// This engine observes only primary outputs and flip-flop D inputs —
-/// always fused-unit roots — so [`EngineKind::WideFused`] runs the
-/// cone-fused kernel for every cycle's pass. [`EngineKind::Wide`] maps to
-/// scalar here: the word's 64 slots already carry the good machine plus
-/// [`FAULTS_PER_PASS`] faulty machines, leaving no pattern dimension to
-/// widen. Detection results are identical at every kind.
+/// Evaluates over the netlist's [`CompiledCircuit`]: every cycle of each
+/// 63-fault chunk is one full compiled pass under the chunk's injected
+/// overrides, into a net value array reused across cycles and chunks.
 #[derive(Debug)]
 pub struct SeqFaultSim<'a> {
     nl: &'a Netlist,
     cc: &'a CompiledCircuit,
-    fused: Option<FusedSim<'a>>,
-    scratch: SimScratch,
+    vals: Vec<W3>,
     ov: Overrides,
 }
 
@@ -198,21 +150,13 @@ pub struct SeqFaultSim<'a> {
 pub const FAULTS_PER_PASS: usize = 63;
 
 impl<'a> SeqFaultSim<'a> {
-    /// Creates a fault simulator for `nl` on the scalar kernel.
+    /// Creates a fault simulator for `nl`.
     pub fn new(nl: &'a Netlist) -> Self {
-        Self::with_engine(nl, EngineKind::Scalar)
-    }
-
-    /// Creates a fault simulator for `nl` on the given kernel (see the
-    /// type docs for how each [`EngineKind`] behaves here).
-    pub fn with_engine(nl: &'a Netlist, engine: EngineKind) -> Self {
         let cc = nl.compiled();
-        let fused = (engine == EngineKind::WideFused).then(|| FusedSim::new(cc, nl.fused()));
         SeqFaultSim {
             nl,
             cc,
-            fused,
-            scratch: SimScratch::new(cc),
+            vals: vec![W3::ALL_X; cc.num_nets()],
             ov: Overrides::new(nl),
         }
     }
@@ -316,15 +260,8 @@ impl<'a> SeqFaultSim<'a> {
         }
         let mut caught = 0u64;
         let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
-        let sim = CompiledSim::new(self.cc);
         for t in 0..seq.len() {
-            self.seed_inputs(seq, t, &state);
-            match (&mut self.fused, t) {
-                (Some(f), 0) => f.eval_with(&mut self.scratch, &self.ov),
-                (Some(f), _) => f.eval_delta_with(&mut self.scratch, &self.ov),
-                (None, 0) => sim.eval_with(&mut self.scratch, &self.ov),
-                (None, _) => sim.eval_delta_with(&mut self.scratch, &self.ov),
-            }
+            self.eval_cycle(seq, t, &state);
             caught |= self.po_diff_mask() & active;
             self.capture(&mut state);
             if t + 1 == seq.len() {
@@ -395,15 +332,8 @@ impl<'a> SeqFaultSim<'a> {
             }
             let mut po_done = 0u64;
             let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
-            let sim = CompiledSim::new(self.cc);
             for t in 0..seq.len() {
-                self.seed_inputs(seq, t, &state);
-                match (&mut self.fused, t) {
-                    (Some(f), 0) => f.eval_with(&mut self.scratch, &self.ov),
-                    (Some(f), _) => f.eval_delta_with(&mut self.scratch, &self.ov),
-                    (None, 0) => sim.eval_with(&mut self.scratch, &self.ov),
-                    (None, _) => sim.eval_delta_with(&mut self.scratch, &self.ov),
-                }
+                self.eval_cycle(seq, t, &state);
                 let po_mask = self.po_diff_mask() & active & !po_done;
                 if po_mask != 0 {
                     for k in 0..chunk.len() {
@@ -434,15 +364,13 @@ impl<'a> SeqFaultSim<'a> {
         (profiles, truncated)
     }
 
-    fn seed_inputs(&mut self, seq: &Sequence, t: usize, state: &[W3]) {
+    /// Seeds cycle `t` of `seq` over the current machine states and
+    /// evaluates it under the chunk's overrides.
+    fn eval_cycle(&mut self, seq: &Sequence, t: usize, state: &[W3]) {
         let vec = seq.vector(t);
         debug_assert_eq!(vec.len(), self.nl.num_pis(), "input width mismatch");
-        for (i, &pi) in self.cc.pis().iter().enumerate() {
-            self.scratch.set_source(pi, W3::broadcast(vec[i]));
-        }
-        for (f, &q) in self.cc.ff_qs().iter().enumerate() {
-            self.scratch.set_source(q, state[f]);
-        }
+        seed_sources(self.cc, &mut self.vals, vec, state);
+        CompiledSim::new(self.cc).eval_with(&mut self.vals, &self.ov);
     }
 
     fn po_diff_mask(&self) -> u64 {
@@ -450,7 +378,7 @@ impl<'a> SeqFaultSim<'a> {
         for (k, &po) in self.cc.pos().iter().enumerate() {
             let w = self
                 .ov
-                .apply_po_pin(PoId::from_index(k), self.scratch.value(po));
+                .apply_po_pin(PoId::from_index(k), self.vals[po.index()]);
             match w.get(0) {
                 V3::One => mask |= w.zero,
                 V3::Zero => mask |= w.one,
@@ -464,9 +392,20 @@ impl<'a> SeqFaultSim<'a> {
         for (f, &d) in self.cc.ff_ds().iter().enumerate() {
             let w = self
                 .ov
-                .apply_ff_pin(FfId::from_index(f), self.scratch.value(d));
+                .apply_ff_pin(FfId::from_index(f), self.vals[d.index()]);
             state[f] = w;
         }
+    }
+}
+
+/// Writes one cycle's sources: the input vector broadcast to every slot,
+/// and each slot's flip-flop state.
+pub(crate) fn seed_sources(cc: &CompiledCircuit, vals: &mut [W3], vector: &[V3], state: &[W3]) {
+    for (i, &pi) in cc.pis().iter().enumerate() {
+        vals[pi.index()] = W3::broadcast(vector[i]);
+    }
+    for (f, &q) in cc.ff_qs().iter().enumerate() {
+        vals[q.index()] = state[f];
     }
 }
 
@@ -780,13 +719,15 @@ mod tests {
         assert!(fsim.detects_all(&init, &seq_of(&["0000"]), &[], &u, true));
     }
 
-    /// Every engine variant must reproduce the scalar engine's good-machine
-    /// traces, detections, and profiles exactly — the fused kernel only
-    /// guarantees root nets, and SeqSim/SeqFaultSim observe only those.
+    /// Multi-cycle detection against an independent reference: every fault
+    /// simulated on its own, cycle by cycle, on the legacy pointer walker,
+    /// from X-heavy stimuli.
     #[test]
-    fn all_engines_match_scalar_sequential_results() {
+    fn detect_matches_per_fault_legacy_simulation() {
+        use crate::comb::CombSim;
         use atspeed_circuit::synth::{generate, SynthSpec};
-        let synth = generate(&SynthSpec::new("seq-eng", 5, 3, 8, 160, 11)).unwrap();
+        let known_diff = |w: W3| w.get(0).is_known() && w.get(1).is_known() && w.get(0) != w.get(1);
+        let synth = generate(&SynthSpec::new("seq-ref", 5, 3, 8, 160, 11)).unwrap();
         for nl in [s27(), synth] {
             let u = FaultUniverse::full(&nl);
             let reps: Vec<FaultId> = u.representatives().to_vec();
@@ -805,28 +746,39 @@ mod tests {
                 .map(|_| (0..nl.num_pis()).map(|_| v3(rnd())).collect())
                 .collect();
             let init: State = (0..nl.num_ffs()).map(|_| v3(rnd())).collect();
+            let det = SeqFaultSim::new(&nl).detect(&init, &seq, &reps, &u, true);
 
-            let trace = SeqSim::new(&nl).run(&init, &seq);
-            let mut scalar = SeqFaultSim::new(&nl);
-            let det = scalar.detect(&init, &seq, &reps, &u, true);
-            let profiles = scalar.profiles(&init, &seq, &reps, &u);
-            for engine in EngineKind::ALL {
-                let t = SeqSim::with_engine(&nl, engine).run(&init, &seq);
-                assert_eq!(t.po_values, trace.po_values, "{engine} POs diverge");
-                assert_eq!(t.states, trace.states, "{engine} states diverge");
-
-                let mut sim = SeqFaultSim::with_engine(&nl, engine);
+            let mut legacy = CombSim::new(&nl);
+            let mut vals = vec![W3::ALL_X; nl.num_nets()];
+            for (k, &fid) in reps.iter().enumerate() {
+                let mut ov = Overrides::new(&nl);
+                ov.add(u.fault(fid), 0b10);
+                let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
+                let mut caught = false;
+                for t in 0..seq.len() {
+                    for (i, &pi) in nl.pis().iter().enumerate() {
+                        vals[pi.index()] = W3::broadcast(seq.vector(t)[i]);
+                    }
+                    for (f, ff) in nl.ffs().iter().enumerate() {
+                        vals[ff.q().index()] = state[f];
+                    }
+                    legacy.eval_with(&mut vals, &ov);
+                    for (p, &po) in nl.pos().iter().enumerate() {
+                        caught |=
+                            known_diff(ov.apply_po_pin(PoId::from_index(p), vals[po.index()]));
+                    }
+                    for (f, ff) in nl.ffs().iter().enumerate() {
+                        state[f] = ov.apply_ff_pin(FfId::from_index(f), vals[ff.d().index()]);
+                    }
+                }
+                caught |= state.iter().any(|&w| known_diff(w));
                 assert_eq!(
-                    sim.detect(&init, &seq, &reps, &u, true),
-                    det,
-                    "{engine} detect diverges on {}",
+                    det[k],
+                    caught,
+                    "fault {} on {}",
+                    u.fault(fid).describe(&nl),
                     nl.name()
                 );
-                let p = sim.profiles(&init, &seq, &reps, &u);
-                for (a, b) in p.iter().zip(profiles.iter()) {
-                    assert_eq!(a.po_detect, b.po_detect, "{engine} po_detect diverges");
-                    assert_eq!(a.state_diff, b.state_diff, "{engine} state_diff diverges");
-                }
             }
         }
     }

@@ -41,13 +41,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "wide-simd", feature(portable_simd))]
 
 pub mod comb;
 pub mod fault;
 pub mod fsim_comb;
 pub mod fsim_seq;
-pub mod fused;
 pub mod kernel;
 pub mod logic;
 pub mod parallel;
@@ -60,10 +58,9 @@ pub use comb::{CombSim, Overrides};
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use fsim_comb::{CombFaultSim, CombTest};
 pub use fsim_seq::{DetectionProfile, FinalObserve, SeqFaultSim, SeqSim};
-pub use fused::{FusedSim, FUSED_SLICE_PAD};
-pub use kernel::{CompiledSim, SimScratch};
-pub use logic::{W3x4, LANES, V3, W3};
-pub use parallel::{EngineKind, MatrixMismatch, ParallelFsim, SimConfig};
+pub use kernel::CompiledSim;
+pub use logic::{V3, W3};
+pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig};
 pub use stats::{PhaseStats, SimReport};
 pub use transition::{TransitionFault, TransitionFaultSim};
 pub use vectors::{try_parse_values, ParseError, Sequence, State};

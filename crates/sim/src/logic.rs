@@ -288,193 +288,6 @@ impl fmt::Debug for W3 {
     }
 }
 
-/// Number of 64-slot words in a wide block ([`W3x4`]): 4 × 64 = 256 slots.
-pub const LANES: usize = 4;
-
-/// [`LANES`] packed [`W3`] words evaluated together (256 simulation slots).
-///
-/// Lanes are stored rail-major — all `zero` lanes, then all `one` lanes —
-/// so each rail is one contiguous 256-bit run the compiler can lower to
-/// vector loads and stores (the whole block is exactly one 64-byte cache
-/// line). Slot `s` of lane `l` is pattern slot `l * 64 + s` of the block.
-/// The dual-rail invariant `zero & one == 0` holds lane-wise, exactly as
-/// for [`W3`].
-///
-/// With the `wide-simd` cargo feature (nightly-only; never enabled in CI)
-/// the rail operations go through `std::simd::u64x4` explicitly; on stable
-/// the plain lane loops below are written so LLVM auto-vectorizes them.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct W3x4 {
-    /// Bit `s` of lane `l` set ⇒ slot `l * 64 + s` is known-0.
-    pub zero: [u64; LANES],
-    /// Bit `s` of lane `l` set ⇒ slot `l * 64 + s` is known-1.
-    pub one: [u64; LANES],
-}
-
-#[cfg(feature = "wide-simd")]
-#[inline]
-fn lanes_and(a: [u64; LANES], b: [u64; LANES]) -> [u64; LANES] {
-    (std::simd::u64x4::from_array(a) & std::simd::u64x4::from_array(b)).to_array()
-}
-
-#[cfg(feature = "wide-simd")]
-#[inline]
-fn lanes_or(a: [u64; LANES], b: [u64; LANES]) -> [u64; LANES] {
-    (std::simd::u64x4::from_array(a) | std::simd::u64x4::from_array(b)).to_array()
-}
-
-#[cfg(not(feature = "wide-simd"))]
-#[inline]
-fn lanes_and(a: [u64; LANES], b: [u64; LANES]) -> [u64; LANES] {
-    let mut out = [0u64; LANES];
-    for i in 0..LANES {
-        out[i] = a[i] & b[i];
-    }
-    out
-}
-
-#[cfg(not(feature = "wide-simd"))]
-#[inline]
-fn lanes_or(a: [u64; LANES], b: [u64; LANES]) -> [u64; LANES] {
-    let mut out = [0u64; LANES];
-    for i in 0..LANES {
-        out[i] = a[i] | b[i];
-    }
-    out
-}
-
-impl W3x4 {
-    /// All 256 slots X.
-    pub const ALL_X: W3x4 = W3x4 {
-        zero: [0; LANES],
-        one: [0; LANES],
-    };
-
-    /// The same 64-slot word in every lane.
-    #[inline]
-    pub fn splat(w: W3) -> Self {
-        W3x4 {
-            zero: [w.zero; LANES],
-            one: [w.one; LANES],
-        }
-    }
-
-    /// Reads one lane as a [`W3`].
-    #[inline]
-    pub fn lane(self, l: usize) -> W3 {
-        W3 {
-            zero: self.zero[l],
-            one: self.one[l],
-        }
-    }
-
-    /// Writes one lane.
-    #[inline]
-    pub fn set_lane(&mut self, l: usize, w: W3) {
-        self.zero[l] = w.zero;
-        self.one[l] = w.one;
-    }
-
-    /// 3-valued AND, lane-wise.
-    #[inline]
-    pub fn and(self, rhs: W3x4) -> Self {
-        W3x4 {
-            zero: lanes_or(self.zero, rhs.zero),
-            one: lanes_and(self.one, rhs.one),
-        }
-    }
-
-    /// 3-valued OR, lane-wise.
-    #[inline]
-    pub fn or(self, rhs: W3x4) -> Self {
-        W3x4 {
-            zero: lanes_and(self.zero, rhs.zero),
-            one: lanes_or(self.one, rhs.one),
-        }
-    }
-
-    /// 3-valued XOR, lane-wise.
-    #[inline]
-    pub fn xor(self, rhs: W3x4) -> Self {
-        W3x4 {
-            zero: lanes_or(lanes_and(self.zero, rhs.zero), lanes_and(self.one, rhs.one)),
-            one: lanes_or(lanes_and(self.zero, rhs.one), lanes_and(self.one, rhs.zero)),
-        }
-    }
-
-    /// 3-valued complement (rail swap).
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // mirrors `W3::not`
-    pub fn not(self) -> Self {
-        W3x4 {
-            zero: self.one,
-            one: self.zero,
-        }
-    }
-
-    /// Forces slot-mask `mask` of **every** lane to the binary value `v`.
-    ///
-    /// Fault-override masks address the 64 per-word slots; a wide block
-    /// carries the same fault assignment in each lane (4 × 64 patterns
-    /// against one override set), so the mask broadcasts lane-wise.
-    #[inline]
-    pub fn force(self, v: bool, mask: u64) -> Self {
-        let m = [mask; LANES];
-        if v {
-            W3x4 {
-                zero: lanes_and(self.zero, [!mask; LANES]),
-                one: lanes_or(self.one, m),
-            }
-        } else {
-            W3x4 {
-                zero: lanes_or(self.zero, m),
-                one: lanes_and(self.one, [!mask; LANES]),
-            }
-        }
-    }
-
-    /// Evaluates a gate of the given kind over its input blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `inputs` is empty.
-    #[inline]
-    pub fn eval_gate(kind: GateKind, inputs: &[W3x4]) -> W3x4 {
-        debug_assert!(!inputs.is_empty(), "gate with no inputs");
-        let first = inputs[0];
-        let base = match kind {
-            GateKind::And | GateKind::Nand => inputs[1..].iter().fold(first, |acc, &w| acc.and(w)),
-            GateKind::Or | GateKind::Nor => inputs[1..].iter().fold(first, |acc, &w| acc.or(w)),
-            GateKind::Xor | GateKind::Xnor => inputs[1..].iter().fold(first, |acc, &w| acc.xor(w)),
-            GateKind::Not | GateKind::Buf => first,
-        };
-        if kind.inverts() {
-            base.not()
-        } else {
-            base
-        }
-    }
-
-    /// Checks the dual-rail invariant (`zero & one == 0`) on every lane.
-    #[inline]
-    pub fn is_consistent(self) -> bool {
-        (0..LANES).all(|l| self.zero[l] & self.one[l] == 0)
-    }
-}
-
-impl fmt::Debug for W3x4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "W3x4(")?;
-        for l in 0..LANES {
-            if l > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{:?}", self.lane(l))?;
-        }
-        write!(f, ")")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,101 +416,5 @@ mod tests {
         assert_eq!(W3::broadcast(V3::Zero), W3::ALL_ZERO);
         assert_eq!(W3::broadcast(V3::One), W3::ALL_ONE);
         assert_eq!(W3::broadcast(V3::X), W3::ALL_X);
-    }
-
-    /// Deterministic word stream for the wide-block tests.
-    fn word_stream(mut s: u64) -> impl FnMut() -> W3 {
-        move || {
-            let mut next = || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            let a = next();
-            let b = next();
-            W3 {
-                zero: a & !b,
-                one: !a & b,
-            }
-        }
-    }
-
-    /// Every wide op must equal the scalar [`W3`] op applied lane-wise.
-    #[test]
-    fn wide_ops_match_per_lane_w3_ops() {
-        let mut next = word_stream(0x1234_5678_9abc_def0);
-        for _ in 0..32 {
-            let mut a = W3x4::ALL_X;
-            let mut b = W3x4::ALL_X;
-            for l in 0..LANES {
-                a.set_lane(l, next());
-                b.set_lane(l, next());
-            }
-            for l in 0..LANES {
-                assert_eq!(a.and(b).lane(l), a.lane(l).and(b.lane(l)));
-                assert_eq!(a.or(b).lane(l), a.lane(l).or(b.lane(l)));
-                assert_eq!(a.xor(b).lane(l), a.lane(l).xor(b.lane(l)));
-                assert_eq!(a.not().lane(l), a.lane(l).not());
-                assert_eq!(a.force(true, 0xF0F0).lane(l), a.lane(l).force(true, 0xF0F0));
-                assert_eq!(
-                    a.force(false, 0x0FF0).lane(l),
-                    a.lane(l).force(false, 0x0FF0)
-                );
-            }
-            assert!(a.and(b).is_consistent());
-            assert!(a.xor(b).is_consistent());
-        }
-    }
-
-    #[test]
-    fn wide_eval_gate_matches_per_lane_eval() {
-        let mut next = word_stream(0xfeed_beef_cafe_f00d);
-        let kinds = [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-            GateKind::Not,
-            GateKind::Buf,
-        ];
-        for kind in kinds {
-            let n = if matches!(kind, GateKind::Not | GateKind::Buf) {
-                1
-            } else {
-                3
-            };
-            let inputs: Vec<W3x4> = (0..n)
-                .map(|_| {
-                    let mut w = W3x4::ALL_X;
-                    for l in 0..LANES {
-                        w.set_lane(l, next());
-                    }
-                    w
-                })
-                .collect();
-            let wide = W3x4::eval_gate(kind, &inputs);
-            for l in 0..LANES {
-                let scalar: Vec<W3> = inputs.iter().map(|w| w.lane(l)).collect();
-                assert_eq!(wide.lane(l), W3::eval_gate(kind, &scalar), "{kind:?}");
-            }
-            assert!(wide.is_consistent());
-        }
-    }
-
-    #[test]
-    fn splat_and_lane_round_trip() {
-        let w = W3 {
-            zero: 0xAA,
-            one: 0x55,
-        };
-        let wide = W3x4::splat(w);
-        for l in 0..LANES {
-            assert_eq!(wide.lane(l), w);
-        }
-        assert!(wide.is_consistent());
-        assert_eq!(W3x4::ALL_X.lane(0), W3::ALL_X);
     }
 }

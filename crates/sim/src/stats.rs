@@ -26,12 +26,11 @@
 //! Counter semantics:
 //!
 //! - **gate evaluations** — gate-words: one unit is one gate evaluated over
-//!   one 64-slot word. A scalar full pass counts one per gate, a wide
-//!   (`W3x4`) pass counts `LANES` per gate, a fused pass counts every gate
-//!   inside its evaluated units, and event-driven propagation counts only
-//!   the gate-words it touched. Skipped work is reported in the same unit
-//!   (`events_skipped`), so for any delta pass
-//!   `evals + skipped == num_gates × words`;
+//!   one 64-slot word. A compiled full pass counts one per gate, and the
+//!   PPSFP engine's per-fault cone propagation counts only the gates it
+//!   touched. The gates that propagation skipped are reported in the same
+//!   unit (`events_skipped`), so for every propagated fault
+//!   `evals + skipped == num_gates`;
 //! - **invocations** — engine-level fault-simulation entry points
 //!   (`detect*`, `profiles`). A parallel call that fans out to `P`
 //!   partitions counts once per partition;
@@ -122,8 +121,8 @@ pub fn add_dropped(n: u64) {
     DROPPED.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
-/// Adds `n` skipped gate evaluations (event-driven savings) to this
-/// thread's pending counts.
+/// Adds `n` skipped gate evaluations (gates outside a propagated fault
+/// cone) to this thread's pending counts.
 #[inline]
 pub fn add_events_skipped(n: u64) {
     EVENTS_SKIPPED.with(|c| c.set(c.get().wrapping_add(n)));
@@ -506,13 +505,13 @@ pub fn report() -> SimReport {
 /// Counters merged for one phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Single-gate 64-slot-wide evaluations.
+    /// Gate-words evaluated: one gate over one 64-slot word.
     pub gate_evals: u64,
     /// Engine-level fault-simulation invocations.
     pub fsim_invocations: u64,
     /// Faults dropped after detection.
     pub faults_dropped: u64,
-    /// Gate evaluations an event-driven pass avoided (gates outside the
+    /// Gate evaluations PPSFP fault propagation avoided (gates outside the
     /// propagated cone that a full levelized pass would have computed).
     pub events_skipped: u64,
     /// Wall time attributed to the phase.
@@ -532,8 +531,7 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     /// Gate evaluations per second of phase wall time (0.0 when no wall
-    /// time was recorded). The headline throughput figure for comparing
-    /// the legacy, compiled, and event-driven kernels.
+    /// time was recorded).
     pub fn gate_evals_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {

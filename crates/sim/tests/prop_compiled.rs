@@ -4,15 +4,15 @@
 //!
 //! The legacy [`CombSim`] walker is the reference implementation: every
 //! property here demands *bit-identical* values or detection masks from the
-//! compiled full-pass, override, and event-driven delta paths, including
-//! 3-valued X inputs and fault-injection overrides.
+//! compiled full-pass and override paths, including 3-valued X inputs and
+//! fault-injection overrides.
 
 use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::{catalog, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
     CombFaultSim, CombSim, CombTest, CompiledSim, Overrides, ParallelFsim, SeqSim, Sequence,
-    SimConfig, SimScratch, V3, W3,
+    SimConfig, V3, W3,
 };
 use proptest::prelude::*;
 
@@ -46,23 +46,14 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
     }
 }
 
-/// Seeds both a legacy value array and a compiled scratch with the same
-/// random 3-valued sources and returns the source words.
-fn seed_both(
-    nl: &Netlist,
-    vals: &mut [W3],
-    scratch: &mut SimScratch,
-    next: &mut impl FnMut() -> u64,
-) {
+/// Seeds the source nets (primary inputs and flip-flop outputs) of `vals`
+/// with random 3-valued words.
+fn seed_sources(nl: &Netlist, vals: &mut [W3], next: &mut impl FnMut() -> u64) {
     for &pi in nl.pis() {
-        let w = random_w3(next);
-        vals[pi.index()] = w;
-        scratch.set_source(pi, w);
+        vals[pi.index()] = random_w3(next);
     }
     for ff in nl.ffs() {
-        let w = random_w3(next);
-        vals[ff.q().index()] = w;
-        scratch.set_source(ff.q(), w);
+        vals[ff.q().index()] = random_w3(next);
     }
 }
 
@@ -87,16 +78,14 @@ proptest! {
         let mut next = rng(seed);
         let cc = nl.compiled();
         let sim = CompiledSim::new(cc);
-        let mut scratch = SimScratch::new(cc);
         let mut legacy = CombSim::new(&nl);
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
-            seed_both(&nl, &mut vals, &mut scratch, &mut next);
-            legacy.eval(&mut vals);
-            sim.eval(&mut scratch);
-            for net in nl.net_ids() {
-                prop_assert_eq!(scratch.value(net), vals[net.index()]);
-            }
+            seed_sources(&nl, &mut vals, &mut next);
+            let mut reference = vals.clone();
+            legacy.eval(&mut reference);
+            sim.eval(&mut vals);
+            prop_assert_eq!(&vals, &reference);
         }
     }
 
@@ -109,56 +98,14 @@ proptest! {
         let ov = random_overrides(&nl, &u, &mut next);
         let cc = nl.compiled();
         let sim = CompiledSim::new(cc);
-        let mut scratch = SimScratch::new(cc);
         let mut legacy = CombSim::new(&nl);
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
-            seed_both(&nl, &mut vals, &mut scratch, &mut next);
-            legacy.eval_with(&mut vals, &ov);
-            sim.eval_with(&mut scratch, &ov);
-            for net in nl.net_ids() {
-                prop_assert_eq!(scratch.value(net), vals[net.index()]);
-            }
-        }
-    }
-
-    /// The event-driven delta path over a sequence of partial reseeds gives
-    /// exactly the values of a legacy full pass, with and without overrides.
-    #[test]
-    fn compiled_delta_path_matches_legacy(nl in arb_netlist(), seed in any::<u64>()) {
-        let mut next = rng(seed);
-        let u = FaultUniverse::full(&nl);
-        let ov = random_overrides(&nl, &u, &mut next);
-        let cc = nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let mut scratch = SimScratch::new(cc);
-        let mut legacy = CombSim::new(&nl);
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
-
-        seed_both(&nl, &mut vals, &mut scratch, &mut next);
-        legacy.eval_with(&mut vals, &ov);
-        sim.eval_with(&mut scratch, &ov);
-        for _ in 0..6 {
-            // Reseed a random subset of sources (possibly none).
-            for &pi in nl.pis() {
-                if next() & 1 == 0 {
-                    let w = random_w3(&mut next);
-                    vals[pi.index()] = w;
-                    scratch.set_source(pi, w);
-                }
-            }
-            for ff in nl.ffs() {
-                if next() & 1 == 0 {
-                    let w = random_w3(&mut next);
-                    vals[ff.q().index()] = w;
-                    scratch.set_source(ff.q(), w);
-                }
-            }
-            legacy.eval_with(&mut vals, &ov);
-            sim.eval_delta_with(&mut scratch, &ov);
-            for net in nl.net_ids() {
-                prop_assert_eq!(scratch.value(net), vals[net.index()]);
-            }
+            seed_sources(&nl, &mut vals, &mut next);
+            let mut reference = vals.clone();
+            legacy.eval_with(&mut reference, &ov);
+            sim.eval_with(&mut vals, &ov);
+            prop_assert_eq!(&vals, &reference);
         }
     }
 
@@ -229,9 +176,8 @@ fn catalog_detected_sets_match_legacy() {
     }
 }
 
-/// On every catalog circuit, the compiled sequential simulator (full pass at
-/// t = 0, event-driven after) reproduces the legacy walker's primary-output
-/// values and captured states exactly.
+/// On every catalog circuit, the compiled sequential simulator reproduces
+/// the legacy walker's primary-output values and captured states exactly.
 #[test]
 fn catalog_good_traces_match_legacy() {
     for info in catalog::all() {

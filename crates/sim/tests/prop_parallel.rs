@@ -109,7 +109,7 @@ proptest! {
         let init: State = (0..nl.num_ffs()).map(|_| bits.v3()).collect();
 
         let mut serial = SeqFaultSim::new(&nl);
-        let cfg = SimConfig { threads, chunk_size: chunk, ..SimConfig::default() };
+        let cfg = SimConfig { threads, chunk_size: chunk };
         let par = ParallelFsim::new(&nl, cfg);
 
         prop_assert_eq!(

@@ -7,15 +7,8 @@
 //! workspace supports:
 //!
 //! 1. **logic** — the legacy [`CombSim`] walker against the compiled CSR
-//!    kernel ([`CompiledSim`]) on the full-pass, fault-override, and
-//!    event-driven delta paths, over random 3-valued inputs;
-//!    and **logic-wide / logic-fused** — the wide (`W3x4`) compiled
-//!    kernel lane-by-lane against the scalar one, and the cone-fused
-//!    kernel ([`FusedSim`], scalar and wide) against the scalar compiled
-//!    kernel on the nets the fused contract keeps live, on the same three
-//!    paths; both also validate the dual-rail invariant explicitly (the
-//!    kernels' own checks are `debug_assert`s, compiled out of release
-//!    fuzzing binaries);
+//!    kernel ([`CompiledSim`]) on the full-pass and fault-override paths,
+//!    over random 3-valued inputs;
 //! 2. **comb-detect / matrix** — the serial PPSFP engine against the
 //!    test-sharded (fault-dropping) parallel front end, plus the
 //!    fault-sharded detection matrix against the detection bitmap
@@ -34,11 +27,11 @@ use std::path::PathBuf;
 
 use atspeed_atpg::compact::{check_omission_differential, OmissionConfig};
 use atspeed_circuit::synth::{generate, SynthSpec};
-use atspeed_circuit::{NetId, Netlist};
+use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, FusedSim, Overrides, ParallelFsim, SeqFaultSim,
-    Sequence, SimConfig, SimScratch, State, W3x4, LANES, V3, W3,
+    CombFaultSim, CombSim, CombTest, CompiledSim, Overrides, ParallelFsim, SeqFaultSim, Sequence,
+    SimConfig, State, V3, W3,
 };
 
 /// Salt so stimuli derivation is independent of how many random draws the
@@ -99,11 +92,9 @@ impl Case {
 /// A disagreement between two engine implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which differential check failed (`logic`, `logic-wide`,
-    /// `logic-fused`, `comb-detect`, `matrix`, `seq-detect`, `omission`,
-    /// or `synth` when generation itself errors). For the engine-variant
-    /// checks the name records which kernel diverged — it is written into
-    /// the repro bundle's `case.txt`.
+    /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
+    /// `seq-detect`, `omission`, or `synth` when generation itself
+    /// errors). It is written into the repro bundle's `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
     pub detail: String,
@@ -150,16 +141,6 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
     }
 }
 
-/// A random wide word: every lane an independent random [`W3`] (so the
-/// wide checks see X-heavy, lane-diverse data).
-fn random_w3x4(next: &mut impl FnMut() -> u64) -> W3x4 {
-    let mut w = W3x4::ALL_X;
-    for l in 0..LANES {
-        w.set_lane(l, random_w3(next));
-    }
-    w
-}
-
 /// A random scalar value: X with probability 1/16, else a fair bit.
 fn random_v3(next: &mut impl FnMut() -> u64) -> V3 {
     let r = next();
@@ -204,292 +185,52 @@ fn random_overrides(nl: &Netlist, u: &FaultUniverse, next: &mut impl FnMut() -> 
     ov
 }
 
-/// Legacy walker vs compiled kernel on full, override, and delta paths.
+/// Legacy walker vs compiled kernel on the full and override paths.
 fn check_logic(
     nl: &Netlist,
     u: &FaultUniverse,
     next: &mut impl FnMut() -> u64,
 ) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let sim = CompiledSim::new(cc);
-    let mut scratch = SimScratch::new(cc);
+    let sim = CompiledSim::new(nl.compiled());
     let mut legacy = CombSim::new(nl);
     let mut vals = vec![W3::ALL_X; nl.num_nets()];
+    let mut reference = vec![W3::ALL_X; nl.num_nets()];
     let ov = random_overrides(nl, u, next);
 
-    let seed_both = |vals: &mut [W3], scratch: &mut SimScratch, next: &mut dyn FnMut() -> u64| {
-        for &pi in nl.pis() {
-            let w = random_w3(&mut || next());
-            vals[pi.index()] = w;
-            scratch.set_source(pi, w);
-        }
-        for ff in nl.ffs() {
-            let w = random_w3(&mut || next());
-            vals[ff.q().index()] = w;
-            scratch.set_source(ff.q(), w);
-        }
-    };
-    let compare = |vals: &[W3], scratch: &SimScratch, path: &str| -> Result<(), Divergence> {
-        for net in nl.net_ids() {
-            if scratch.value(net) != vals[net.index()] {
-                return Err(Divergence {
-                    check: "logic",
-                    detail: format!(
-                        "{path} pass: net `{}` compiled {:?} vs legacy {:?}",
-                        nl.net_name(net),
-                        scratch.value(net),
-                        vals[net.index()],
-                    ),
-                });
-            }
-        }
-        Ok(())
-    };
-
     let mut checks = 0;
-    for _ in 0..3 {
-        seed_both(&mut vals, &mut scratch, next);
-        legacy.eval(&mut vals);
-        sim.eval(&mut scratch);
-        compare(&vals, &scratch, "full")?;
-        checks += 1;
-    }
-    seed_both(&mut vals, &mut scratch, next);
-    legacy.eval_with(&mut vals, &ov);
-    sim.eval_with(&mut scratch, &ov);
-    compare(&vals, &scratch, "override")?;
-    checks += 1;
-    for _ in 0..3 {
-        // Reseed a random subset of sources and take the delta path.
-        for &pi in nl.pis() {
-            if next() & 1 == 0 {
-                let w = random_w3(next);
-                vals[pi.index()] = w;
-                scratch.set_source(pi, w);
-            }
+    for pass in 0..4 {
+        for net in nl
+            .pis()
+            .iter()
+            .copied()
+            .chain(nl.ffs().iter().map(|ff| ff.q()))
+        {
+            let w = random_w3(next);
+            vals[net.index()] = w;
+            reference[net.index()] = w;
         }
-        for ff in nl.ffs() {
-            if next() & 1 == 0 {
-                let w = random_w3(next);
-                vals[ff.q().index()] = w;
-                scratch.set_source(ff.q(), w);
-            }
-        }
-        legacy.eval_with(&mut vals, &ov);
-        sim.eval_delta_with(&mut scratch, &ov);
-        compare(&vals, &scratch, "delta")?;
-        checks += 1;
-    }
-    Ok(checks)
-}
-
-/// Wide (`W3x4`) compiled kernel vs the scalar compiled kernel, lane by
-/// lane, on the full, override, and delta paths. Every net is compared
-/// (the compiled kernel stores all of them at both widths), and the
-/// dual-rail invariant is validated explicitly after each wide pass.
-fn check_logic_wide(
-    nl: &Netlist,
-    u: &FaultUniverse,
-    next: &mut impl FnMut() -> u64,
-) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let sim = CompiledSim::new(cc);
-    let ov = random_overrides(nl, u, next);
-    let mut wide = SimScratch::new_wide(cc);
-    let mut checks = 0;
-
-    // Two full/delta pairs: fault-free, then with overrides (each delta
-    // follows a full pass of the same width and override set).
-    for (pair, faulty) in [false, true].into_iter().enumerate() {
-        for delta in [false, true] {
-            for &pi in nl.pis() {
-                if !delta || next() & 1 == 0 {
-                    wide.set_source_wide(pi, random_w3x4(next));
-                }
-            }
-            for ff in nl.ffs() {
-                if !delta || next() & 1 == 0 {
-                    wide.set_source_wide(ff.q(), random_w3x4(next));
-                }
-            }
-            match (delta, faulty) {
-                (false, false) => sim.eval_wide(&mut wide),
-                (false, true) => sim.eval_with_wide(&mut wide, &ov),
-                (true, false) => sim.eval_delta_wide(&mut wide),
-                (true, true) => sim.eval_delta_with_wide(&mut wide, &ov),
-            }
-            if let Some(net) = wide.check_dual_rail() {
-                return Err(Divergence {
-                    check: "logic-wide",
-                    detail: format!(
-                        "pair {pair} delta {delta}: net `{}` violates zero & one == 0",
-                        nl.net_name(net)
-                    ),
-                });
-            }
-            for l in 0..LANES {
-                let mut scalar = SimScratch::new(cc);
-                for &pi in nl.pis() {
-                    scalar.set_source(pi, wide.value_wide(pi).lane(l));
-                }
-                for ff in nl.ffs() {
-                    scalar.set_source(ff.q(), wide.value_wide(ff.q()).lane(l));
-                }
-                if faulty {
-                    sim.eval_with(&mut scalar, &ov);
-                } else {
-                    sim.eval(&mut scalar);
-                }
-                for net in nl.net_ids() {
-                    if wide.value_wide(net).lane(l) != scalar.value(net) {
-                        return Err(Divergence {
-                            check: "logic-wide",
-                            detail: format!(
-                                "pair {pair} delta {delta} lane {l}: net `{}` wide {:?} vs \
-                                 scalar {:?}",
-                                nl.net_name(net),
-                                wide.value_wide(net).lane(l),
-                                scalar.value(net),
-                            ),
-                        });
-                    }
-                }
-            }
-            checks += 1;
-        }
-    }
-    Ok(checks)
-}
-
-/// Cone-fused kernel ([`FusedSim`], scalar and wide) vs the scalar
-/// compiled kernel on the nets the fused validity contract keeps live
-/// (sources and unit roots — which include every observed net), on the
-/// full, override, and delta paths, with an explicit dual-rail check.
-fn check_logic_fused(
-    nl: &Netlist,
-    u: &FaultUniverse,
-    next: &mut impl FnMut() -> u64,
-) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let fc = nl.fused();
-    let mut fsim = FusedSim::new(cc, fc);
-    let sim = CompiledSim::new(cc);
-    let ov = random_overrides(nl, u, next);
-    let mut live: Vec<NetId> = nl.pis().to_vec();
-    live.extend(nl.ffs().iter().map(|ff| ff.q()));
-    live.extend((0..fc.num_units()).map(|un| fc.root_net(un)));
-    let mut checks = 0;
-
-    // Scalar fused vs scalar compiled: full/delta, fault-free then faulty.
-    let mut fast = SimScratch::new(cc);
-    for (pair, faulty) in [false, true].into_iter().enumerate() {
-        for delta in [false, true] {
-            for &pi in nl.pis() {
-                if !delta || next() & 1 == 0 {
-                    fast.set_source(pi, random_w3(next));
-                }
-            }
-            for ff in nl.ffs() {
-                if !delta || next() & 1 == 0 {
-                    fast.set_source(ff.q(), random_w3(next));
-                }
-            }
-            match (delta, faulty) {
-                (false, false) => fsim.eval(&mut fast),
-                (false, true) => fsim.eval_with(&mut fast, &ov),
-                (true, false) => fsim.eval_delta(&mut fast),
-                (true, true) => fsim.eval_delta_with(&mut fast, &ov),
-            }
-            if let Some(net) = fast.check_dual_rail() {
-                return Err(Divergence {
-                    check: "logic-fused",
-                    detail: format!(
-                        "scalar pair {pair} delta {delta}: net `{}` violates zero & one == 0",
-                        nl.net_name(net)
-                    ),
-                });
-            }
-            let mut reference = SimScratch::new(cc);
-            for &pi in nl.pis() {
-                reference.set_source(pi, fast.value(pi));
-            }
-            for ff in nl.ffs() {
-                reference.set_source(ff.q(), fast.value(ff.q()));
-            }
-            if faulty {
-                sim.eval_with(&mut reference, &ov);
-            } else {
-                sim.eval(&mut reference);
-            }
-            for &net in &live {
-                if fast.value(net) != reference.value(net) {
-                    return Err(Divergence {
-                        check: "logic-fused",
-                        detail: format!(
-                            "scalar pair {pair} delta {delta}: net `{}` fused {:?} vs \
-                             compiled {:?}",
-                            nl.net_name(net),
-                            fast.value(net),
-                            reference.value(net),
-                        ),
-                    });
-                }
-            }
-            checks += 1;
-        }
-    }
-
-    // Wide fused vs scalar compiled, lane by lane: full passes, fault-free
-    // then faulty.
-    let mut wide = SimScratch::new_wide(cc);
-    for faulty in [false, true] {
-        for &pi in nl.pis() {
-            wide.set_source_wide(pi, random_w3x4(next));
-        }
-        for ff in nl.ffs() {
-            wide.set_source_wide(ff.q(), random_w3x4(next));
-        }
-        if faulty {
-            fsim.eval_with_wide(&mut wide, &ov);
+        let path = if pass < 3 {
+            legacy.eval(&mut reference);
+            sim.eval(&mut vals);
+            "full"
         } else {
-            fsim.eval_wide(&mut wide);
-        }
-        if let Some(net) = wide.check_dual_rail() {
+            legacy.eval_with(&mut reference, &ov);
+            sim.eval_with(&mut vals, &ov);
+            "override"
+        };
+        if let Some(net) = nl
+            .net_ids()
+            .find(|n| vals[n.index()] != reference[n.index()])
+        {
             return Err(Divergence {
-                check: "logic-fused",
+                check: "logic",
                 detail: format!(
-                    "wide faulty {faulty}: net `{}` violates zero & one == 0",
-                    nl.net_name(net)
+                    "{path} pass: net `{}` compiled {:?} vs legacy {:?}",
+                    nl.net_name(net),
+                    vals[net.index()],
+                    reference[net.index()],
                 ),
             });
-        }
-        for l in 0..LANES {
-            let mut scalar = SimScratch::new(cc);
-            for &pi in nl.pis() {
-                scalar.set_source(pi, wide.value_wide(pi).lane(l));
-            }
-            for ff in nl.ffs() {
-                scalar.set_source(ff.q(), wide.value_wide(ff.q()).lane(l));
-            }
-            if faulty {
-                sim.eval_with(&mut scalar, &ov);
-            } else {
-                sim.eval(&mut scalar);
-            }
-            for &net in &live {
-                if wide.value_wide(net).lane(l) != scalar.value(net) {
-                    return Err(Divergence {
-                        check: "logic-fused",
-                        detail: format!(
-                            "wide faulty {faulty} lane {l}: net `{}` fused {:?} vs \
-                             compiled {:?}",
-                            nl.net_name(net),
-                            wide.value_wide(net).lane(l),
-                            scalar.value(net),
-                        ),
-                    });
-                }
-            }
         }
         checks += 1;
     }
@@ -526,8 +267,6 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
     };
 
     report.checks += check_logic(&nl, &u, &mut next)?;
-    report.checks += check_logic_wide(&nl, &u, &mut next)?;
-    report.checks += check_logic_fused(&nl, &u, &mut next)?;
 
     let faults = sample_faults(&u, case.fault_cap);
     report.faults = faults.len();
@@ -860,7 +599,7 @@ mod tests {
     fn run_case_reports_work() {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
-        assert!(rep.checks >= 9, "logic(7) + comb(2) at least: {rep:?}");
+        assert!(rep.checks >= 6, "logic(4) + comb(2) at least: {rep:?}");
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);
     }
