@@ -19,29 +19,15 @@
 //!   re-simulated per attempt. This cuts most attempts from the full fault
 //!   set to a handful of parallel-fault groups.
 //!
-//! # Speculative parallel sweeps
-//!
-//! With `cfg.sim.threads > 1` the sweep turns into a speculative engine:
-//! workers each own a [`SeqFaultSim`] (engine and scratch reused across
-//! claims) and concurrently fault-simulate candidate omissions at several
-//! descending positions ahead of a *commit point*. Results are committed
-//! in strictly descending position order, each against the exact sequence
-//! the serial sweep would hold at that position. Every accepted removal
-//! bumps an epoch counter; speculations computed against an older epoch
-//! are discarded (counted in [`OmissionStats::wasted`]) and recomputed, so
-//! the accept/reject decisions — and therefore the compacted sequence and
-//! every stat except `wasted` — are bit-for-bit identical to the serial
-//! sweep at any thread count. The per-sweep detection profile is computed
-//! once (sharded over the same workers via [`ParallelFsim::profiles`]) and
-//! shared read-only by all speculations, and `attempt_budget` is accounted
-//! at the commit point exactly as the serial loop accounts it.
-
-use std::sync::{Arc, Condvar, Mutex};
+//! With `cfg.sim.threads > 1` each sweep-start profile is fault-sharded
+//! through [`ParallelFsim::profiles_bounded`]; the sweep itself stays
+//! strictly sequential, and every accept check runs on one [`SeqFaultSim`].
+//! The result is therefore identical at any thread count.
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::fsim_seq::DetectionProfile;
-use atspeed_sim::{stats as sim_stats, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
+use atspeed_sim::{ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
 
 /// Configuration for [`omit_vectors`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +40,9 @@ pub struct OmissionConfig {
     /// Upper bound on fault-simulation attempts (profile simulations at
     /// sweep starts count too).
     pub attempt_budget: usize,
-    /// Threading for the omission sweeps. The default (1 thread)
-    /// reproduces the single-threaded sweep bit-for-bit; more threads
-    /// speculate on upcoming omission candidates with identical results.
+    /// Threading for the sweep-start profiles, which are fault-sharded;
+    /// the accept checks always run on one thread. Results are identical at
+    /// any thread count.
     pub sim: SimConfig,
     /// Memory budget for per-sweep detection profiles: each fault's
     /// state-diff bitmap keeps at most this many 64-bit words (cycles
@@ -91,15 +77,10 @@ pub struct OmissionStats {
     pub sweeps: usize,
     /// Attempts whose removal was accepted.
     pub accepted: usize,
-    /// Speculative simulations discarded because an earlier accepted
-    /// removal invalidated their snapshot. Always `0` on the serial path;
-    /// the only field allowed to vary with the thread count.
-    pub wasted: usize,
     /// State-diff bits dropped from sweep profiles by
     /// [`OmissionConfig::profile_state_words`]. The cap applies per fault
     /// by absolute cycle index, so this count is deterministic — identical
-    /// across thread counts and partitionings, like every field but
-    /// `wasted`.
+    /// across thread counts and partitionings, like every other field.
     pub truncated_profile_bits: u64,
 }
 
@@ -129,39 +110,22 @@ pub fn omit_vectors(
     let started = std::time::Instant::now();
 
     let schedule = chunk_schedule(seq.len(), cfg);
-    let threads = cfg.sim.effective_threads(seq.len());
-    let out = if threads <= 1 {
-        omit_serial(
-            nl,
-            universe,
-            init,
-            seq,
-            targets,
-            observe_final_state,
-            cfg,
-            &schedule,
-            &mut stats,
-        )
-    } else {
-        omit_parallel(
-            nl,
-            universe,
-            init,
-            seq,
-            targets,
-            observe_final_state,
-            cfg,
-            &schedule,
-            threads,
-            &mut stats,
-        )
-    };
+    let out = run_sweeps(
+        nl,
+        universe,
+        init,
+        seq,
+        targets,
+        observe_final_state,
+        cfg,
+        &schedule,
+        &mut stats,
+    );
 
     let m = atspeed_trace::metrics::global();
     m.counter("omission/attempts").add(stats.attempts as u64);
     m.counter("omission/accepted").add(stats.accepted as u64);
     m.counter("omission/removed").add(stats.removed as u64);
-    m.counter("omission/wasted").add(stats.wasted as u64);
     m.counter("omission/truncated_profile_bits")
         .add(stats.truncated_profile_bits);
     m.counter("omission/wall_us")
@@ -169,12 +133,11 @@ pub fn omit_vectors(
     (out, stats)
 }
 
-/// A divergence between the serial omission sweep and the speculative
-/// parallel sweep at some thread count, found by
-/// [`check_omission_differential`].
+/// A divergence between the omission sweep at one thread and at some
+/// other thread count, found by [`check_omission_differential`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmissionDivergence {
-    /// Thread count whose result disagreed with the serial reference.
+    /// Thread count whose result disagreed with the one-thread reference.
     pub threads: usize,
     /// What disagreed, human-readable.
     pub detail: String,
@@ -184,7 +147,7 @@ impl std::fmt::Display for OmissionDivergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "speculative omission at {} threads diverged from serial: {}",
+            "omission at {} threads diverged from 1 thread: {}",
             self.threads, self.detail
         )
     }
@@ -192,12 +155,12 @@ impl std::fmt::Display for OmissionDivergence {
 
 impl std::error::Error for OmissionDivergence {}
 
-/// Runs [`omit_vectors`] serially and again at each thread count in
-/// `threads`, holding the speculative engine to its promise: the compacted
-/// sequence and every stat except `wasted` must be bit-for-bit identical to
-/// the serial sweep.
+/// Runs [`omit_vectors`] at one thread and again at each thread count in
+/// `threads`: the compacted sequence and every stat must be bit-for-bit
+/// identical, although the sweep-start profiles of the multi-thread runs
+/// are fault-sharded across partitions.
 ///
-/// Returns the serial reference result on success. This is the
+/// Returns the one-thread reference result on success. This is the
 /// omission-differential entry point of the `atspeed-verify` fuzzer.
 ///
 /// # Errors
@@ -214,10 +177,9 @@ pub fn check_omission_differential(
     cfg: OmissionConfig,
     threads: &[usize],
 ) -> Result<(Sequence, OmissionStats), OmissionDivergence> {
-    let mut serial_cfg = cfg;
-    serial_cfg.sim = SimConfig {
-        threads: 1,
-        ..cfg.sim
+    let serial_cfg = OmissionConfig {
+        sim: SimConfig::with_threads(1),
+        ..cfg
     };
     let (ref_seq, ref_stats) = omit_vectors(
         nl,
@@ -232,10 +194,9 @@ pub fn check_omission_differential(
         if t <= 1 {
             continue;
         }
-        let mut par_cfg = cfg;
-        par_cfg.sim = SimConfig {
-            threads: t,
-            ..cfg.sim
+        let par_cfg = OmissionConfig {
+            sim: SimConfig::with_threads(t),
+            ..cfg
         };
         let (par_seq, par_stats) = omit_vectors(
             nl,
@@ -256,15 +217,10 @@ pub fn check_omission_differential(
                 ),
             });
         }
-        let normalize = |s: OmissionStats| OmissionStats { wasted: 0, ..s };
-        if normalize(par_stats) != normalize(ref_stats) {
+        if par_stats != ref_stats {
             return Err(OmissionDivergence {
                 threads: t,
-                detail: format!(
-                    "stats differ (wasted excluded): serial {:?}, parallel {:?}",
-                    normalize(ref_stats),
-                    normalize(par_stats)
-                ),
+                detail: format!("stats differ: serial {ref_stats:?}, parallel {par_stats:?}"),
             });
         }
     }
@@ -307,7 +263,7 @@ fn positions(len: usize, chunk: usize) -> Vec<usize> {
 /// set of an attempt at position `t` is the suffix of faults whose
 /// `po_detect` key is `>= t`. A pure function of `t` and the sweep-start
 /// profile — independent of which removals the sweep later accepts — so it
-/// is shared read-only by every (speculative or serial) attempt.
+/// is built once per sweep.
 struct SweepPlan {
     keys: Vec<u32>,
     ordered: Vec<FaultId>,
@@ -351,12 +307,10 @@ fn remove_range(seq: &Sequence, start: usize, end: usize) -> Sequence {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Serial path (the reference semantics).
-// ---------------------------------------------------------------------------
-
+/// Runs the sweeps of `schedule` over `seq`, strictly descending through
+/// positions within each sweep.
 #[allow(clippy::too_many_arguments)]
-fn omit_serial(
+fn run_sweeps(
     nl: &Netlist,
     universe: &FaultUniverse,
     init: &State,
@@ -367,6 +321,7 @@ fn omit_serial(
     schedule: &[usize],
     stats: &mut OmissionStats,
 ) -> Sequence {
+    let pfsim = ParallelFsim::new(nl, cfg.sim);
     let mut fsim = SeqFaultSim::new(nl);
     let mut current = seq.clone();
     for &chunk in schedule {
@@ -380,12 +335,13 @@ fn omit_serial(
         let chunk = chunk.min(current.len() - 1);
         let _sp = atspeed_trace::span("omission.sweep");
         stats.sweeps += 1;
-        // Profile the sweep's starting sequence. `po_detect` times anchor
-        // the prefix-invariance rule; this simulation counts against the
+        // Profile the sweep's starting sequence (fault-sharded when
+        // `cfg.sim` has threads). `po_detect` times anchor the
+        // prefix-invariance rule; this simulation counts against the
         // attempt budget.
         stats.attempts += 1;
         let (profiles, truncated) =
-            fsim.profiles_bounded(init, &current, targets, universe, cfg.profile_state_words);
+            pfsim.profiles_bounded(init, &current, targets, universe, cfg.profile_state_words);
         stats.truncated_profile_bits += truncated;
         let plan = SweepPlan::new(targets, &profiles);
 
@@ -421,367 +377,6 @@ fn omit_serial(
     current
 }
 
-// ---------------------------------------------------------------------------
-// Parallel speculative path.
-// ---------------------------------------------------------------------------
-
-/// Lifecycle of one sweep position in the speculative engine.
-#[derive(Clone)]
-enum Slot {
-    /// Claimable (initial, or reset after a stale speculation).
-    Open,
-    /// A worker is simulating it against the sequence of its claim epoch.
-    Running,
-    /// Simulated against `epoch`. `verdict` is `None` when the position
-    /// was infeasible at that epoch, otherwise the accept decision and the
-    /// candidate sequence a commit would install.
-    Done {
-        epoch: u64,
-        verdict: Option<(bool, Arc<Sequence>)>,
-    },
-    /// Past the commit point.
-    Spent,
-}
-
-/// One sweep's shared state. `epoch` counts accepted removals; a
-/// speculation is valid only if the epoch it was computed against is still
-/// live when its position reaches the commit point.
-struct SweepState {
-    id: u64,
-    chunk: usize,
-    positions: Vec<usize>,
-    plan: Arc<SweepPlan>,
-    slots: Vec<Slot>,
-    seq: Arc<Sequence>,
-    epoch: u64,
-    commit_idx: usize,
-    changed: bool,
-    active: bool,
-}
-
-/// Coordinator state shared by the driver and the workers.
-struct Shared {
-    sweep: Option<SweepState>,
-    attempts: usize,
-    removed: usize,
-    accepted: usize,
-    wasted: usize,
-    budget: usize,
-    shutdown: bool,
-}
-
-struct Coord {
-    state: Mutex<Shared>,
-    cv: Condvar,
-}
-
-/// A claimed speculation: everything a worker needs away from the lock.
-struct Claim {
-    sweep_id: u64,
-    idx: usize,
-    t: usize,
-    chunk: usize,
-    epoch: u64,
-    seq: Arc<Sequence>,
-    plan: Arc<SweepPlan>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn omit_parallel(
-    nl: &Netlist,
-    universe: &FaultUniverse,
-    init: &State,
-    seq: &Sequence,
-    targets: &[FaultId],
-    observe_final_state: bool,
-    cfg: OmissionConfig,
-    schedule: &[usize],
-    threads: usize,
-    stats: &mut OmissionStats,
-) -> Sequence {
-    let pfsim = ParallelFsim::new(nl, cfg.sim);
-    let coord = Coord {
-        state: Mutex::new(Shared {
-            sweep: None,
-            attempts: 0,
-            removed: 0,
-            accepted: 0,
-            wasted: 0,
-            budget: cfg.attempt_budget,
-            shutdown: false,
-        }),
-        cv: Condvar::new(),
-    };
-    // Speculation depth: how many positions past the commit point workers
-    // may simulate ahead. Deeper windows hide more latency but waste more
-    // work per accepted removal. Long sequences have many positions per
-    // sweep and long-running attempts, so scale the depth with sequence
-    // length (capped at 8 claims per worker) to keep workers from idling
-    // at the commit barrier; short sequences keep the shallow window that
-    // bounds wasted speculation.
-    let window = (threads * 2).max(4).max((seq.len() / 32).min(threads * 8));
-    let mut current = Arc::new(seq.clone());
-    let mut sweeps = 0usize;
-    let mut truncated = 0u64;
-
-    // Workers inherit the calling thread's stats destination; they persist
-    // across every sweep so each engine (and its simulation scratch) is
-    // built exactly once.
-    let h = sim_stats::handle();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let _g = h.enter();
-                worker_loop(nl, universe, init, observe_final_state, &coord, window);
-            });
-        }
-
-        for &chunk in schedule {
-            let spent = lock(&coord.state).attempts;
-            if spent >= cfg.attempt_budget || current.len() <= 1 {
-                break;
-            }
-            let chunk = chunk.min(current.len() - 1);
-            let _sp = atspeed_trace::span("omission.sweep");
-            sweeps += 1;
-            // Profile attempt, accounted exactly as the serial driver
-            // accounts it; the profile itself is sharded across workers.
-            lock(&coord.state).attempts += 1;
-            let (profiles, trunc) =
-                pfsim.profiles_bounded(init, &current, targets, universe, cfg.profile_state_words);
-            truncated += trunc;
-            let plan = Arc::new(SweepPlan::new(targets, &profiles));
-            let pos = positions(current.len(), chunk);
-
-            let mut st = lock(&coord.state);
-            st.sweep = Some(SweepState {
-                id: sweeps as u64,
-                chunk,
-                slots: vec![Slot::Open; pos.len()],
-                positions: pos,
-                plan,
-                seq: current.clone(),
-                epoch: 0,
-                commit_idx: 0,
-                changed: false,
-                active: true,
-            });
-            // The budget may already be exhausted by the profile attempt;
-            // try_commit ends the sweep immediately in that case.
-            try_commit(&mut st);
-            coord.cv.notify_all();
-            while st.sweep.as_ref().is_some_and(|sw| sw.active) {
-                st = coord.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            let sw = st.sweep.take().expect("sweep present until taken");
-            drop(st);
-            current = sw.seq;
-            if chunk == 1 && !sw.changed {
-                break;
-            }
-        }
-
-        let mut st = lock(&coord.state);
-        st.shutdown = true;
-        coord.cv.notify_all();
-    });
-
-    let st = coord.state.into_inner().unwrap_or_else(|e| e.into_inner());
-    stats.attempts = st.attempts;
-    stats.removed = st.removed;
-    stats.accepted = st.accepted;
-    stats.wasted = st.wasted;
-    stats.sweeps = sweeps;
-    stats.truncated_profile_bits = truncated;
-    Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone())
-}
-
-fn lock<'m>(m: &'m Mutex<Shared>) -> std::sync::MutexGuard<'m, Shared> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn worker_loop(
-    nl: &Netlist,
-    universe: &FaultUniverse,
-    init: &State,
-    observe_final_state: bool,
-    coord: &Coord,
-    window: usize,
-) {
-    let mut fsim = SeqFaultSim::new(nl);
-    let mut guard = lock(&coord.state);
-    loop {
-        let claim = loop {
-            if guard.shutdown {
-                return;
-            }
-            if let Some(c) = try_claim(&mut guard, window) {
-                break c;
-            }
-            guard = coord.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-        };
-        drop(guard);
-
-        // Simulate outside the lock against the claimed snapshot. If the
-        // snapshot's epoch is still live at commit time, this is exactly
-        // the candidate the serial sweep would have simulated here.
-        let (end, feasible) = attempt_window(claim.t, claim.chunk, claim.seq.len());
-        let verdict = if feasible {
-            let candidate = remove_range(&claim.seq, claim.t, end);
-            let check = claim.plan.check_set(claim.t);
-            let _sp = atspeed_trace::span("omission.speculate");
-            let ok = check.is_empty()
-                || fsim.detects_all(init, &candidate, check, universe, observe_final_state);
-            Some((ok, Arc::new(candidate)))
-        } else {
-            None
-        };
-
-        guard = lock(&coord.state);
-        let mut notify = report(&mut guard, &claim, verdict);
-        notify |= try_commit(&mut guard);
-        if notify {
-            coord.cv.notify_all();
-        }
-    }
-}
-
-/// Claims the earliest open position within the speculation window.
-/// Called with the state lock held.
-fn try_claim(st: &mut Shared, window: usize) -> Option<Claim> {
-    if st.attempts >= st.budget {
-        return None;
-    }
-    let sw = st.sweep.as_mut()?;
-    if !sw.active {
-        return None;
-    }
-    let hi = (sw.commit_idx + window).min(sw.positions.len());
-    for idx in sw.commit_idx..hi {
-        if matches!(sw.slots[idx], Slot::Open) {
-            sw.slots[idx] = Slot::Running;
-            return Some(Claim {
-                sweep_id: sw.id,
-                idx,
-                t: sw.positions[idx],
-                chunk: sw.chunk,
-                epoch: sw.epoch,
-                seq: sw.seq.clone(),
-                plan: sw.plan.clone(),
-            });
-        }
-    }
-    None
-}
-
-/// Files a speculation result. Results for a finished sweep, or computed
-/// against a superseded epoch, are discarded (and re-opened for a fresh
-/// speculation when the position is still pending). Called with the state
-/// lock held; returns whether waiters should be notified.
-fn report(st: &mut Shared, claim: &Claim, verdict: Option<(bool, Arc<Sequence>)>) -> bool {
-    let simmed = verdict.is_some();
-    let discard = |st: &mut Shared| {
-        if simmed {
-            st.wasted += 1;
-        }
-        false
-    };
-    let Some(sw) = st.sweep.as_mut() else {
-        return discard(st);
-    };
-    if sw.id != claim.sweep_id || !sw.active {
-        return discard(st);
-    }
-    match sw.slots[claim.idx] {
-        Slot::Running => {
-            if claim.epoch == sw.epoch {
-                sw.slots[claim.idx] = Slot::Done {
-                    epoch: claim.epoch,
-                    verdict,
-                };
-            } else {
-                // An accepted removal superseded the snapshot mid-flight:
-                // reopen so a worker recomputes against the live sequence.
-                sw.slots[claim.idx] = Slot::Open;
-                discard(st);
-            }
-            true
-        }
-        // The commit point skipped past this position (infeasible at the
-        // live length) while the speculation ran.
-        Slot::Spent => discard(st),
-        Slot::Open | Slot::Done { .. } => unreachable!("claimed slot owned by this worker"),
-    }
-}
-
-/// Advances the commit point: commits `Done` results computed against the
-/// live epoch in strictly descending position order, skips infeasible
-/// positions without spending attempts, and ends the sweep at the budget
-/// or past the last position — the serial loop's accounting, verbatim.
-/// Called with the state lock held; returns whether waiters should be
-/// notified.
-fn try_commit(st: &mut Shared) -> bool {
-    let mut notify = false;
-    let mut wasted = 0usize;
-    let Some(sw) = st.sweep.as_mut() else {
-        return false;
-    };
-    if !sw.active {
-        return false;
-    }
-    loop {
-        if sw.commit_idx >= sw.positions.len() || st.attempts >= st.budget {
-            sw.active = false;
-            notify = true;
-            break;
-        }
-        let t = sw.positions[sw.commit_idx];
-        let (end, feasible) = attempt_window(t, sw.chunk, sw.seq.len());
-        if !feasible {
-            sw.slots[sw.commit_idx] = Slot::Spent;
-            sw.commit_idx += 1;
-            continue;
-        }
-        match &sw.slots[sw.commit_idx] {
-            Slot::Done { epoch, verdict } if *epoch == sw.epoch => {
-                st.attempts += 1;
-                let (ok, cand) = verdict.clone().expect(
-                    "a speculation at the live epoch saw the live length, hence feasibility",
-                );
-                if ok {
-                    st.removed += end - t;
-                    st.accepted += 1;
-                    sw.seq = cand;
-                    sw.epoch += 1;
-                    sw.changed = true;
-                    // Eagerly reopen stale speculations so workers redo
-                    // them now instead of when the commit point finds them.
-                    for slot in sw.slots[sw.commit_idx + 1..].iter_mut() {
-                        if matches!(slot, Slot::Done { epoch, .. } if *epoch != sw.epoch) {
-                            *slot = Slot::Open;
-                            wasted += 1;
-                        }
-                    }
-                }
-                sw.slots[sw.commit_idx] = Slot::Spent;
-                sw.commit_idx += 1;
-                notify = true;
-            }
-            Slot::Done { .. } => {
-                // Stale result at the commit point: recompute it.
-                sw.slots[sw.commit_idx] = Slot::Open;
-                wasted += 1;
-                notify = true;
-                break;
-            }
-            Slot::Running | Slot::Open => break,
-            Slot::Spent => unreachable!("commit point advances past spent slots"),
-        }
-    }
-    st.wasted += wasted;
-    notify
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn omission_differential_serial_vs_speculative() {
+    fn omission_differential_one_vs_many_threads() {
         let nl = s27();
         let u = FaultUniverse::full(&nl);
         let (seq, init) = padded_sequence();
@@ -832,7 +427,7 @@ mod tests {
         )
         .unwrap();
         assert!(short.len() < seq.len(), "padded sequence must compact");
-        assert_eq!(stats.wasted, 0, "serial reference never wastes work");
+        assert_eq!(stats.removed, seq.len() - short.len());
     }
 
     #[test]
@@ -1110,7 +705,7 @@ mod tests {
         let targets = detected_targets(&nl, &u, &init, &seq);
         let cfg = OmissionConfig::default();
         let mut stats = OmissionStats::default();
-        let out = omit_serial(
+        let out = run_sweeps(
             &nl,
             &u,
             &init,

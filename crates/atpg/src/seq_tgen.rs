@@ -14,12 +14,10 @@
 //! - [`property_t0`] — PROPTEST-style burst generation: random bursts are
 //!   kept only when they detect new faults, otherwise rolled back.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use atspeed_circuit::{CompiledCircuit, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{stats, CompiledSim, Overrides, Sequence, SimConfig, V3, W3};
+use atspeed_sim::parallel::claim_map;
+use atspeed_sim::{CompiledSim, Overrides, Sequence, SimConfig, V3, W3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -314,39 +312,13 @@ impl<'a> IncrementalSim<'a> {
         sample: usize,
         sim: SimConfig,
     ) -> Vec<(usize, usize)> {
-        let threads = sim.effective_threads(cands.len());
-        if threads <= 1 {
-            let mut vals = vec![W3::ALL_X; self.nl.num_nets()];
-            return cands
-                .iter()
-                .map(|c| self.score_in(&mut vals, c, sample))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, usize)>> = Mutex::new(vec![(0, 0); cands.len()]);
-        // Workers join the spawning thread's stats scope; the enter guard
-        // flushes their batched partition tallies once, on exit.
-        let h = stats::handle();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let _g = h.enter();
-                    let mut vals = vec![W3::ALL_X; self.nl.num_nets()];
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= cands.len() {
-                            break;
-                        }
-                        let _sp = atspeed_trace::span("tgen.score.claim");
-                        let started = std::time::Instant::now();
-                        let r = self.score_in(&mut vals, &cands[k], sample);
-                        stats::record_partition(started.elapsed());
-                        results.lock().unwrap_or_else(|e| e.into_inner())[k] = r;
-                    }
-                });
-            }
-        });
-        results.into_inner().unwrap_or_else(|e| e.into_inner())
+        claim_map(
+            sim,
+            cands.len(),
+            "tgen.score.claim",
+            || vec![W3::ALL_X; self.nl.num_nets()],
+            |vals, k| self.score_in(vals, &cands[k], sample),
+        )
     }
 }
 
@@ -597,5 +569,28 @@ mod tests {
         // Applying after scoring gives the same result as applying fresh.
         let mut inc2 = IncrementalSim::new(&nl, &u, &targets);
         assert_eq!(inc.apply(&v), inc2.apply(&v));
+    }
+
+    #[test]
+    fn scoped_job_keeps_its_score_spans_at_two_threads() {
+        // A job traced through a span scope (`serve --job-trace-dir`) must
+        // see the spans its scoring workers open, not lose them to the
+        // process-wide tracer.
+        let nl = s27();
+        let u = FaultUniverse::full(&nl);
+        let targets: Vec<FaultId> = u.representatives().to_vec();
+        let inc = IncrementalSim::new(&nl, &u, &targets);
+        let cands: Vec<Vec<V3>> = (0..8u32)
+            .map(|k| (0..4).map(|b| V3::from_bool(k >> b & 1 == 1)).collect())
+            .collect();
+        let tracer = std::sync::Arc::new(atspeed_trace::Tracer::new());
+        tracer.set_enabled(true);
+        let scores = {
+            let _scope = atspeed_trace::scope(tracer.clone());
+            inc.score_batch(&cands, 8, SimConfig::with_threads(2))
+        };
+        assert_eq!(scores, inc.score_batch(&cands, 8, SimConfig::default()));
+        let json = tracer.chrome_trace_json();
+        assert!(json.contains("tgen.score.claim"), "{json}");
     }
 }

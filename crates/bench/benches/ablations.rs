@@ -10,7 +10,7 @@ use atspeed_atpg::compact::{omit_vectors, OmissionConfig};
 use atspeed_atpg::{directed_t0, DirectedConfig};
 use atspeed_circuit::catalog;
 use atspeed_core::iterate::{build_tau_seq, IterateConfig};
-use atspeed_core::phase4::{combine_tests_with, TransferConfig};
+use atspeed_core::phase4::{combine_tests_cfg, CombineConfig, TransferConfig};
 use atspeed_core::{Phase1Config, ScanOutRule, TestSet};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{SeqFaultSim, V3};
@@ -75,7 +75,11 @@ fn bench_transfer_sequences(c: &mut Criterion) {
     ] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let (out, stats) = combine_tests_with(&nl, &u, &set, &targets, transfer);
+                let cfg = CombineConfig {
+                    transfer,
+                    ..CombineConfig::default()
+                };
+                let (out, stats) = combine_tests_cfg(&nl, &u, &set, &targets, cfg);
                 black_box((out.len(), stats.combinations, stats.transfer_combinations))
             })
         });

@@ -230,7 +230,6 @@ struct OmissionRow {
     wall_s: f64,
     attempts: usize,
     removed: usize,
-    wasted: usize,
 }
 
 /// The vector-omission workload: a random sequence over a catalog circuit
@@ -266,14 +265,14 @@ fn make_omission_workload(info: &BenchmarkInfo, seq_len: usize) -> OmissionWorkl
     }
 }
 
-fn run_omission(w: &OmissionWorkload, threads: usize) -> (usize, usize, usize) {
+fn run_omission(w: &OmissionWorkload, threads: usize) -> (usize, usize) {
     let cfg = OmissionConfig {
         sim: SimConfig::with_threads(threads),
         ..OmissionConfig::default()
     };
     let (short, stats) = omit_vectors(&w.nl, &w.universe, &w.init, &w.seq, &w.targets, true, cfg);
     black_box(short.len());
-    (stats.attempts, stats.removed, stats.wasted)
+    (stats.attempts, stats.removed)
 }
 
 fn measure_omission(w: &OmissionWorkload, repeats: usize) -> Vec<OmissionRow> {
@@ -283,19 +282,16 @@ fn measure_omission(w: &OmissionWorkload, repeats: usize) -> Vec<OmissionRow> {
             let start = Instant::now();
             let mut attempts = 0;
             let mut removed = 0;
-            let mut wasted = 0;
             for _ in 0..repeats {
-                let (a, r, wst) = run_omission(w, threads);
+                let (a, r) = run_omission(w, threads);
                 attempts += a;
                 removed += r;
-                wasted += wst;
             }
             OmissionRow {
                 threads,
                 wall_s: start.elapsed().as_secs_f64(),
                 attempts,
                 removed,
-                wasted,
             }
         })
         .collect()
@@ -356,12 +352,11 @@ fn emit_json(
         };
         out.push_str(&format!(
             "    {{\"threads\": {}, \"wall_us\": {}, \"attempts\": {}, \"removed\": {}, \
-             \"wasted\": {}, \"attempts_per_sec\": {:.1}}}{}\n",
+             \"attempts_per_sec\": {:.1}}}{}\n",
             r.threads,
             (r.wall_s * 1e6) as u64,
             r.attempts,
             r.removed,
-            r.wasted,
             attempts_per_sec,
             if j + 1 == rows.len() { "" } else { "," }
         ));
@@ -420,9 +415,9 @@ fn bench_kernels(c: &mut Criterion) {
         summary.push((info, measure_circuit(&info, rounds, repeats)));
     }
 
-    // Phase-2 omission throughput: serial vs speculative-parallel sweeps on
-    // a fixed catalog circuit (results are identical at every thread count;
-    // only wall time and speculation waste differ).
+    // Phase-2 omission throughput at 1, 2 and 4 threads on a fixed catalog
+    // circuit (results are identical at every thread count; only the
+    // sweep-start profiles are sharded, so only wall time differs).
     let om_info = catalog::by_name("s298").expect("s298 is in the catalog");
     let (om_len, om_repeats) = if bench_mode() { (48, 3) } else { (12, 1) };
     let ow = make_omission_workload(&om_info, om_len);

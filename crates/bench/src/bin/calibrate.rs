@@ -11,7 +11,7 @@
 //! Runs each pipeline stage in sequence on `CIRCUIT` (default `s298`) and
 //! logs one structured event per stage with its wall time and headline
 //! figures. `--sim-threads N` sets the fault-simulation thread count for
-//! every stage, Phase 2's speculative omission included (default: the
+//! every stage, Phase 2's vector omission included (default: the
 //! `SIM_THREADS` environment variable, serial when unset; results are
 //! identical at any thread count). `--trace FILE` additionally records
 //! spans as Chrome trace-event JSON (open at <https://ui.perfetto.dev>);

@@ -33,7 +33,7 @@
 //! circuits share the phase labels, so per-phase rows are approximate while
 //! totals remain exact. `--sim-threads N` (or the `SIM_THREADS` environment
 //! variable when the flag is absent) sets the fault-simulation thread count
-//! inside each pipeline, speculative vector omission included (unset or
+//! inside each pipeline, vector omission included (unset or
 //! 1 = serial, 0 = all cores); results are identical at any thread count.
 
 use std::process::ExitCode;

@@ -12,8 +12,8 @@
 //! Default mode fuzzes `--iters` deterministic cases (derived from
 //! `--seed`) through every differential check in
 //! [`atspeed_verify::fuzz`]: legacy vs compiled logic values, serial vs
-//! parallel detection (combinational, matrix, and sequential), and serial
-//! vs speculative vector omission, each at every thread count in
+//! parallel detection (combinational, matrix, and sequential), and vector
+//! omission at one thread vs several, each at every thread count in
 //! `--threads` (default `2,3`). A diverging case is minimized and dumped
 //! as a reproduction bundle under `--out-dir`
 //! (default `target/verify-repros`); the exit code is nonzero if any case

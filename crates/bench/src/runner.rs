@@ -98,7 +98,7 @@ pub fn run_circuit(info: &BenchmarkInfo, effort: Effort) -> CircuitExperiment {
 }
 
 /// Runs every experiment for one circuit with an explicit threading
-/// configuration (every stage, Phase 2's speculative omission included,
+/// configuration (every stage, Phase 2's vector omission included,
 /// produces identical results at any thread count).
 pub fn run_circuit_with(info: &BenchmarkInfo, effort: Effort, sim: SimConfig) -> CircuitExperiment {
     try_run_circuit_opts(info, &RunOptions::new(effort, sim))

@@ -55,8 +55,8 @@ pub use partial::PartialScan;
 pub use phase1::{select_scan_test, Phase1Config, Phase1Result, ScanOutRule};
 pub use phase3::{top_up, Phase3Result};
 pub use phase4::{
-    baseline4, combine_tests, combine_tests_cfg, combine_tests_with, Baseline4Result,
-    CombineConfig, StaticCompactionStats, TransferConfig,
+    baseline4, combine_tests, combine_tests_cfg, Baseline4Result, CombineConfig,
+    StaticCompactionStats, TransferConfig,
 };
 pub use pipeline::{MemoryBudget, Pipeline, PipelineConfig, PipelineResult, T0Source};
 pub use test::{AtSpeedStats, ScanTest, TestSet};

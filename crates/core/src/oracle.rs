@@ -5,7 +5,7 @@
 //! configuration — Phase 1's profile-driven selection, Phase 2's
 //! prefix-invariance-optimized omission checks, Phase 3's detection
 //! matrix, Phase 4's pair checks — and the perf-oriented paths (compiled
-//! kernel, parallel sharding, speculative omission) all promise
+//! kernel, parallel sharding, sharded omission profiles) all promise
 //! bit-identical results. The oracle takes none of that on faith: it
 //! re-fault-simulates the final test set with the serial reference engine,
 //! one test at a time (no sharding, no detection-profile shortcuts), and

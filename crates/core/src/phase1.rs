@@ -12,12 +12,10 @@
 //!    prefix test `τ_SO = (SI, T_0[0, u_SO])` still detects every fault in
 //!    `F_SI` (the paper's `i₀` rule: smallest prefix, no fault given up).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{stats, CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
+use atspeed_sim::parallel::claim_map;
+use atspeed_sim::{CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
 
 use crate::error::CoreError;
 use crate::test::ScanTest;
@@ -244,40 +242,13 @@ fn score_candidates(
             .filter(|&&d| d)
             .count()
     };
-    let threads = sim.effective_threads(n);
-    if threads <= 1 {
-        let mut fsim = SeqFaultSim::new(nl);
-        return candidates
-            .iter()
-            .take(n)
-            .map(|c| score(&mut fsim, &c.state))
-            .collect();
-    }
-    let counts: Mutex<Vec<usize>> = Mutex::new(vec![0; n]);
-    let next = AtomicUsize::new(0);
-    // Workers join the spawning thread's stats scope; the enter guard
-    // flushes their batched partition tallies once, on exit.
-    let h = stats::handle();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let _g = h.enter();
-                let mut fsim = SeqFaultSim::new(nl);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= n {
-                        break;
-                    }
-                    let _sp = atspeed_trace::span("phase1.score.claim");
-                    let started = std::time::Instant::now();
-                    let c = score(&mut fsim, &candidates[j].state);
-                    stats::record_partition(started.elapsed());
-                    counts.lock().unwrap_or_else(|e| e.into_inner())[j] = c;
-                }
-            });
-        }
-    });
-    counts.into_inner().unwrap_or_else(|e| e.into_inner())
+    claim_map(
+        sim,
+        n,
+        "phase1.score.claim",
+        || SeqFaultSim::new(nl),
+        |fsim, j| score(fsim, &candidates[j].state),
+    )
 }
 
 #[cfg(test)]
@@ -330,6 +301,28 @@ mod tests {
             .map(|(&f, _)| f)
             .collect();
         (f0, rest)
+    }
+
+    #[test]
+    fn scoped_job_keeps_its_score_spans_at_two_threads() {
+        // A job traced through a span scope (`serve --job-trace-dir`) must
+        // see the spans its candidate-scoring workers open, not lose them
+        // to the process-wide tracer.
+        let (nl, u, t0, candidates) = setup();
+        let (f0, rest) = split_f0(&nl, &u, &t0);
+        let selected = vec![false; candidates.len()];
+        let cfg = Phase1Config {
+            sim: SimConfig::with_threads(2),
+            ..Phase1Config::default()
+        };
+        let tracer = std::sync::Arc::new(atspeed_trace::Tracer::new());
+        tracer.set_enabled(true);
+        {
+            let _scope = atspeed_trace::scope(tracer.clone());
+            select_scan_test(&nl, &u, &t0, &candidates, &f0, &rest, &selected, cfg).unwrap();
+        }
+        let json = tracer.chrome_trace_json();
+        assert!(json.contains("phase1.score.claim"), "{json}");
     }
 
     #[test]

@@ -109,49 +109,16 @@ pub fn combine_tests(
     set: &TestSet,
     targets: &[FaultId],
 ) -> (TestSet, StaticCompactionStats) {
-    combine_tests_with(nl, universe, set, targets, None)
+    combine_tests_cfg(nl, universe, set, targets, CombineConfig::default())
 }
 
-/// [`combine_tests`] with optional transfer-sequence insertion (\[7\]):
-/// when a plain combination fails, short connecting sequences are tried
-/// before giving the pair up.
-pub fn combine_tests_with(
-    nl: &Netlist,
-    universe: &FaultUniverse,
-    set: &TestSet,
-    targets: &[FaultId],
-    transfer: Option<TransferConfig>,
-) -> (TestSet, StaticCompactionStats) {
-    combine_tests_sim(nl, universe, set, targets, transfer, SimConfig::default())
-}
-
-/// [`combine_tests_with`] with the coverage checks fault-sharded across
-/// `sim.threads` workers. Each check is an independent fault simulation of
-/// one candidate combination, so the accepted combinations — and therefore
+/// [`combine_tests`] with every knob exposed: transfer-sequence insertion
+/// (\[7\]: when a plain combination fails, short connecting sequences are
+/// tried before giving the pair up), threading for the coverage checks,
+/// and the failed-pair memo cap that bounds Phase 4 memory on large test
+/// sets. Each coverage check is an independent fault simulation of one
+/// candidate combination, so the accepted combinations — and therefore
 /// the final set — are identical at any thread count.
-pub fn combine_tests_sim(
-    nl: &Netlist,
-    universe: &FaultUniverse,
-    set: &TestSet,
-    targets: &[FaultId],
-    transfer: Option<TransferConfig>,
-    sim: SimConfig,
-) -> (TestSet, StaticCompactionStats) {
-    combine_tests_cfg(
-        nl,
-        universe,
-        set,
-        targets,
-        CombineConfig {
-            transfer,
-            sim,
-            ..CombineConfig::default()
-        },
-    )
-}
-
-/// [`combine_tests_sim`] with every knob exposed, including the
-/// failed-pair memo cap that bounds Phase 4 memory on large test sets.
 pub fn combine_tests_cfg(
     nl: &Netlist,
     universe: &FaultUniverse,
@@ -330,6 +297,14 @@ mod tests {
         (nl, u, c)
     }
 
+    /// Combining with the default transfer-sequence insertion.
+    fn transfer_cfg() -> CombineConfig {
+        CombineConfig {
+            transfer: Some(TransferConfig::default()),
+            ..CombineConfig::default()
+        }
+    }
+
     #[test]
     fn combining_preserves_coverage() {
         let (nl, u, c) = setup();
@@ -390,8 +365,7 @@ mod tests {
         let targets: Vec<FaultId> = u.representatives().to_vec();
         let initial = TestSet::from_comb_tests(&c);
         let (plain, _) = combine_tests(&nl, &u, &initial, &targets);
-        let (with_transfer, stats) =
-            combine_tests_with(&nl, &u, &initial, &targets, Some(TransferConfig::default()));
+        let (with_transfer, stats) = combine_tests_cfg(&nl, &u, &initial, &targets, transfer_cfg());
         // Transfer insertion can only increase combinations, so the final
         // set is never larger; coverage is preserved either way.
         assert!(with_transfer.len() <= plain.len());
@@ -408,8 +382,7 @@ mod tests {
         let (nl, u, c) = setup();
         let targets: Vec<FaultId> = u.representatives().to_vec();
         let initial = TestSet::from_comb_tests(&c);
-        let (with_transfer, _) =
-            combine_tests_with(&nl, &u, &initial, &targets, Some(TransferConfig::default()));
+        let (with_transfer, _) = combine_tests_cfg(&nl, &u, &initial, &targets, transfer_cfg());
         let n_sv = nl.num_ffs();
         assert!(
             with_transfer.clock_cycles(n_sv) <= initial.clock_cycles(n_sv),

@@ -659,13 +659,10 @@ mod tests {
     fn canonical_lines_track_results_not_execution_knobs() {
         let base = PipelineConfig::default();
 
-        // Execution knobs (threads, chunking) never change results, so
-        // they must not change the canonical rendering either.
+        // The thread count never changes results, so it must not change
+        // the canonical rendering either.
         let mut threaded = base;
-        threaded.sim = SimConfig {
-            threads: 8,
-            chunk_size: 3,
-        };
+        threaded.sim = SimConfig::with_threads(8);
         assert_eq!(base.canonical_lines(), threaded.canonical_lines());
 
         // Every result-determining field must show up.

@@ -19,8 +19,9 @@
 //!   difference sets) that Phase 1 of the paper consumes;
 //! - [`parallel`] — [`ParallelFsim`], a multi-threaded front end that
 //!   shards faults (or tests, with cross-partition fault dropping through
-//!   a shared atomic bitmap) across `std::thread::scope` workers behind a
-//!   [`SimConfig`]; `threads = 1` reproduces the serial engines
+//!   a shared atomic bitmap) across scoped workers behind a [`SimConfig`],
+//!   and [`parallel::claim_map`], the one claim loop every worker pool in
+//!   the workspace runs on; `threads = 1` reproduces the serial engines
 //!   bit-for-bit;
 //! - [`stats`] — per-phase instrumentation counters (gate evaluations,
 //!   fault-sim invocations, faults dropped, wall time per partition)

@@ -1,18 +1,23 @@
 //! Multi-threaded fault simulation: [`ParallelFsim`] shards work across
-//! `std::thread::scope` workers with no external dependencies.
+//! scoped worker threads with no external dependencies.
 //!
-//! Two sharding shapes cover every engine in this crate:
+//! Every worker pool in the workspace is one loop, [`claim_map`]: workers
+//! claim work items from an atomic counter, and results come back in item
+//! order. [`ParallelFsim`] uses it in two sharding shapes:
 //!
 //! - **fault sharding** (`detect_block`, `detect_matrix`, `detect`,
-//!   `detect_observed`, `profiles`): the collapsed fault list is dealt into
-//!   balanced partitions — levelization-aware, so each partition receives a
-//!   spread of fault-site depths and thus comparable propagation work — and
-//!   each worker runs the single-threaded engine on its partition. A
-//!   per-(test, fault) outcome never depends on which other faults share a
-//!   pass, so results are scattered back by original index and are
-//!   *identical* to the single-threaded engines';
+//!   `detect_observed`, `profiles`): the fault list is split into
+//!   partitions and each worker runs the single-threaded engine on the
+//!   partitions it claims. Sequential calls use the engine's own packing —
+//!   one partition per [`FAULTS_PER_PASS`]-fault word, in caller order — so
+//!   they simulate exactly the passes the serial engine does, at any thread
+//!   count. Combinational calls deal the faults, sorted by fault-site
+//!   level, into `threads × 4` partitions, so each partition receives a
+//!   spread of cone sizes. A per-(test, fault) outcome never depends on
+//!   which other faults share a pass, so results are scattered back by
+//!   original index and are *identical* to the single-threaded engines';
 //! - **test sharding with cross-partition dropping** (`detect_all`,
-//!   `detect_union`): tests are claimed from a work queue and faults are
+//!   `detect_union`): tests are claimed from the queue and faults are
 //!   shared through one atomic detection bitmap, so a worker stops
 //!   simulating a fault the moment any partition has detected it. Detection
 //!   is a monotone union over tests, so the final detected set is
@@ -22,14 +27,13 @@
 //! single-threaded engines, reproducing their behavior bit-for-bit.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use atspeed_circuit::Netlist;
 
 use crate::fault::{FaultId, FaultUniverse};
 use crate::fsim_comb::{CombFaultSim, CombTest};
-use crate::fsim_seq::{DetectionProfile, FinalObserve, SeqFaultSim};
+use crate::fsim_seq::{DetectionProfile, FinalObserve, SeqFaultSim, FAULTS_PER_PASS};
 use crate::stats;
 use crate::vectors::{Sequence, State};
 
@@ -39,18 +43,11 @@ pub struct SimConfig {
     /// Worker threads. `1` reproduces the single-threaded engines
     /// bit-for-bit; `0` means one per available core.
     pub threads: usize,
-    /// Work-unit granularity: faults per partition for fault-sharded
-    /// calls, 64-test blocks (or scan tests) per claim for test-sharded
-    /// calls. `0` picks a balanced size automatically.
-    pub chunk_size: usize,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            threads: 1,
-            chunk_size: 0,
-        }
+        SimConfig { threads: 1 }
     }
 }
 
@@ -95,10 +92,7 @@ impl SimConfig {
 
     /// A config with the given worker-thread count.
     pub fn with_threads(threads: usize) -> Self {
-        SimConfig {
-            threads,
-            chunk_size: 0,
-        }
+        SimConfig { threads }
     }
 
     /// The actual worker count for a call: `threads` (resolving `0` to the
@@ -111,6 +105,76 @@ impl SimConfig {
         };
         requested.max(1).min(work_items.max(1))
     }
+}
+
+/// Runs `work(&mut state, i)` for every `i in 0..n` and returns the
+/// results in index order.
+///
+/// With more than one effective thread (`cfg.effective_threads(n)`), that
+/// many scoped workers claim indices from an atomic counter. Each worker
+/// builds its state once with `init` — so a claim allocates no engine
+/// scratch — and joins the caller's stats handle and span scope, so its
+/// counts and spans land where the caller's would. Each claim runs under a
+/// span named `span` and is recorded as one partition
+/// ([`stats::record_partition`]). At one thread the calling thread maps in
+/// order with a single state and records neither.
+///
+/// A panic in `work` is re-raised on the calling thread.
+pub fn claim_map<S, R, I, W>(
+    cfg: SimConfig,
+    n: usize,
+    span: &'static str,
+    init: I,
+    work: W,
+) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> R + Sync,
+{
+    let threads = cfg.effective_threads(n);
+    if threads <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| work(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    // The stats handle stack and the span scope stack are thread-local:
+    // capture both here and re-enter them on every worker. The enter guard
+    // also flushes each worker's batched counts once, on exit.
+    let h = stats::handle();
+    let tracer = atspeed_trace::current_scope();
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let _g = h.enter();
+                    let _ts = tracer.clone().map(atspeed_trace::scope);
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        let _sp = atspeed_trace::span(span);
+                        let started = Instant::now();
+                        done.push((i, work(&mut state, i)));
+                        stats::record_partition(started.elapsed());
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            let done = w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 /// A monotone shared detection bitmap (one bit per fault index).
@@ -194,17 +258,12 @@ impl std::error::Error for MatrixMismatch {}
 pub struct ParallelFsim<'a> {
     nl: &'a Netlist,
     cfg: SimConfig,
-    order_hint: Option<Vec<u32>>,
 }
 
 impl<'a> ParallelFsim<'a> {
     /// Creates a parallel simulator for `nl` under `cfg`.
     pub fn new(nl: &'a Netlist, cfg: SimConfig) -> Self {
-        ParallelFsim {
-            nl,
-            cfg,
-            order_hint: None,
-        }
+        ParallelFsim { nl, cfg }
     }
 
     /// The netlist being simulated.
@@ -217,128 +276,114 @@ impl<'a> ParallelFsim<'a> {
         self.cfg
     }
 
-    /// Installs a detection-likelihood hint: `hint[k]` scores
-    /// `faults[k]` of subsequent calls (higher = more likely detected).
-    /// Likely-detected faults are then front-loaded within each partition
-    /// so they detect — and drop — early. Purely an ordering hint; results
-    /// are unaffected.
-    pub fn with_order_hint(mut self, hint: Vec<u32>) -> Self {
-        self.order_hint = Some(hint);
-        self
-    }
-
-    /// Builds an order hint from a previous run's detection profiles:
-    /// earlier primary-output detection scores higher, undetected scores
-    /// zero.
-    pub fn hint_from_profiles(profiles: &[DetectionProfile]) -> Vec<u32> {
-        profiles
-            .iter()
-            .map(|p| match p.earliest_detection() {
-                Some(t) => u32::MAX - t,
-                None => 0,
-            })
-            .collect()
-    }
-
-    /// Deals fault indices into `units` balanced partitions.
-    ///
-    /// Faults are ordered by the hint (descending) when one is installed,
-    /// otherwise by the circuit level of the fault site — so round-robin
-    /// dealing spreads shallow (large-cone, expensive) and deep (cheap)
-    /// faults evenly across partitions.
-    fn fault_partitions(
-        &self,
-        faults: &[FaultId],
-        universe: &FaultUniverse,
-        units: usize,
-    ) -> Vec<Vec<usize>> {
+    /// Partitions for a combinational fault-sharded call: the faults,
+    /// sorted by fault-site level, dealt round-robin into `threads × 4`
+    /// partitions (capped by the fault count). The deal spreads shallow
+    /// (large-cone, expensive) and deep (cheap) faults evenly, and ~4
+    /// claims per worker let the claim queue rebalance stragglers. A
+    /// partition costs one good-machine pass per 64-test block, small next
+    /// to per-fault cone propagation.
+    fn comb_partitions(&self, faults: &[FaultId], universe: &FaultUniverse) -> Vec<Vec<usize>> {
+        let units = (self.cfg.effective_threads(faults.len()) * 4).min(faults.len());
         let mut order: Vec<usize> = (0..faults.len()).collect();
-        match &self.order_hint {
-            Some(hint) if hint.len() == faults.len() => {
-                order.sort_by_key(|&k| std::cmp::Reverse(hint[k]));
-            }
-            _ => {
-                order.sort_by_key(|&k| self.nl.level(universe.site_net(self.nl, faults[k])));
-            }
-        }
-        let mut parts = vec![Vec::with_capacity(faults.len() / units + 1); units];
+        order.sort_by_key(|&k| self.nl.level(universe.site_net(self.nl, faults[k])));
+        let mut parts = vec![Vec::with_capacity(faults.len() / units.max(1) + 1); units];
         for (i, k) in order.into_iter().enumerate() {
             parts[i % units].push(k);
         }
-        parts.retain(|p| !p.is_empty());
         parts
     }
 
-    /// How many fault partitions a call with `n` faults should use.
-    ///
-    /// With an explicit `chunk_size` the caller controls granularity.
-    /// Otherwise we oversubscribe: exactly `threads` partitions makes the
-    /// whole call wait on its slowest partition, and at high fault counts
-    /// the level-spread deal cannot fully equalize propagation cost — a
-    /// partition that drew a few extra large-cone faults stalls the join.
-    /// Dealing ~4 claims per worker lets the atomic claim queue in
-    /// [`ParallelFsim::run_partitioned`] rebalance stragglers dynamically,
-    /// while each partition stays large enough to amortize engine reuse.
-    fn fault_units(&self, n: usize, threads: usize) -> usize {
-        if self.cfg.chunk_size > 0 {
-            n.div_ceil(self.cfg.chunk_size).max(threads)
-        } else if threads <= 1 {
-            1
-        } else {
-            (threads * 4).min(n.max(1))
-        }
+    /// Partitions for a sequential fault-sharded call: the engine's own
+    /// packing, one [`FAULTS_PER_PASS`]-fault word per partition in caller
+    /// order. The partitioned call therefore simulates exactly the passes
+    /// of the serial engine — ⌈n / 63⌉ of them — whatever the thread count.
+    fn seq_partitions(faults: &[FaultId]) -> Vec<Vec<usize>> {
+        (0..faults.len())
+            .step_by(FAULTS_PER_PASS)
+            .map(|start| (start..faults.len().min(start + FAULTS_PER_PASS)).collect())
+            .collect()
     }
 
-    /// Runs `work` over every partition on `threads` scoped workers,
-    /// claiming partitions from a shared queue; collects each partition's
-    /// result with its index.
-    ///
-    /// Each worker builds its engine (and thus its simulation scratch —
-    /// value arrays, event buckets) ONCE via `mk` and reuses it across
-    /// every partition it claims, so claiming a partition costs no
-    /// allocation.
-    fn run_partitioned<S, R, F, W>(
+    /// Fault-sharded call: runs `work` on each partition's faults (dealt by
+    /// `deal`) from the claim queue and scatters the per-fault results back
+    /// by index. One thread, or one partition, runs `work` on the whole
+    /// list on the calling thread: the serial engine call itself.
+    fn fault_sharded<S, R>(
         &self,
-        parts: &[Vec<usize>],
-        threads: usize,
-        mk: F,
-        work: W,
+        faults: &[FaultId],
+        deal: impl FnOnce() -> Vec<Vec<usize>>,
+        engine: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, &[FaultId]) -> Vec<R> + Sync,
     ) -> Vec<R>
     where
-        R: Send + Default + Clone,
-        F: Fn() -> S + Sync,
-        W: Fn(&mut S, &[usize]) -> R + Sync,
+        R: Send + Default,
     {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<R>> = Mutex::new(vec![R::default(); parts.len()]);
-        // Workers inherit the spawning thread's stats destination (the
-        // handle stack is thread-local); the enter guard also flushes each
-        // worker's batched counts once, on exit. They likewise inherit an
-        // active span scope, so a scoped job's partition spans land on the
-        // job's tracer, not the process-wide one.
-        let h = stats::handle();
-        let scope_tracer = atspeed_trace::current_scope();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let _g = h.enter();
-                    let _ts = scope_tracer.clone().map(atspeed_trace::scope);
-                    let mut engine = mk();
-                    loop {
-                        let p = next.fetch_add(1, Ordering::Relaxed);
-                        if p >= parts.len() {
-                            break;
-                        }
-                        let _sp = atspeed_trace::span("fsim.partition");
-                        let started = Instant::now();
-                        let r = work(&mut engine, &parts[p]);
-                        stats::record_partition(started.elapsed());
-                        results.lock().unwrap_or_else(|e| e.into_inner())[p] = r;
-                    }
-                });
-            }
+        let parts = if self.cfg.effective_threads(faults.len()) > 1 {
+            deal()
+        } else {
+            Vec::new()
+        };
+        if parts.len() <= 1 {
+            return work(&mut engine(), faults);
+        }
+        let results = claim_map(self.cfg, parts.len(), "fsim.partition", engine, |sim, p| {
+            let ids: Vec<FaultId> = parts[p].iter().map(|&k| faults[k]).collect();
+            work(sim, &ids)
         });
-        results.into_inner().unwrap_or_else(|e| e.into_inner())
+        let mut out: Vec<R> = std::iter::repeat_with(R::default)
+            .take(faults.len())
+            .collect();
+        for (part, rs) in parts.iter().zip(results) {
+            for (&k, r) in part.iter().zip(rs) {
+                out[k] = r;
+            }
+        }
+        out
+    }
+
+    /// Test-sharded call with cross-partition fault dropping: work item `i`
+    /// (a 64-test block, or one scan test) is simulated by `detect` against
+    /// the faults no item has detected yet, and the shared bitmap drops a
+    /// fault everywhere once any worker detects it. At one thread the items
+    /// run in order, each against the faults still alive.
+    fn test_sharded<S>(
+        &self,
+        items: usize,
+        faults: &[FaultId],
+        span: &'static str,
+        engine: impl Fn() -> S + Sync,
+        detect: impl Fn(&mut S, usize, &[FaultId]) -> Vec<bool> + Sync,
+    ) -> Vec<bool> {
+        let shared = SharedDetectMap::new(faults.len());
+        let init = || (engine(), Vec::new(), Vec::new());
+        claim_map(
+            self.cfg,
+            items,
+            span,
+            init,
+            |(sim, alive_idx, alive_ids), i| {
+                alive_idx.clear();
+                alive_ids.clear();
+                for (k, &fid) in faults.iter().enumerate() {
+                    if !shared.is_set(k) {
+                        alive_idx.push(k);
+                        alive_ids.push(fid);
+                    }
+                }
+                if alive_ids.is_empty() {
+                    return;
+                }
+                let mut dropped = 0u64;
+                for (&k, d) in alive_idx.iter().zip(detect(sim, i, alive_ids)) {
+                    if d && shared.set(k) {
+                        dropped += 1;
+                    }
+                }
+                stats::add_dropped(dropped);
+            },
+        );
+        shared.snapshot(faults.len())
     }
 
     /// Parallel [`CombFaultSim::detect_block`]: per-fault detection masks
@@ -354,38 +399,17 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<u64> {
-        let threads = self.cfg.effective_threads(faults.len());
-        if threads <= 1 {
-            return CombFaultSim::new(self.nl).detect_block(tests, faults, universe);
-        }
-        assert!(
-            !tests.is_empty() && tests.len() <= 64,
-            "1..=64 tests per block"
-        );
-        let parts =
-            self.fault_partitions(faults, universe, self.fault_units(faults.len(), threads));
-        let masks = self.run_partitioned(
-            &parts,
-            threads,
+        self.fault_sharded(
+            faults,
+            || self.comb_partitions(faults, universe),
             || CombFaultSim::new(self.nl),
-            |sim, part| {
-                stats::add_invocation();
-                let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
-                sim.detect_block(tests, &ids, universe)
-            },
-        );
-        let mut out = vec![0u64; faults.len()];
-        for (part, ms) in parts.iter().zip(masks) {
-            for (&k, m) in part.iter().zip(ms) {
-                out[k] = m;
-            }
-        }
-        out
+            |sim, ids| sim.detect_block(tests, ids, universe),
+        )
     }
 
     /// Parallel [`CombFaultSim::detect_all`]: which faults some test
-    /// detects, test-sharded with cross-partition fault dropping through a
-    /// shared atomic bitmap.
+    /// detects, test-sharded over 64-test blocks with cross-partition
+    /// fault dropping through a shared atomic bitmap.
     pub fn detect_all(
         &self,
         tests: &[CombTest],
@@ -393,60 +417,21 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
     ) -> Vec<bool> {
         let blocks: Vec<&[CombTest]> = tests.chunks(64).collect();
-        let threads = self.cfg.effective_threads(blocks.len());
-        if threads <= 1 {
+        if self.cfg.effective_threads(blocks.len()) <= 1 {
             return CombFaultSim::new(self.nl).detect_all(tests, faults, universe);
         }
-        let chunk = if self.cfg.chunk_size > 0 {
-            self.cfg.chunk_size
-        } else {
-            1
-        };
-        let shared = SharedDetectMap::new(faults.len());
-        let next = AtomicUsize::new(0);
-        let h = stats::handle();
-        let scope_tracer = atspeed_trace::current_scope();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let _g = h.enter();
-                    let _ts = scope_tracer.clone().map(atspeed_trace::scope);
-                    let mut sim = CombFaultSim::new(self.nl);
-                    let mut alive_idx: Vec<usize> = Vec::with_capacity(faults.len());
-                    let mut alive_ids: Vec<FaultId> = Vec::with_capacity(faults.len());
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= blocks.len() {
-                            break;
-                        }
-                        let _sp = atspeed_trace::span("fsim.detect_all.claim");
-                        let started = Instant::now();
-                        stats::add_invocation();
-                        for block in &blocks[start..blocks.len().min(start + chunk)] {
-                            alive_idx.clear();
-                            alive_ids.clear();
-                            for (k, &fid) in faults.iter().enumerate() {
-                                if !shared.is_set(k) {
-                                    alive_idx.push(k);
-                                    alive_ids.push(fid);
-                                }
-                            }
-                            if alive_ids.is_empty() {
-                                break;
-                            }
-                            let masks = sim.detect_block(block, &alive_ids, universe);
-                            for (&k, mask) in alive_idx.iter().zip(masks) {
-                                if mask != 0 && shared.set(k) {
-                                    stats::add_dropped(1);
-                                }
-                            }
-                        }
-                        stats::record_partition(started.elapsed());
-                    }
-                });
-            }
-        });
-        shared.snapshot(faults.len())
+        self.test_sharded(
+            blocks.len(),
+            faults,
+            "fsim.detect_all.claim",
+            || CombFaultSim::new(self.nl),
+            |sim, b, ids| {
+                sim.detect_block(blocks[b], ids, universe)
+                    .into_iter()
+                    .map(|mask| mask != 0)
+                    .collect()
+            },
+        )
     }
 
     /// Parallel [`CombFaultSim::detect_matrix`]: the full per-fault,
@@ -457,30 +442,12 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<Vec<u64>> {
-        let threads = self.cfg.effective_threads(faults.len());
-        if threads <= 1 {
-            return CombFaultSim::new(self.nl).detect_matrix(tests, faults, universe);
-        }
-        let words = tests.len().div_ceil(64);
-        let parts =
-            self.fault_partitions(faults, universe, self.fault_units(faults.len(), threads));
-        let rows = self.run_partitioned(
-            &parts,
-            threads,
+        self.fault_sharded(
+            faults,
+            || self.comb_partitions(faults, universe),
             || CombFaultSim::new(self.nl),
-            |sim, part| {
-                stats::add_invocation();
-                let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
-                sim.detect_matrix(tests, &ids, universe)
-            },
-        );
-        let mut out = vec![vec![0u64; words]; faults.len()];
-        for (part, rs) in parts.iter().zip(rows) {
-            for (&k, row) in part.iter().zip(rs) {
-                out[k] = row;
-            }
-        }
-        out
+            |sim, ids| sim.detect_matrix(tests, ids, universe),
+        )
     }
 
     /// Cross-checks the two combinational detection views against each
@@ -545,7 +512,8 @@ impl<'a> ParallelFsim<'a> {
         self.detect_observed(init, seq, faults, universe, observe)
     }
 
-    /// Parallel [`SeqFaultSim::detect_observed`], fault-sharded.
+    /// Parallel [`SeqFaultSim::detect_observed`], fault-sharded one
+    /// 63-fault word per partition.
     pub fn detect_observed(
         &self,
         init: &State,
@@ -554,28 +522,12 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         observe: FinalObserve<'_>,
     ) -> Vec<bool> {
-        let threads = self.cfg.effective_threads(faults.len());
-        if threads <= 1 {
-            return SeqFaultSim::new(self.nl).detect_observed(init, seq, faults, universe, observe);
-        }
-        let parts =
-            self.fault_partitions(faults, universe, self.fault_units(faults.len(), threads));
-        let dets = self.run_partitioned(
-            &parts,
-            threads,
+        self.fault_sharded(
+            faults,
+            || Self::seq_partitions(faults),
             || SeqFaultSim::new(self.nl),
-            |sim, part| {
-                let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
-                sim.detect_observed(init, seq, &ids, universe, observe)
-            },
-        );
-        let mut out = vec![false; faults.len()];
-        for (part, ds) in parts.iter().zip(dets) {
-            for (&k, d) in part.iter().zip(ds) {
-                out[k] = d;
-            }
-        }
-        out
+            |sim, ids| sim.detect_observed(init, seq, ids, universe, observe),
+        )
     }
 
     /// Parallel [`SeqFaultSim::profiles`], fault-sharded.
@@ -590,7 +542,8 @@ impl<'a> ParallelFsim<'a> {
             .0
     }
 
-    /// Parallel [`SeqFaultSim::profiles_bounded`], fault-sharded.
+    /// Parallel [`SeqFaultSim::profiles_bounded`], fault-sharded one
+    /// 63-fault word per partition.
     ///
     /// The word budget applies per fault by absolute cycle index, so the
     /// truncated-bit total is the sum over faults regardless of how they
@@ -603,48 +556,29 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         max_state_words: usize,
     ) -> (Vec<DetectionProfile>, u64) {
-        let threads = self.cfg.effective_threads(faults.len());
-        if threads <= 1 {
-            return SeqFaultSim::new(self.nl).profiles_bounded(
-                init,
-                seq,
-                faults,
-                universe,
-                max_state_words,
-            );
-        }
-        let parts =
-            self.fault_partitions(faults, universe, self.fault_units(faults.len(), threads));
-        let results = self.run_partitioned(
-            &parts,
-            threads,
+        let truncated = AtomicU64::new(0);
+        let profiles = self.fault_sharded(
+            faults,
+            || Self::seq_partitions(faults),
             || SeqFaultSim::new(self.nl),
-            |sim, part| {
-                let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
-                sim.profiles_bounded(init, seq, &ids, universe, max_state_words)
+            |sim, ids| {
+                let (ps, t) = sim.profiles_bounded(init, seq, ids, universe, max_state_words);
+                truncated.fetch_add(t, Ordering::Relaxed);
+                ps
             },
         );
-        let mut out = vec![DetectionProfile::default(); faults.len()];
-        let mut truncated = 0u64;
-        for (part, (ps, t)) in parts.iter().zip(results) {
-            truncated += t;
-            for (&k, p) in part.iter().zip(ps) {
-                out[k] = p;
-            }
-        }
-        (out, truncated)
+        (profiles, truncated.into_inner())
     }
 
     /// Union detection over many scan tests — each run `(scan-in state,
     /// sequence)` is simulated with scan-out observation and the detected
-    /// sets are unioned. Runs are claimed from a work queue; faults
+    /// sets are unioned. Runs are claimed from the work queue; faults
     /// already detected by *any* partition are dropped everywhere through
     /// the shared atomic bitmap.
     ///
-    /// Serial equivalent: iterating the runs in order and dropping
-    /// detected faults from the alive list (what `TestSet::detects` in
-    /// `atspeed-core` historically did). The union is order-independent,
-    /// so both report the same detected set.
+    /// Serial equivalent (and the one-thread path): iterating the runs in
+    /// order and dropping detected faults from the alive list. The union is
+    /// order-independent, so both report the same detected set.
     pub fn detect_union(
         &self,
         runs: &[(&State, &Sequence)],
@@ -652,82 +586,16 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         observe_final_state: bool,
     ) -> Vec<bool> {
-        let threads = self.cfg.effective_threads(runs.len());
-        if threads <= 1 {
-            let mut sim = SeqFaultSim::new(self.nl);
-            let mut detected = vec![false; faults.len()];
-            let mut alive: Vec<usize> = (0..faults.len()).collect();
-            for (init, seq) in runs {
-                if alive.is_empty() {
-                    break;
-                }
-                let ids: Vec<FaultId> = alive.iter().map(|&k| faults[k]).collect();
-                let det = sim.detect(init, seq, &ids, universe, observe_final_state);
-                let mut still_alive = Vec::with_capacity(alive.len());
-                let mut dropped = 0u64;
-                for (&k, d) in alive.iter().zip(det) {
-                    if d {
-                        detected[k] = true;
-                        dropped += 1;
-                    } else {
-                        still_alive.push(k);
-                    }
-                }
-                alive = still_alive;
-                stats::add_dropped(dropped);
-            }
-            return detected;
-        }
-        let chunk = if self.cfg.chunk_size > 0 {
-            self.cfg.chunk_size
-        } else {
-            1
-        };
-        let shared = SharedDetectMap::new(faults.len());
-        let next = AtomicUsize::new(0);
-        let h = stats::handle();
-        let scope_tracer = atspeed_trace::current_scope();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let _g = h.enter();
-                    let _ts = scope_tracer.clone().map(atspeed_trace::scope);
-                    let mut sim = SeqFaultSim::new(self.nl);
-                    let mut alive_idx: Vec<usize> = Vec::with_capacity(faults.len());
-                    let mut alive_ids: Vec<FaultId> = Vec::with_capacity(faults.len());
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= runs.len() {
-                            break;
-                        }
-                        let _sp = atspeed_trace::span("fsim.detect_union.claim");
-                        let started = Instant::now();
-                        for (init, seq) in &runs[start..runs.len().min(start + chunk)] {
-                            alive_idx.clear();
-                            alive_ids.clear();
-                            for (k, &fid) in faults.iter().enumerate() {
-                                if !shared.is_set(k) {
-                                    alive_idx.push(k);
-                                    alive_ids.push(fid);
-                                }
-                            }
-                            if alive_ids.is_empty() {
-                                break;
-                            }
-                            let det =
-                                sim.detect(init, seq, &alive_ids, universe, observe_final_state);
-                            for (&k, d) in alive_idx.iter().zip(det) {
-                                if d && shared.set(k) {
-                                    stats::add_dropped(1);
-                                }
-                            }
-                        }
-                        stats::record_partition(started.elapsed());
-                    }
-                });
-            }
-        });
-        shared.snapshot(faults.len())
+        self.test_sharded(
+            runs.len(),
+            faults,
+            "fsim.detect_union.claim",
+            || SeqFaultSim::new(self.nl),
+            |sim, i, ids| {
+                let (init, seq) = runs[i];
+                sim.detect(init, seq, ids, universe, observe_final_state)
+            },
+        )
     }
 }
 
@@ -824,20 +692,33 @@ mod tests {
         );
     }
 
+    /// A synthetic circuit with a few hundred collapsed faults, so that
+    /// sequential calls split into several 63-fault partitions.
+    fn synth_circuit() -> Netlist {
+        atspeed_circuit::synth::generate(&atspeed_circuit::synth::SynthSpec::new(
+            "par", 6, 4, 8, 160, 2001,
+        ))
+        .unwrap()
+    }
+
+    fn pattern_sequence(nl: &Netlist, len: usize, a: usize, b: usize, m: usize) -> Sequence {
+        Sequence::from_vectors(
+            (0..len)
+                .map(|t| {
+                    (0..nl.num_pis())
+                        .map(|i| V3::from_bool((t * a + i * b) % m < m / 2))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
     #[test]
     fn parallel_seq_matches_serial_on_s27() {
         let nl = s27();
         let u = FaultUniverse::full(&nl);
         let faults: Vec<FaultId> = u.representatives().to_vec();
-        let seq = Sequence::from_vectors(
-            (0..24)
-                .map(|t| {
-                    (0..nl.num_pis())
-                        .map(|i| V3::from_bool((t * 7 + i * 3) % 5 < 2))
-                        .collect()
-                })
-                .collect(),
-        );
+        let seq = pattern_sequence(&nl, 24, 7, 3, 5);
         let init = vec![V3::Zero; nl.num_ffs()];
 
         let mut serial = SeqFaultSim::new(&nl);
@@ -847,59 +728,106 @@ mod tests {
             serial.detect(&init, &seq, &faults, &u, true),
             par.detect(&init, &seq, &faults, &u, true)
         );
-        let sp = serial.profiles(&init, &seq, &faults, &u);
-        let pp = par.profiles(&init, &seq, &faults, &u);
-        assert_eq!(sp.len(), pp.len());
-        for (a, b) in sp.iter().zip(pp.iter()) {
-            assert_eq!(a.earliest_detection(), b.earliest_detection());
+        assert_eq!(
+            serial.profiles(&init, &seq, &faults, &u),
+            par.profiles(&init, &seq, &faults, &u)
+        );
+    }
+
+    #[test]
+    fn parallel_seq_matches_serial_across_partitions() {
+        let nl = synth_circuit();
+        let u = FaultUniverse::full(&nl);
+        let faults: Vec<FaultId> = u.representatives().to_vec();
+        assert!(faults.len() > 2 * FAULTS_PER_PASS, "needs three partitions");
+        let seq = pattern_sequence(&nl, 24, 7, 3, 5);
+        let init = vec![V3::Zero; nl.num_ffs()];
+        let mut serial = SeqFaultSim::new(&nl);
+        let det = serial.detect(&init, &seq, &faults, &u, true);
+        let profiles = serial.profiles(&init, &seq, &faults, &u);
+        for threads in [2, 3, 4] {
+            let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
+            assert_eq!(det, par.detect(&init, &seq, &faults, &u, true));
+            assert_eq!(profiles, par.profiles(&init, &seq, &faults, &u));
         }
     }
 
     #[test]
-    fn fault_units_oversubscribes_the_claim_queue() {
+    fn partitions_follow_the_engine_packing() {
+        // Sequential calls: one partition per 63-fault word, in caller
+        // order — the serial engine's own passes.
+        let faults: Vec<FaultId> = (0..130).map(FaultId::from_index).collect();
+        let parts = ParallelFsim::seq_partitions(&faults);
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [63, 63, 4]);
+        assert_eq!(parts.concat(), (0..130).collect::<Vec<_>>());
+        assert!(ParallelFsim::seq_partitions(&[]).is_empty());
+
+        // Combinational calls: ~4 claims per worker, capped by the fault
+        // count, each fault dealt exactly once.
         let nl = s27();
-        // Default chunking: ~4 claims per worker so the queue can
-        // rebalance, capped by the fault count, and serial stays at one.
-        let par = ParallelFsim::new(&nl, SimConfig::with_threads(4));
-        assert_eq!(par.fault_units(1000, 4), 16);
-        assert_eq!(par.fault_units(10, 4), 10);
-        assert_eq!(par.fault_units(0, 4), 1);
-        assert_eq!(par.fault_units(1000, 1), 1);
-        // Explicit chunk_size still controls granularity directly.
-        let chunked = ParallelFsim::new(
-            &nl,
-            SimConfig {
-                threads: 4,
-                chunk_size: 100,
-            },
-        );
-        assert_eq!(chunked.fault_units(1000, 4), 10);
-        assert_eq!(chunked.fault_units(100, 4), 4);
+        let u = FaultUniverse::full(&nl);
+        let reps: Vec<FaultId> = u.representatives().to_vec();
+        for (threads, want) in [(4, 16), (8, reps.len()), (1, 4)] {
+            let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
+            let parts = par.comb_partitions(&reps, &u);
+            assert_eq!(parts.len(), want, "threads={threads}");
+            let mut dealt = parts.concat();
+            dealt.sort_unstable();
+            assert_eq!(dealt, (0..reps.len()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn claim_map_returns_results_in_index_order() {
+        for threads in [1, 2, 5] {
+            let out = claim_map(
+                SimConfig::with_threads(threads),
+                37,
+                "test.claim",
+                || 0usize,
+                |calls, i| {
+                    *calls += 1;
+                    i * i
+                },
+            );
+            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(claim_map(SimConfig::with_threads(3), 0, "test.claim", || (), |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn claim_map_records_partitions_only_when_sharded() {
+        for (threads, want) in [(1, 0), (3, 9)] {
+            let scope = stats::scoped();
+            claim_map(
+                SimConfig::with_threads(threads),
+                9,
+                "test.claim",
+                || (),
+                |_, _| stats::add_gate_evals(2),
+            );
+            let totals = scope.report().totals();
+            assert_eq!(totals.gate_evals, 18, "threads={threads}");
+            assert_eq!(totals.partitions, want, "threads={threads}");
+        }
     }
 
     #[test]
     fn parallel_bounded_profiles_match_serial_including_truncation() {
-        let nl = s27();
+        let nl = synth_circuit();
         let u = FaultUniverse::full(&nl);
         let faults: Vec<FaultId> = u.representatives().to_vec();
         // 70 cycles spills state-diff bits past the first 64-bit word, so
         // a budget of one word must truncate the same bits everywhere.
-        let seq = Sequence::from_vectors(
-            (0..70)
-                .map(|t| {
-                    (0..nl.num_pis())
-                        .map(|i| V3::from_bool((t * 5 + i * 11) % 7 < 3))
-                        .collect()
-                })
-                .collect(),
-        );
+        let seq = pattern_sequence(&nl, 70, 5, 11, 7);
         let init = vec![V3::Zero; nl.num_ffs()];
         let (sp, st) = SeqFaultSim::new(&nl).profiles_bounded(&init, &seq, &faults, &u, 1);
+        assert!(st > 0, "a 70-cycle run must drop bits past word 0");
         for threads in [2, 4] {
             let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
             let (pp, pt) = par.profiles_bounded(&init, &seq, &faults, &u, 1);
             assert_eq!(st, pt, "truncation count diverges at {threads} threads");
-            assert_eq!(sp.len(), pp.len());
             assert_eq!(sp, pp, "profiles diverge at {threads} threads");
         }
     }
@@ -930,24 +858,5 @@ mod tests {
         assert!(s.contains("true") && s.contains("false"), "{s}");
         let p = MatrixMismatch::PaddingBitsSet { fault_index: 1 }.to_string();
         assert!(p.contains("beyond the test count"), "{p}");
-    }
-
-    #[test]
-    fn order_hint_does_not_change_results() {
-        let nl = s27();
-        let u = FaultUniverse::full(&nl);
-        let faults: Vec<FaultId> = u.representatives().to_vec();
-        let tests = comb_tests(&nl, 128, 7);
-        let mut serial = CombFaultSim::new(&nl);
-        let hint: Vec<u32> = (0..faults.len() as u32).rev().collect();
-        let par = ParallelFsim::new(&nl, SimConfig::with_threads(3)).with_order_hint(hint);
-        assert_eq!(
-            serial.detect_all(&tests, &faults, &u),
-            par.detect_all(&tests, &faults, &u)
-        );
-        assert_eq!(
-            serial.detect_block(&tests[..64], &faults, &u),
-            par.detect_block(&tests[..64], &faults, &u)
-        );
     }
 }

@@ -3,18 +3,23 @@
 //! single-threaded engines on randomly synthesized circuits.
 //!
 //! This is the determinism contract the whole workspace relies on —
-//! `SIM_THREADS` may change wall time, never results.
+//! `SIM_THREADS` may change wall time, never results. A count-based test
+//! below holds the other half of the contract: threads do not add work.
 
 use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3,
+    stats, CombFaultSim, CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3,
 };
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = Netlist> {
-    (2usize..6, 1usize..4, 2usize..8, 10usize..80, any::<u64>()).prop_map(
+    arb_netlist_with_gates(10..80)
+}
+
+fn arb_netlist_with_gates(gates: std::ops::Range<usize>) -> impl Strategy<Value = Netlist> {
+    (2usize..6, 1usize..4, 2usize..8, gates, any::<u64>()).prop_map(
         |(pis, pos, ffs, gates, seed)| {
             generate(&SynthSpec::new("prop", pis, pos, ffs, gates, seed)).unwrap()
         },
@@ -92,15 +97,17 @@ proptest! {
         );
     }
 
-    /// Sequential ops: fault-sharded `detect`/`profiles` and the
-    /// test-sharded `detect_union` report the serial detected sets.
+    /// Sequential ops: fault-sharded `detect`/`profiles`/`profiles_bounded`
+    /// and the test-sharded `detect_union` report the serial results. The
+    /// circuits are large enough that most cases span several 63-fault
+    /// partitions, and long enough sequences make a one-word profile
+    /// budget truncate.
     #[test]
     fn parallel_seq_matches_serial(
-        nl in arb_netlist(),
+        nl in arb_netlist_with_gates(40..160),
         seed in any::<u64>(),
         threads in 2usize..6,
-        seq_len in 1usize..40,
-        chunk in 0usize..4,
+        seq_len in 1usize..90,
     ) {
         let u = FaultUniverse::full(&nl);
         let faults: Vec<FaultId> = u.representatives().to_vec();
@@ -109,19 +116,20 @@ proptest! {
         let init: State = (0..nl.num_ffs()).map(|_| bits.v3()).collect();
 
         let mut serial = SeqFaultSim::new(&nl);
-        let cfg = SimConfig { threads, chunk_size: chunk };
-        let par = ParallelFsim::new(&nl, cfg);
+        let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
 
         prop_assert_eq!(
             serial.detect(&init, &seq, &faults, &u, true),
             par.detect(&init, &seq, &faults, &u, true)
         );
-        let sp = serial.profiles(&init, &seq, &faults, &u);
-        let pp = par.profiles(&init, &seq, &faults, &u);
-        prop_assert_eq!(sp.len(), pp.len());
-        for (a, b) in sp.iter().zip(pp.iter()) {
-            prop_assert_eq!(a.earliest_detection(), b.earliest_detection());
-        }
+        prop_assert_eq!(
+            serial.profiles(&init, &seq, &faults, &u),
+            par.profiles(&init, &seq, &faults, &u)
+        );
+        prop_assert_eq!(
+            serial.profiles_bounded(&init, &seq, &faults, &u, 1),
+            par.profiles_bounded(&init, &seq, &faults, &u, 1)
+        );
 
         // A small batch of scan tests for the union path.
         let runs_owned: Vec<(State, Sequence)> = (0..4)
@@ -139,5 +147,42 @@ proptest! {
             serial_union,
             par.detect_union(&runs, &faults, &u, true)
         );
+    }
+}
+
+/// Threads add no passes: a sequential call is dealt into the engine's own
+/// 63-fault words, so at 128 faults 2 and 4 threads evaluate exactly the
+/// gate-words of 1 thread. (Dealing into `threads × 4` partitions made 2
+/// threads evaluate 2.7–3.9× and 4 threads 5.0–7.3× the gate-words of 1 here.)
+#[test]
+fn threads_add_no_passes() {
+    for (gates, seed) in [(400, 11), (1500, 12)] {
+        let nl = generate(&SynthSpec::new("passes", 16, 8, 32, gates, seed)).unwrap();
+        let u = FaultUniverse::full(&nl);
+        let reps = u.representatives();
+        let faults: Vec<FaultId> = reps
+            .iter()
+            .step_by(reps.len() / 128)
+            .take(128)
+            .copied()
+            .collect();
+        assert_eq!(faults.len(), 128);
+        let mut bits = Bits(seed);
+        let seq = sequence(&nl, 24, &mut bits);
+        let init: State = vec![V3::Zero; nl.num_ffs()];
+
+        let gate_evals = |threads: usize| {
+            let scope = stats::scoped();
+            let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
+            let det = par.detect(&init, &seq, &faults, &u, true);
+            let profiles = par.profiles(&init, &seq, &faults, &u);
+            (scope.report().totals().gate_evals, det, profiles)
+        };
+        let (one, det, profiles) = gate_evals(1);
+        for threads in [2, 4] {
+            let (n, d, p) = gate_evals(threads);
+            assert_eq!((d, p), (det.clone(), profiles.clone()), "threads={threads}");
+            assert_eq!(n, one, "{gates} gates: {threads} threads add passes");
+        }
     }
 }

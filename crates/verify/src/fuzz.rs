@@ -15,8 +15,9 @@
 //!    ([`ParallelFsim::check_matrix_consistency`]);
 //! 3. **seq-detect** — serial sequential fault simulation against the
 //!    fault-sharded parallel front end at each requested thread count;
-//! 4. **omission** — the serial Phase-2 vector-omission sweep against the
-//!    speculative parallel sweep
+//! 4. **omission** — the Phase-2 vector-omission sweep at one thread
+//!    against the same sweep with its profiles fault-sharded at each
+//!    requested thread count
 //!    ([`check_omission_differential`](atspeed_atpg::compact::check_omission_differential)).
 //!
 //! Any disagreement surfaces as a [`Divergence`]; [`run_fuzz`] then shrinks
@@ -322,8 +323,8 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
         report.checks += 1;
     }
 
-    // Vector omission: serial sweep vs speculative parallel sweeps, on the
-    // faults this sequence actually detects.
+    // Vector omission: one thread vs fault-sharded profiles at each thread
+    // count, on the faults this sequence actually detects.
     let targets: Vec<FaultId> = faults
         .iter()
         .zip(&seq_serial)

@@ -1,11 +1,12 @@
 //! Differential verification for the test-compaction workspace.
 //!
-//! Every engine in this workspace exists in at least two independent
-//! implementations: the legacy pointer-walking evaluator and the compiled
-//! CSR kernel, the serial fault simulators and the multi-threaded
-//! [`ParallelFsim`](atspeed_sim::ParallelFsim) front end, the serial
-//! vector-omission sweep and its speculative parallel twin. That redundancy
-//! is this crate's raw material. It provides:
+//! Every engine in this workspace can be run two independent ways: the
+//! legacy pointer-walking evaluator against the compiled CSR kernel, the
+//! serial fault simulators against the multi-threaded
+//! [`ParallelFsim`](atspeed_sim::ParallelFsim) front end, and the
+//! vector-omission sweep at one thread against the same sweep with its
+//! profiles fault-sharded across several. That redundancy is this crate's
+//! raw material. It provides:
 //!
 //! - [`fuzz`] — a differential fuzzer that drives
 //!   [`synth::generate`](atspeed_circuit::synth::generate) through
