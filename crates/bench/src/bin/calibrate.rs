@@ -149,7 +149,7 @@ fn main() -> ExitCode {
 
     let report = atspeed_sim::stats::report();
     println!("{report}");
-    if let Err(e) = telemetry.write_outputs(&report) {
+    if let Err(e) = telemetry.write_outputs(&report, Some(sim.effective_threads(usize::MAX))) {
         atspeed_trace::error!("bench.calibrate", "failed to write telemetry output";
             error = e);
         return ExitCode::FAILURE;

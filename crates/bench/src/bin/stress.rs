@@ -136,11 +136,7 @@ fn sample_faults(universe: &FaultUniverse, n: usize) -> Vec<FaultId> {
         .collect()
 }
 
-fn run(args: &Args) -> Result<(), String> {
-    let sim = match args.sim_threads {
-        Some(n) => SimConfig::with_threads(n),
-        None => SimConfig::from_env(),
-    };
+fn run(args: &Args, sim: SimConfig) -> Result<(), String> {
     let start = Instant::now();
     let registry = atspeed_trace::metrics::global();
 
@@ -317,10 +313,15 @@ fn main() -> ExitCode {
     };
     args.telemetry.init();
     stats::reset();
-    let outcome = run(&args);
+    let sim = match args.sim_threads {
+        Some(n) => SimConfig::with_threads(n),
+        None => SimConfig::from_env(),
+    };
+    let outcome = run(&args, sim);
     let report = stats::report();
     println!("{report}");
-    if let Err(e) = args.telemetry.write_outputs(&report) {
+    let threads = sim.effective_threads(usize::MAX);
+    if let Err(e) = args.telemetry.write_outputs(&report, Some(threads)) {
         eprintln!("failed to write telemetry output: {e}");
         return ExitCode::FAILURE;
     }

@@ -219,7 +219,10 @@ fn main() -> ExitCode {
         }
         atspeed_trace::info!("bench.tables", "wrote csv"; path = path);
     }
-    if let Err(e) = args.telemetry.write_outputs(&report) {
+    if let Err(e) = args
+        .telemetry
+        .write_outputs(&report, Some(sim.effective_threads(usize::MAX)))
+    {
         atspeed_trace::error!("bench.tables", "failed to write telemetry output";
             error = e);
         return ExitCode::FAILURE;

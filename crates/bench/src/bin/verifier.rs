@@ -204,7 +204,8 @@ fn main() -> ExitCode {
         }
     }
     let report = atspeed_sim::stats::report();
-    if let Err(e) = args.telemetry.write_outputs(&report) {
+    // Every thread count the fuzzer runs at is in the argv (`--threads`).
+    if let Err(e) = args.telemetry.write_outputs(&report, None) {
         eprintln!("failed to write telemetry output: {e}");
         return ExitCode::FAILURE;
     }

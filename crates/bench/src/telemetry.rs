@@ -128,12 +128,14 @@ impl TelemetryArgs {
     /// Writes the trace, metrics, and profile files requested on the
     /// command line, and appends the run-history record when any
     /// telemetry output was requested. Call once, after the run's
-    /// [`SimReport`] is taken.
+    /// [`SimReport`] is taken. `sim_threads` is the run's effective
+    /// simulation thread count (`None` when the argv already names every
+    /// count the run uses); the history fingerprint includes it.
     ///
     /// # Errors
     ///
     /// Propagates the first filesystem error.
-    pub fn write_outputs(&self, report: &SimReport) -> io::Result<()> {
+    pub fn write_outputs(&self, report: &SimReport, sim_threads: Option<usize>) -> io::Result<()> {
         // Stop the sampler before exporting anything, so no sample lands
         // mid-write.
         if let Some(path) = &self.profile {
@@ -153,7 +155,7 @@ impl TelemetryArgs {
                 .history
                 .as_deref()
                 .unwrap_or(atspeed_trace::history::DEFAULT_PATH);
-            let record = self.history_record(report);
+            let record = self.history_record(report, sim_threads);
             record.append(path)?;
             atspeed_trace::info!("bench.telemetry", "appended run-history record"; path = path);
         }
@@ -162,10 +164,10 @@ impl TelemetryArgs {
 
     /// The history record for this run: process identity plus the same
     /// derived figures `--metrics-json` exports.
-    fn history_record(&self, report: &SimReport) -> RunRecord {
+    fn history_record(&self, report: &SimReport, sim_threads: Option<usize>) -> RunRecord {
         let snapshot = atspeed_trace::metrics::global().snapshot();
         let derived = DerivedMetrics::compute(report, &snapshot);
-        let mut record = RunRecord::for_current_process();
+        let mut record = RunRecord::for_current_process(sim_threads);
         record.wall_us = self
             .started
             .map(|s| s.elapsed().as_micros().min(u128::from(u64::MAX)) as u64)
@@ -376,7 +378,7 @@ mod tests {
                 ..Default::default()
             },
         ));
-        let record = t.history_record(&report);
+        let record = t.history_record(&report, Some(1));
         assert_eq!(record.schema, atspeed_trace::history::SCHEMA_VERSION);
         let get = |name: &str| {
             record

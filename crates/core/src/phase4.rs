@@ -16,7 +16,7 @@
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, ParallelFsim, Sequence, SimConfig, V3};
+use atspeed_sim::{CombTest, EndStates, ParallelFsim, Sequence, SimConfig, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,9 +116,16 @@ pub fn combine_tests(
 /// (\[7\]: when a plain combination fails, short connecting sequences are
 /// tried before giving the pair up), threading for the coverage checks,
 /// and the failed-pair memo cap that bounds Phase 4 memory on large test
-/// sets. Each coverage check is an independent fault simulation of one
-/// candidate combination, so the accepted combinations — and therefore
-/// the final set — are identical at any thread count.
+/// sets.
+///
+/// A pair check never re-simulates `T_i`: the end state of every assigned
+/// fault after `T_i` is recorded once per version of test `i`
+/// ([`ParallelFsim::end_states`]), and each candidate simulates only `T_j`
+/// (or `R·T_j`) from that record, stopping at the first 63-fault word that
+/// loses a fault ([`ParallelFsim::detects_all_from`]). Every simulation
+/// slot evolves independently, so the verdicts — and therefore the final
+/// set and the statistics — equal those of simulating the whole
+/// concatenation, at any thread count.
 pub fn combine_tests_cfg(
     nl: &Netlist,
     universe: &FaultUniverse,
@@ -135,28 +142,29 @@ pub fn combine_tests_cfg(
     let fsim = ParallelFsim::new(nl, cfg.sim);
 
     // Assign each target fault to the first test that detects it.
-    let mut entries: Vec<Option<(ScanTest, Vec<FaultId>)>> = Vec::with_capacity(set.len());
+    // `assigned` lists the faults some test detects, grouped by test; an
+    // entry holds its faults as positions in that list, which is also the
+    // fault list of every end-of-`T_i` record, so a record is indexed
+    // directly.
+    let mut assigned: Vec<FaultId> = Vec::new();
+    let mut entries: Vec<Option<(ScanTest, Vec<usize>)>> = Vec::with_capacity(set.len());
     {
         let mut alive: Vec<FaultId> = targets.to_vec();
         for t in &set.tests {
-            if alive.is_empty() {
-                entries.push(Some((t.clone(), Vec::new())));
-                continue;
+            let first = assigned.len();
+            if !alive.is_empty() {
+                let det = fsim.detect(&t.si, &t.seq, &alive, universe, true);
+                let mut missed = Vec::with_capacity(alive.len());
+                for (&f, d) in alive.iter().zip(det) {
+                    if d {
+                        assigned.push(f);
+                    } else {
+                        missed.push(f);
+                    }
+                }
+                alive = missed;
             }
-            let det = fsim.detect(&t.si, &t.seq, &alive, universe, true);
-            let mine: Vec<FaultId> = alive
-                .iter()
-                .zip(det.iter())
-                .filter(|(_, &d)| d)
-                .map(|(&f, _)| f)
-                .collect();
-            alive = alive
-                .iter()
-                .zip(det.iter())
-                .filter(|(_, &d)| !d)
-                .map(|(&f, _)| f)
-                .collect();
-            entries.push(Some((t.clone(), mine)));
+            entries.push(Some((t.clone(), (first..assigned.len()).collect())));
         }
     }
 
@@ -167,6 +175,9 @@ pub fn combine_tests_cfg(
     let mut versions = vec![0u32; entries.len()];
     let mut failed: std::collections::HashMap<(usize, usize), (u32, u32)> =
         std::collections::HashMap::new();
+    // The end-of-`T_i` record of one version of one test, built at the
+    // first pair of `i` the memo does not skip.
+    let mut record: Option<((usize, u32), EndStates)> = None;
     loop {
         stats.rounds += 1;
         let mut changed = false;
@@ -183,22 +194,21 @@ pub fn combine_tests_cfg(
                 }
                 let (ti, fi) = entries[i].as_ref().expect("checked above");
                 let (tj, fj) = entries[j].as_ref().expect("checked above");
+                let key = (i, versions[i]);
+                if record.as_ref().map(|(k, _)| *k) != Some(key) {
+                    let rec = fsim.end_states(&ti.si, &ti.seq, &assigned, universe);
+                    record = Some((key, rec));
+                }
+                let (_, rec) = record.as_ref().expect("built above");
                 // Candidate: scan in SI_i, run T_i then T_j, scan out.
-                let mut combined = ScanTest::new(ti.si.clone(), ti.seq.concat(&tj.seq));
-                let mut assigned: Vec<FaultId> = fi.clone();
-                assigned.extend(fj.iter().copied());
+                let mut both: Vec<usize> = fi.clone();
+                both.extend(fj.iter().copied());
+                let check = |suffix: &Sequence| fsim.detects_all_from(rec, suffix, &both, universe);
                 stats.attempts += 1;
-                let check = |c: &ScanTest, a: &[FaultId]| {
-                    a.is_empty()
-                        || fsim
-                            .detect(&c.si, &c.seq, a, universe, true)
-                            .iter()
-                            .all(|&d| d)
-                };
-                let mut ok = check(&combined, &assigned);
+                let mut tail = check(&tj.seq).then(|| tj.seq.clone());
                 // [7]-style fallback: steer the state with a short transfer
                 // sequence R, profitable while L(R) < N_SV.
-                if !ok {
+                if tail.is_none() {
                     if let Some(tc) = transfer {
                         let max_len = tc.max_len.min(nl.num_ffs().saturating_sub(1));
                         'transfer: for len in 1..=max_len {
@@ -210,14 +220,10 @@ pub fn combine_tests_cfg(
                                             .collect::<Vec<_>>()
                                     })
                                     .collect();
-                                let with_r = ScanTest::new(
-                                    combined.si.clone(),
-                                    ti.seq.concat(&r).concat(&tj.seq),
-                                );
+                                let with_r = r.concat(&tj.seq);
                                 stats.attempts += 1;
-                                if check(&with_r, &assigned) {
-                                    combined = with_r;
-                                    ok = true;
+                                if check(&with_r) {
+                                    tail = Some(with_r);
                                     stats.transfer_combinations += 1;
                                     break 'transfer;
                                 }
@@ -225,8 +231,9 @@ pub fn combine_tests_cfg(
                         }
                     }
                 }
-                if ok {
-                    entries[i] = Some((combined, assigned));
+                if let Some(tail) = tail {
+                    let combined = ScanTest::new(ti.si.clone(), ti.seq.concat(&tail));
+                    entries[i] = Some((combined, both));
                     entries[j] = None;
                     versions[i] += 1;
                     versions[j] += 1;
@@ -442,6 +449,79 @@ mod tests {
                 assert!(stats.failed_pairs_dropped > 0, "cap={cap}");
             }
         }
+    }
+
+    /// A synthetic circuit and a set of short random scan tests whose
+    /// detected faults span at least three 63-fault words.
+    fn wide_setup() -> (
+        atspeed_circuit::Netlist,
+        FaultUniverse,
+        TestSet,
+        Vec<FaultId>,
+    ) {
+        use atspeed_circuit::synth::{generate, SynthSpec};
+        let nl = generate(&SynthSpec::new("p4", 6, 3, 10, 120, 41)).unwrap();
+        let u = FaultUniverse::full(&nl);
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut bits = |n: usize| -> Vec<V3> { (0..n).map(|_| V3::from_bool(rng.gen())).collect() };
+        let tests: Vec<ScanTest> = (0..16)
+            .map(|t| {
+                let si = bits(nl.num_ffs());
+                let seq: Sequence = (0..1 + t % 3).map(|_| bits(nl.num_pis())).collect();
+                ScanTest::new(si, seq)
+            })
+            .collect();
+        let set = TestSet::from_tests(tests);
+        let reps: Vec<FaultId> = u.representatives().to_vec();
+        let targets: Vec<FaultId> = reps
+            .iter()
+            .zip(set.detects(&nl, &u, &reps))
+            .filter_map(|(&f, d)| d.then_some(f))
+            .collect();
+        assert!(targets.len() > 2 * 63, "{} targets", targets.len());
+        (nl, u, set, targets)
+    }
+
+    #[test]
+    fn results_are_identical_at_any_thread_count() {
+        let (nl, u, set, targets) = wide_setup();
+        for transfer in [None, Some(TransferConfig::default())] {
+            let run = |threads: usize| {
+                let cfg = CombineConfig {
+                    transfer,
+                    sim: SimConfig::with_threads(threads),
+                    ..CombineConfig::default()
+                };
+                combine_tests_cfg(&nl, &u, &set, &targets, cfg)
+            };
+            let (one, one_stats) = run(1);
+            assert!(one_stats.combinations > 0, "{one_stats:?}");
+            assert_eq!(transfer.is_some(), one_stats.transfer_combinations > 0);
+            for threads in [2, 4] {
+                let (out, stats) = run(threads);
+                assert_eq!(out, one, "threads={threads} transfer={transfer:?}");
+                assert_eq!(stats, one_stats, "threads={threads} transfer={transfer:?}");
+            }
+        }
+    }
+
+    /// Pair checks run their words in waves of `threads` words, so the work
+    /// done at a fixed thread count repeats exactly.
+    #[test]
+    fn work_repeats_exactly_at_two_threads() {
+        let (nl, u, set, targets) = wide_setup();
+        let cfg = CombineConfig {
+            sim: SimConfig::with_threads(2),
+            ..CombineConfig::default()
+        };
+        let gate_evals = || {
+            let scope = atspeed_sim::stats::scoped();
+            combine_tests_cfg(&nl, &u, &set, &targets, cfg);
+            scope.report().totals().gate_evals
+        };
+        let first = gate_evals();
+        assert!(first > 0);
+        assert_eq!(gate_evals(), first);
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl PipelineConfig {
     ///
     /// This is the basis of config fingerprints: two configs with equal
     /// canonical lines yield byte-identical [`PipelineResult`]s on the
-    /// same netlist. Execution knobs that are guaranteed not to change
-    /// results — worker threads and chunk size — are
+    /// same netlist. The execution knob that is guaranteed not to change
+    /// results — the simulation thread count — is
     /// deliberately **excluded**, so a cache keyed on these lines serves
     /// a result computed at any thread count to a client asking at any
     /// other.

@@ -122,6 +122,7 @@ fn main() -> ExitCode {
         }
     }
     args.telemetry.init();
+    let job_threads = args.serve.job_sim.effective_threads(usize::MAX);
     let server = match Server::start(args.serve) {
         Ok(s) => s,
         Err(e) => {
@@ -132,7 +133,7 @@ fn main() -> ExitCode {
     println!("listening on {}", server.addr());
     server.wait();
     let report = atspeed_sim::stats::report();
-    if let Err(e) = args.telemetry.write_outputs(&report) {
+    if let Err(e) = args.telemetry.write_outputs(&report, Some(job_threads)) {
         eprintln!("failed to write telemetry output: {e}");
         return ExitCode::FAILURE;
     }

@@ -66,9 +66,9 @@ impl Client {
     ///
     /// The connect error.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ClientError> {

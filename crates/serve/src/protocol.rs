@@ -176,20 +176,36 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, ProtocolError> {
 /// [`ProtocolError::FrameTooLarge`] if the payload exceeds [`MAX_FRAME`]
 /// (the bound is symmetric), else the socket error.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-    let len = u32::try_from(frame.payload.len())
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, frame.kind, &frame.payload)?;
+    writer.write_all(&buf)?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Appends one frame's wire form to `buf`, so that several frames can go
+/// out in a single write.
+///
+/// # Errors
+///
+/// [`ProtocolError::FrameTooLarge`] if the payload exceeds [`MAX_FRAME`].
+pub(crate) fn encode_frame(
+    buf: &mut Vec<u8>,
+    kind: FrameKind,
+    payload: &[u8],
+) -> Result<(), ProtocolError> {
+    let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or(ProtocolError::FrameTooLarge {
-            len: u32::try_from(frame.payload.len()).unwrap_or(u32::MAX),
+            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
             max: MAX_FRAME,
         })?;
-    let mut buf = Vec::with_capacity(9 + frame.payload.len());
+    buf.reserve(9 + payload.len());
     buf.extend_from_slice(&MAGIC);
-    buf.push(frame.kind as u8);
+    buf.push(kind as u8);
     buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&frame.payload);
-    writer.write_all(&buf)?;
-    writer.flush()?;
+    buf.extend_from_slice(payload);
     Ok(())
 }
 

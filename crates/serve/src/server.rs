@@ -24,7 +24,7 @@
 //! reply and the connection stays usable.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -37,13 +37,13 @@ use atspeed_bench::telemetry::DerivedMetrics;
 use atspeed_circuit::bench_fmt;
 use atspeed_core::Pipeline;
 use atspeed_sim::{stats, SimConfig};
-use atspeed_trace::history::{fingerprint, RunRecord};
+use atspeed_trace::history::{config_fingerprint, fingerprint, RunRecord};
 use atspeed_trace::Tracer;
 
 use crate::cache::{CacheBudget, CacheKey, JobCache, Lookup};
 use crate::protocol::{
-    encode_result, read_frame, write_frame, CacheOutcome, Frame, FrameKind, ProtocolError,
-    ResponseHeader, SubmitRequest,
+    encode_frame, encode_result, read_frame, write_frame, CacheOutcome, Frame, FrameKind,
+    ProtocolError, ResponseHeader, SubmitRequest,
 };
 
 /// Server configuration.
@@ -188,6 +188,9 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         match stream {
             Ok(stream) => {
+                // Replies are written whole, so nothing is gained by
+                // holding small segments back (Nagle).
+                let _ = stream.set_nodelay(true);
                 let shared = shared.clone();
                 // Connection threads are detached: they exit when the
                 // client disconnects or after a framing error.
@@ -262,22 +265,17 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, frame: &Frame) ->
     shared.queue_cv.notify_one();
     match rx.recv() {
         Ok(JobReply::Ok { header, body }) => {
-            if write_frame(
-                stream,
-                &Frame::text(FrameKind::ResultHeader, header.encode()),
-            )
-            .is_err()
-            {
-                return false;
-            }
-            write_frame(
-                stream,
-                &Frame {
-                    kind: FrameKind::ResultBody,
-                    payload: body.to_vec(),
-                },
-            )
-            .is_ok()
+            // Header and body leave in one write: a second small write on
+            // a persistent connection waits for the client's delayed ACK.
+            let mut reply = Vec::new();
+            let header = header.encode();
+            let encoded = encode_frame(&mut reply, FrameKind::ResultHeader, header.as_bytes())
+                .and_then(|()| encode_frame(&mut reply, FrameKind::ResultBody, &body));
+            encoded.is_ok()
+                && stream
+                    .write_all(&reply)
+                    .and_then(|()| stream.flush())
+                    .is_ok()
         }
         Ok(JobReply::Failed(msg)) => {
             write_frame(stream, &Frame::text(FrameKind::Error, msg)).is_ok()
@@ -446,9 +444,12 @@ fn write_job_telemetry(
 ) {
     if let Some(path) = &shared.cfg.history {
         let derived = DerivedMetrics::compute(report, &atspeed_trace::metrics::global().snapshot());
-        let mut record = RunRecord::for_current_process();
+        let mut record = RunRecord::for_current_process(None);
         record.command = format!("serve job {} seed={}", request.name, request.config.seed);
-        record.config_fingerprint = fingerprint(&[request.config.canonical_lines()]);
+        record.config_fingerprint = config_fingerprint(
+            &[request.config.canonical_lines()],
+            Some(request.config.sim.effective_threads(usize::MAX)),
+        );
         record.wall_us = wall_us;
         record.peak_rss_bytes = derived.peak_rss_bytes;
         record.derived = derived.pairs();

@@ -84,6 +84,33 @@ fn repeat_submission_hits_byte_identical() {
     server.wait();
 }
 
+/// Cache hits on one persistent connection answer without a transport
+/// stall. When the header and body went out as two writes on a socket
+/// without `TCP_NODELAY`, the body waited for the client's delayed ACK
+/// (40 ms on Linux), so 20 hits took at least 800 ms.
+#[test]
+fn cache_hits_on_one_connection_do_not_stall() {
+    let server = start();
+    let bench = s27_bench();
+    let cfg = quick_config();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let first = client.submit("s27", &bench, &cfg).unwrap();
+    assert_eq!(first.header.cache, CacheOutcome::Miss);
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        let hit = client.submit("s27", &bench, &cfg).unwrap();
+        assert_eq!(hit.header.cache, CacheOutcome::Hit);
+        assert_eq!(hit.body, first.body);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(200),
+        "20 cache hits took {elapsed:?}"
+    );
+    client.shutdown().unwrap();
+    server.wait();
+}
+
 #[test]
 fn whitespace_and_name_affect_cache_correctly() {
     let server = start();

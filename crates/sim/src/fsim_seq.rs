@@ -133,6 +133,64 @@ pub enum FinalObserve<'m> {
     PartialState(&'m [bool]),
 }
 
+/// Where each fault of a list stands at the end of a sequence applied
+/// without a scan-out, produced by [`SeqFaultSim::end_states`]: detected at
+/// a primary output, or the faulty flip-flop state.
+/// [`SeqFaultSim::detects_all_from`] resumes simulation from it.
+///
+/// A state is packed 64 flip-flops per [`W3`] (bit `f % 64` of word
+/// `f / 64` is flip-flop `f`) with both rails kept, so an unknown value
+/// stays unknown: `⌈FFs / 64⌉ × 16` bytes per fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EndStates {
+    num_ffs: usize,
+    ff_words: usize,
+    /// The recorded faults, in the order they were given.
+    faults: Vec<FaultId>,
+    /// `po_detected[k]`: a primary output detected `faults[k]`.
+    po_detected: Vec<bool>,
+    /// The good machine's end state; `None` only when every word stopped
+    /// early, and then no fault is left to resume.
+    good: Option<Vec<W3>>,
+    /// `ff_words` words per fault (all X for a detected fault).
+    faulty: Vec<W3>,
+}
+
+impl EndStates {
+    fn new(num_ffs: usize) -> Self {
+        EndStates {
+            num_ffs,
+            ff_words: num_ffs.div_ceil(64),
+            faults: Vec::new(),
+            po_detected: Vec::new(),
+            good: None,
+            faulty: Vec::new(),
+        }
+    }
+
+    /// Whether a primary output detected the fault at position `k` during
+    /// the recorded sequence.
+    pub(crate) fn po_detected(&self, k: usize) -> bool {
+        self.po_detected[k]
+    }
+
+    fn faulty(&self, k: usize) -> &[W3] {
+        &self.faulty[k * self.ff_words..(k + 1) * self.ff_words]
+    }
+
+    /// Appends the record of the faults that follow this record's in the
+    /// list: the concatenation of the two fault lists' records.
+    pub(crate) fn append(&mut self, other: EndStates) {
+        debug_assert_eq!(self.num_ffs, other.num_ffs, "record width mismatch");
+        self.faults.extend(other.faults);
+        self.po_detected.extend(other.po_detected);
+        self.faulty.extend(other.faulty);
+        if self.good.is_none() {
+            self.good = other.good;
+        }
+    }
+}
+
 /// Parallel-fault sequential fault simulator with reusable buffers.
 ///
 /// Evaluates over the netlist's [`CompiledCircuit`]: every cycle of each
@@ -202,9 +260,11 @@ impl<'a> SeqFaultSim<'a> {
     ) -> Vec<bool> {
         crate::stats::add_invocation();
         let mut detected = vec![false; faults.len()];
+        let mut state = Vec::with_capacity(init.len());
         for (chunk_idx, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {
             let base = chunk_idx * FAULTS_PER_PASS;
-            let caught = self.simulate_chunk(init, seq, chunk, universe, observe);
+            broadcast_into(init, &mut state);
+            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, observe);
             for (k, _) in chunk.iter().enumerate() {
                 if caught & (1u64 << (k + 1)) != 0 {
                     detected[base + k] = true;
@@ -233,8 +293,110 @@ impl<'a> SeqFaultSim<'a> {
         } else {
             FinalObserve::None
         };
+        let mut state = Vec::with_capacity(init.len());
         for chunk in faults.chunks(FAULTS_PER_PASS) {
-            let caught = self.simulate_chunk(init, seq, chunk, universe, observe);
+            broadcast_into(init, &mut state);
+            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, observe);
+            if caught != active_mask(chunk.len()) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Records where each of `faults` stands at the end of `seq` applied
+    /// from `init` without a scan-out: detected at a primary output, or its
+    /// faulty flip-flop state. [`SeqFaultSim::detects_all_from`] resumes
+    /// from the record, so a test `(init, seq · suffix)` can be checked by
+    /// simulating `suffix` alone.
+    pub fn end_states(
+        &mut self,
+        init: &State,
+        seq: &Sequence,
+        faults: &[FaultId],
+        universe: &FaultUniverse,
+    ) -> EndStates {
+        crate::stats::add_invocation();
+        let mut rec = EndStates::new(init.len());
+        let mut state = Vec::with_capacity(init.len());
+        for chunk in faults.chunks(FAULTS_PER_PASS) {
+            broadcast_into(init, &mut state);
+            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, FinalObserve::None);
+            // A word stops early only once every fault in it is detected;
+            // any other word ran every cycle and holds the end state.
+            let ran_every_cycle = caught != active_mask(chunk.len());
+            if ran_every_cycle && rec.good.is_none() {
+                let mut good = Vec::with_capacity(rec.ff_words);
+                pack_slot(&state, 0, &mut good);
+                rec.good = Some(good);
+            }
+            for (k, &fid) in chunk.iter().enumerate() {
+                let detected = caught & (1u64 << (k + 1)) != 0;
+                rec.faults.push(fid);
+                rec.po_detected.push(detected);
+                if detected {
+                    let len = rec.faulty.len() + rec.ff_words;
+                    rec.faulty.resize(len, W3::ALL_X);
+                } else {
+                    pack_slot(&state, k + 1, &mut rec.faulty);
+                }
+            }
+        }
+        rec
+    }
+
+    /// Whether applying `suffix` from the record `rec`, followed by a
+    /// scan-out, detects every fault at the positions `which` of the
+    /// record's fault list. The faults a primary output already detected
+    /// during the recorded sequence count as detected; the rest are packed
+    /// [`FAULTS_PER_PASS`] per word from their recorded states, and the
+    /// call returns false at the first word that ends with an undetected
+    /// fault.
+    ///
+    /// Each slot evolves independently, so for `rec = end_states(init,
+    /// seq, faults)` the verdict equals [`SeqFaultSim::detects_all`] on
+    /// `(init, seq · suffix)` with a scan-out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of the record's range, or if the record
+    /// was taken on a circuit with another flip-flop count.
+    pub fn detects_all_from(
+        &mut self,
+        rec: &EndStates,
+        suffix: &Sequence,
+        which: &[usize],
+        universe: &FaultUniverse,
+    ) -> bool {
+        crate::stats::add_invocation();
+        assert_eq!(rec.num_ffs, self.nl.num_ffs(), "record width mismatch");
+        let open: Vec<usize> = which
+            .iter()
+            .copied()
+            .filter(|&k| !rec.po_detected(k))
+            .collect();
+        let mut state = vec![W3::ALL_X; rec.num_ffs];
+        let mut chunk = Vec::with_capacity(FAULTS_PER_PASS);
+        for word in open.chunks(FAULTS_PER_PASS) {
+            let good = rec
+                .good
+                .as_deref()
+                .expect("a fault left open at the end ran in a word that ran every cycle");
+            for (f, w) in state.iter_mut().enumerate() {
+                *w = W3::broadcast(good[f / 64].get(f % 64));
+            }
+            chunk.clear();
+            for (k, &pos) in word.iter().enumerate() {
+                unpack_slot(rec.faulty(pos), k + 1, &mut state);
+                chunk.push(rec.faults[pos]);
+            }
+            let caught = self.simulate_chunk(
+                &mut state,
+                suffix,
+                &chunk,
+                universe,
+                FinalObserve::FullState,
+            );
             if caught != active_mask(chunk.len()) {
                 return false;
             }
@@ -243,11 +405,13 @@ impl<'a> SeqFaultSim<'a> {
     }
 
     /// Simulates one chunk of up to [`FAULTS_PER_PASS`] faults over `seq`
-    /// and returns the caught-slot mask (bit `k+1` set ⇒ `chunk[k]`
-    /// detected). Exits early once every active slot is caught.
+    /// from the per-slot flip-flop values in `state`, and returns the
+    /// caught-slot mask (bit `k+1` set ⇒ `chunk[k]` detected). Exits early
+    /// once every active slot is caught; otherwise `state` ends holding the
+    /// state after the last cycle, which `observe` then inspects.
     fn simulate_chunk(
         &mut self,
-        init: &State,
+        state: &mut [W3],
         seq: &Sequence,
         chunk: &[FaultId],
         universe: &FaultUniverse,
@@ -259,25 +423,18 @@ impl<'a> SeqFaultSim<'a> {
             self.ov.add(universe.fault(fid), 1u64 << (k + 1));
         }
         let mut caught = 0u64;
-        let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
         for t in 0..seq.len() {
-            self.eval_cycle(seq, t, &state);
+            self.eval_cycle(seq, t, state);
             caught |= self.po_diff_mask() & active;
-            self.capture(&mut state);
-            if t + 1 == seq.len() {
-                match observe {
-                    FinalObserve::None => {}
-                    FinalObserve::FullState => {
-                        caught |= state_diff_mask(&state) & active;
-                    }
-                    FinalObserve::PartialState(mask) => {
-                        caught |= masked_state_diff(&state, mask) & active;
-                    }
-                }
-            }
+            self.capture(state);
             if caught == active {
-                break;
+                return caught;
             }
+        }
+        match observe {
+            FinalObserve::None => {}
+            FinalObserve::FullState => caught |= state_diff_mask(state) & active,
+            FinalObserve::PartialState(mask) => caught |= masked_state_diff(state, mask) & active,
         }
         caught
     }
@@ -406,6 +563,37 @@ pub(crate) fn seed_sources(cc: &CompiledCircuit, vals: &mut [W3], vector: &[V3],
     }
     for (f, &q) in cc.ff_qs().iter().enumerate() {
         vals[q.index()] = state[f];
+    }
+}
+
+/// Sets every slot of every flip-flop to its value in `init`.
+fn broadcast_into(init: &State, state: &mut Vec<W3>) {
+    state.clear();
+    state.extend(init.iter().map(|&v| W3::broadcast(v)));
+}
+
+/// Appends slot `slot` of a per-flip-flop state to `out`, packed 64
+/// flip-flops per word (the [`EndStates`] layout).
+fn pack_slot(state: &[W3], slot: usize, out: &mut Vec<W3>) {
+    for ffs in state.chunks(64) {
+        let mut w = W3::ALL_X;
+        for (b, v) in ffs.iter().enumerate() {
+            w.zero |= (v.zero >> slot & 1) << b;
+            w.one |= (v.one >> slot & 1) << b;
+        }
+        out.push(w);
+    }
+}
+
+/// Writes a packed state into slot `slot` of a per-flip-flop state (the
+/// inverse of [`pack_slot`]).
+fn unpack_slot(packed: &[W3], slot: usize, state: &mut [W3]) {
+    let bit = 1u64 << slot;
+    for (f, v) in state.iter_mut().enumerate() {
+        let w = packed[f / 64];
+        let b = f % 64;
+        v.zero = v.zero & !bit | (w.zero >> b & 1) << slot;
+        v.one = v.one & !bit | (w.one >> b & 1) << slot;
     }
 }
 

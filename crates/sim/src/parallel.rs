@@ -6,16 +6,20 @@
 //! order. [`ParallelFsim`] uses it in two sharding shapes:
 //!
 //! - **fault sharding** (`detect_block`, `detect_matrix`, `detect`,
-//!   `detect_observed`, `profiles`): the fault list is split into
-//!   partitions and each worker runs the single-threaded engine on the
-//!   partitions it claims. Sequential calls use the engine's own packing —
-//!   one partition per [`FAULTS_PER_PASS`]-fault word, in caller order — so
-//!   they simulate exactly the passes the serial engine does, at any thread
-//!   count. Combinational calls deal the faults, sorted by fault-site
-//!   level, into `threads × 4` partitions, so each partition receives a
-//!   spread of cone sizes. A per-(test, fault) outcome never depends on
-//!   which other faults share a pass, so results are scattered back by
-//!   original index and are *identical* to the single-threaded engines';
+//!   `detect_observed`, `profiles`, `end_states`, `detects_all_from`): the
+//!   fault list is split into partitions and each worker runs the
+//!   single-threaded engine on the partitions it claims. Sequential calls
+//!   use the engine's own packing — one partition per
+//!   [`FAULTS_PER_PASS`]-fault word, in caller order — so they simulate
+//!   exactly the passes the serial engine does, at any thread count
+//!   (`detects_all_from`, which stops at the first word that loses a
+//!   fault, runs its words in waves of `threads`, so it may finish the
+//!   wave past that word). Combinational calls deal the faults, sorted by
+//!   fault-site level, into `threads × 4` partitions, so each partition
+//!   receives a spread of cone sizes. A per-(test, fault) outcome never
+//!   depends on which other faults share a pass, so results are scattered
+//!   back by original index and are *identical* to the single-threaded
+//!   engines';
 //! - **test sharding with cross-partition dropping** (`detect_all`,
 //!   `detect_union`): tests are claimed from the queue and faults are
 //!   shared through one atomic detection bitmap, so a worker stops
@@ -33,7 +37,7 @@ use atspeed_circuit::Netlist;
 
 use crate::fault::{FaultId, FaultUniverse};
 use crate::fsim_comb::{CombFaultSim, CombTest};
-use crate::fsim_seq::{DetectionProfile, FinalObserve, SeqFaultSim, FAULTS_PER_PASS};
+use crate::fsim_seq::{DetectionProfile, EndStates, FinalObserve, SeqFaultSim, FAULTS_PER_PASS};
 use crate::stats;
 use crate::vectors::{Sequence, State};
 
@@ -568,6 +572,71 @@ impl<'a> ParallelFsim<'a> {
             },
         );
         (profiles, truncated.into_inner())
+    }
+
+    /// Parallel [`SeqFaultSim::end_states`], fault-sharded one 63-fault
+    /// word per partition. The partitions are contiguous and in caller
+    /// order, so appending their records gives the serial engine's record.
+    pub fn end_states(
+        &self,
+        init: &State,
+        seq: &Sequence,
+        faults: &[FaultId],
+        universe: &FaultUniverse,
+    ) -> EndStates {
+        let words: Vec<&[FaultId]> = faults.chunks(FAULTS_PER_PASS).collect();
+        if self.cfg.effective_threads(words.len()) <= 1 {
+            return SeqFaultSim::new(self.nl).end_states(init, seq, faults, universe);
+        }
+        let mut parts = claim_map(
+            self.cfg,
+            words.len(),
+            "fsim.partition",
+            || SeqFaultSim::new(self.nl),
+            |sim, w| sim.end_states(init, seq, words[w], universe),
+        )
+        .into_iter();
+        let mut rec = parts.next().expect("more than one word");
+        for part in parts {
+            rec.append(part);
+        }
+        rec
+    }
+
+    /// Parallel [`SeqFaultSim::detects_all_from`]. The faults left open
+    /// are packed 63 per word as the serial engine packs them, and the
+    /// words run in waves of `threads` words, in index order. The call
+    /// returns false after the first wave that loses a fault, so the
+    /// verdict equals the serial one and the work done at a given thread
+    /// count repeats exactly.
+    pub fn detects_all_from(
+        &self,
+        rec: &EndStates,
+        suffix: &Sequence,
+        which: &[usize],
+        universe: &FaultUniverse,
+    ) -> bool {
+        let open: Vec<usize> = which
+            .iter()
+            .copied()
+            .filter(|&k| !rec.po_detected(k))
+            .collect();
+        let words: Vec<&[usize]> = open.chunks(FAULTS_PER_PASS).collect();
+        let wave = self.cfg.effective_threads(words.len());
+        if wave <= 1 {
+            return SeqFaultSim::new(self.nl).detects_all_from(rec, suffix, &open, universe);
+        }
+        words.chunks(wave).all(|wave| {
+            claim_map(
+                self.cfg,
+                wave.len(),
+                "fsim.partition",
+                || SeqFaultSim::new(self.nl),
+                |sim, w| sim.detects_all_from(rec, suffix, wave[w], universe),
+            )
+            .into_iter()
+            .all(|ok| ok)
+        })
     }
 
     /// Union detection over many scan tests — each run `(scan-in state,

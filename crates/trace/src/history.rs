@@ -36,8 +36,9 @@ pub struct RunRecord {
     pub git_sha: String,
     /// The command line that produced the run (binary name + args).
     pub command: String,
-    /// FNV-1a fingerprint of the effective configuration (the argv); runs
-    /// with equal fingerprints are directly comparable.
+    /// FNV-1a fingerprint of the effective configuration (the argv and
+    /// the simulation thread count, see [`config_fingerprint`]); runs with
+    /// equal fingerprints are directly comparable.
     pub config_fingerprint: String,
     /// Whole-run wall time in microseconds.
     pub wall_us: u64,
@@ -51,8 +52,9 @@ pub struct RunRecord {
 impl RunRecord {
     /// Starts a record for the current process: schema, wall-clock time,
     /// git revision, command line, and config fingerprint are filled in;
-    /// metrics fields start zeroed/empty.
-    pub fn for_current_process() -> RunRecord {
+    /// metrics fields start zeroed/empty. `sim_threads` is the run's
+    /// effective simulation thread count, `None` for a run that has none.
+    pub fn for_current_process(sim_threads: Option<usize>) -> RunRecord {
         let argv: Vec<String> = std::env::args().collect();
         let command = command_line(&argv);
         RunRecord {
@@ -62,7 +64,7 @@ impl RunRecord {
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
             git_sha: git_sha(),
-            config_fingerprint: fingerprint(&argv),
+            config_fingerprint: config_fingerprint(&argv, sim_threads),
             command,
             wall_us: 0,
             peak_rss_bytes: 0,
@@ -150,6 +152,22 @@ pub fn git_sha() -> String {
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The config fingerprint of a run: its argv, plus the effective
+/// simulation thread count when it has one. A binary may take that count
+/// from the environment (`SIM_THREADS`) rather than from its argv, and
+/// runs at different counts do not time alike, so their trend lines must
+/// not mix.
+pub fn config_fingerprint(argv: &[String], sim_threads: Option<usize>) -> String {
+    match sim_threads {
+        None => fingerprint(argv),
+        Some(n) => {
+            let mut parts = argv.to_vec();
+            parts.push(format!("sim_threads={n}"));
+            fingerprint(&parts)
+        }
+    }
 }
 
 /// A 64-bit FNV-1a fingerprint of the argv (order-sensitive, rendered as
@@ -243,8 +261,26 @@ mod tests {
     }
 
     #[test]
+    fn config_fingerprint_tells_thread_counts_apart() {
+        let argv: Vec<String> = vec!["stress".into(), "--faults".into(), "128".into()];
+        let one = config_fingerprint(&argv, Some(1));
+        let four = config_fingerprint(&argv, Some(4));
+        assert_ne!(
+            one, four,
+            "SIM_THREADS=1 and =4 runs must not share a trend line"
+        );
+        assert_eq!(
+            one,
+            config_fingerprint(&argv, Some(1)),
+            "equal settings agree"
+        );
+        assert_eq!(config_fingerprint(&argv, None), fingerprint(&argv));
+        assert_ne!(config_fingerprint(&argv, None), one);
+    }
+
+    #[test]
     fn current_process_record_is_filled_in() {
-        let r = RunRecord::for_current_process();
+        let r = RunRecord::for_current_process(Some(2));
         assert_eq!(r.schema, SCHEMA_VERSION);
         assert!(!r.command.is_empty());
         assert_eq!(r.config_fingerprint.len(), 16);

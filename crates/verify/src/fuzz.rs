@@ -15,7 +15,11 @@
 //!    ([`ParallelFsim::check_matrix_consistency`]);
 //! 3. **seq-detect** — serial sequential fault simulation against the
 //!    fault-sharded parallel front end at each requested thread count;
-//! 4. **omission** — the Phase-2 vector-omission sweep at one thread
+//! 4. **resume** — the end-of-prefix record resumed over the rest of the
+//!    sequence ([`SeqFaultSim::end_states`], then
+//!    [`SeqFaultSim::detects_all_from`]) against whole-sequence detection,
+//!    at a random split, serially and at each requested thread count;
+//! 5. **omission** — the Phase-2 vector-omission sweep at one thread
 //!    against the same sweep with its profiles fault-sharded at each
 //!    requested thread count
 //!    ([`check_omission_differential`](atspeed_atpg::compact::check_omission_differential)).
@@ -94,8 +98,8 @@ impl Case {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
-    /// `seq-detect`, `omission`, or `synth` when generation itself
-    /// errors). It is written into the repro bundle's `case.txt`.
+    /// `seq-detect`, `resume`, `omission`, or `synth` when generation
+    /// itself errors). It is written into the repro bundle's `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
     pub detail: String,
@@ -248,6 +252,51 @@ fn first_mismatch(a: &[bool], b: &[bool], faults: &[FaultId]) -> String {
     }
 }
 
+/// Resumed vs whole-sequence simulation: the record after `seq[..split]`,
+/// resumed over `seq[split..]` with a scan-out, detects every fault the
+/// whole sequence detects (`detected`) and none of up to 8 faults it
+/// misses, each taken alone — serially and at each thread count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_resume(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    faults: &[FaultId],
+    detected: &[bool],
+    split: usize,
+    threads: &[usize],
+) -> Result<usize, Divergence> {
+    let head: Sequence = seq.iter().take(split).cloned().collect();
+    let tail: Sequence = seq.iter().skip(split).cloned().collect();
+    let hits: Vec<usize> = (0..faults.len()).filter(|&k| detected[k]).collect();
+    let misses = (0..faults.len()).filter(|&k| !detected[k]).take(8);
+    let mut checks = 0;
+    for &t in std::iter::once(&1).chain(threads) {
+        let par = ParallelFsim::new(nl, SimConfig::with_threads(t));
+        let rec = par.end_states(init, &head, faults, u);
+        let diverged = |detail: String| Divergence {
+            check: "resume",
+            detail: format!("threads {t}, split {split}: {detail}"),
+        };
+        if !par.detects_all_from(&rec, &tail, &hits, u) {
+            return Err(diverged(
+                "a fault the whole sequence detects is missed when resumed".to_owned(),
+            ));
+        }
+        for k in misses.clone() {
+            if par.detects_all_from(&rec, &tail, &[k], u) {
+                return Err(diverged(format!(
+                    "fault {:?} is missed by the whole sequence but detected when resumed",
+                    faults[k]
+                )));
+            }
+        }
+        checks += 1;
+    }
+    Ok(checks)
+}
+
 /// Runs every differential check of one case at the given thread counts.
 ///
 /// # Errors
@@ -322,6 +371,9 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
         }
         report.checks += 1;
     }
+
+    let split = (next() as usize) % (seq.len() + 1);
+    report.checks += check_resume(&nl, &u, &init, &seq, &faults, &seq_serial, split, threads)?;
 
     // Vector omission: one thread vs fault-sharded profiles at each thread
     // count, on the faults this sequence actually detects.
@@ -600,7 +652,10 @@ mod tests {
     fn run_case_reports_work() {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
-        assert!(rep.checks >= 6, "logic(4) + comb(2) at least: {rep:?}");
+        assert!(
+            rep.checks >= 10,
+            "logic(4) + comb(2) + seq(1) + resume(2) + omission(1): {rep:?}"
+        );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);
     }

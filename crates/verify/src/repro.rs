@@ -25,7 +25,7 @@ use atspeed_sim::{
     try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
 };
 
-use crate::fuzz::{case_stimuli, Case, Divergence};
+use crate::fuzz::{case_stimuli, check_resume, Case, Divergence};
 
 /// Why a bundle failed to dump or load.
 #[derive(Debug)]
@@ -220,8 +220,10 @@ pub struct ReplayReport {
 }
 
 /// Re-runs the serial-vs-parallel differentials on a loaded bundle: the
-/// sequential detection comparison at each thread count, then the vector
-/// omission differential on the detected faults.
+/// sequential detection comparison at each thread count, the resume check
+/// at every split of the sequence (the bundle does not record the split a
+/// fuzz case drew), then the vector omission differential on the detected
+/// faults.
 ///
 /// # Errors
 ///
@@ -248,6 +250,18 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
                 ),
             });
         }
+    }
+    for split in 0..=bundle.seq.len() {
+        check_resume(
+            nl,
+            &u,
+            &bundle.init,
+            &bundle.seq,
+            &faults,
+            &serial,
+            split,
+            threads,
+        )?;
     }
     let targets: Vec<FaultId> = faults
         .iter()
