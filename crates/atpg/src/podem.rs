@@ -227,25 +227,27 @@ impl<'a> Podem<'a> {
                 self.faulty[net.index()] = V3::from_bool(fault.stuck);
             }
         }
+        let pin_fault = match fault.site {
+            FaultSite::GatePin(g, p) => Some((cc.op_of(g), usize::from(p))),
+            _ => None,
+        };
         let mut gins: [V3; 16] = [V3::X; 16];
         let mut fins: [V3; 16] = [V3::X; 16];
-        for &gid in cc.schedule() {
-            let ins = cc.inputs(gid);
+        // The program order: level by level, so any order within a level
+        // gives the same values.
+        for (op, (kind, out, ins)) in cc.ops().enumerate() {
             let n = ins.len();
             debug_assert!(n <= 16, "gate fanin exceeds scratch size");
             for (p, &inet) in ins.iter().enumerate() {
                 gins[p] = self.good[inet.index()];
-                let mut fv = self.faulty[inet.index()];
-                if let FaultSite::GatePin(fg, fp) = fault.site {
-                    if fg == gid && fp == p as u8 {
-                        fv = V3::from_bool(fault.stuck);
-                    }
-                }
-                fins[p] = fv;
+                fins[p] = if pin_fault == Some((op, p)) {
+                    V3::from_bool(fault.stuck)
+                } else {
+                    self.faulty[inet.index()]
+                };
             }
-            let out = cc.output(gid);
-            self.good[out.index()] = V3::eval_gate(cc.kind(gid), &gins[..n]);
-            let mut fout = V3::eval_gate(cc.kind(gid), &fins[..n]);
+            self.good[out.index()] = V3::eval_gate(kind, &gins[..n]);
+            let mut fout = V3::eval_gate(kind, &fins[..n]);
             if let FaultSite::Stem(net) = fault.site {
                 if net == out {
                     fout = V3::from_bool(fault.stuck);
@@ -348,13 +350,12 @@ impl<'a> Podem<'a> {
                 reach[o.index()] = true;
             }
         }
-        // Single reverse-topological sweep (gates in reverse level order).
-        for &gid in cc.schedule().iter().rev() {
-            let out = cc.output(gid);
+        // Single reverse-topological sweep (ops in reverse level order).
+        for (_, out, ins) in cc.ops().rev() {
             if !reach[out.index()] || !is_x(out) {
                 continue;
             }
-            for &inet in cc.inputs(gid) {
+            for &inet in ins {
                 if is_x(inet) {
                     reach[inet.index()] = true;
                 }

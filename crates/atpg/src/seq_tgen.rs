@@ -98,14 +98,14 @@ impl Default for PropertyConfig {
 #[derive(Debug)]
 pub struct IncrementalSim<'a> {
     nl: &'a Netlist,
-    groups: Vec<Group>,
+    groups: Vec<Group<'a>>,
     vals: Vec<W3>,
     total_detected: usize,
 }
 
 #[derive(Debug)]
-struct Group {
-    ov: Overrides,
+struct Group<'a> {
+    ov: Overrides<'a>,
     state: Vec<W3>,
     faults: Vec<FaultId>,
     active: u64,
@@ -182,7 +182,7 @@ impl<'a> IncrementalSim<'a> {
         let groups = targets
             .chunks(63)
             .map(|chunk| {
-                let mut ov = Overrides::new(nl);
+                let mut ov = Overrides::new(nl.compiled());
                 for (k, &fid) in chunk.iter().enumerate() {
                     ov.add(universe.fault(fid), 1u64 << (k + 1));
                 }

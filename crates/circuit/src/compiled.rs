@@ -7,37 +7,55 @@
 //! structure out as a handful of contiguous arrays in compressed-sparse-row
 //! (CSR) form:
 //!
-//! - all gate input pins live in one `pin_nets` array, with a `pin_offsets`
-//!   table giving each gate its span;
-//! - the evaluation `schedule` pre-sorts gates into level buckets
-//!   (`level_offsets` delimits the gates of each combinational level), so a
-//!   full pass is a single linear sweep;
+//! - the **evaluation program**: every gate once, as an *op*, level by
+//!   level, and within a level grouped by kind and fanin. Each op's
+//!   [`GateKind`], output net and input-pin span (one `pin_nets` array with
+//!   a `pin_offsets` table) are stored once, in op order, so a full pass is
+//!   one linear sweep of three arrays ([`CompiledCircuit::ops`]). `op_of`
+//!   maps a gate to its op and `driver_op` a net to the op driving it;
+//! - the level `schedule` lists the gates level by level in id order
+//!   (`level_offsets` delimits each level) — the order searches that take
+//!   the first match, such as PODEM's D-frontier, walk;
 //! - the gate-sink fanout of every net is one `fanout_gates` array with a
 //!   `fanout_offsets` table (net → span of consuming gates, deduplicated);
-//! - per-gate [`GateKind`]/output/level and per-net observability and
-//!   driver-class flags are plain dense arrays indexed by id.
+//! - per-gate levels and per-net observability flags are plain dense
+//!   arrays indexed by id.
+//!
+//! Grouping a level's ops by kind and fanin keeps the kernel's per-kind
+//! dispatch and pin loop predictable; gates of one level are independent,
+//! so no order within a level changes a value.
 //!
 //! The compiled view is built once per netlist — [`Netlist::compiled`]
 //! caches it — and [`CompiledCircuit::validate`] cross-checks every array
 //! against the pointer-based representation, which the differential test
 //! suites lean on.
 
+use std::ops::Range;
+
 use crate::{FfId, GateId, GateKind, NetId, Netlist, Sink};
+
+/// `driver_op` entry of a net no gate drives (a primary input or a
+/// flip-flop output).
+const NO_OP: u32 = u32::MAX;
 
 /// Flat CSR view of a [`Netlist`]'s combinational core (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCircuit {
     num_nets: usize,
     max_level: u32,
-    // Per-gate dense arrays.
+    // The evaluation program, in op order: op `k` drives `outputs[k]` with
+    // `kinds[k]` over `pin_nets[pin_offsets[k]..pin_offsets[k+1]]`. Ops of
+    // level `l` are positions `level_offsets[l]..level_offsets[l+1]`.
     kinds: Vec<GateKind>,
     outputs: Vec<NetId>,
-    gate_levels: Vec<u32>,
-    // Gate-input CSR: inputs of gate `g` are `pin_nets[pin_offsets[g]..pin_offsets[g+1]]`.
     pin_offsets: Vec<u32>,
     pin_nets: Vec<NetId>,
-    // Level-bucketed evaluation order: gates of level `l` are
-    // `schedule[level_offsets[l]..level_offsets[l+1]]`.
+    // Gate → op position, and net → driving op (`NO_OP` for sources).
+    op_of: Vec<u32>,
+    driver_op: Vec<u32>,
+    gate_levels: Vec<u32>,
+    // Level-bucketed gate order, id order within a level: gates of level
+    // `l` are `schedule[level_offsets[l]..level_offsets[l+1]]`.
     level_offsets: Vec<u32>,
     schedule: Vec<GateId>,
     // Net-fanout CSR restricted to gate sinks, deduplicated per net.
@@ -45,7 +63,6 @@ pub struct CompiledCircuit {
     fanout_gates: Vec<GateId>,
     // Per-net flags.
     observed: Vec<bool>,
-    gate_driven: Vec<bool>,
     // Interface nets.
     pi_nets: Vec<NetId>,
     ff_q: Vec<NetId>,
@@ -58,26 +75,10 @@ impl CompiledCircuit {
     pub fn compile(nl: &Netlist) -> Self {
         let num_gates = nl.num_gates();
         let num_nets = nl.num_nets();
+        let gate_levels: Vec<u32> = nl.gates().iter().map(|g| nl.level(g.output())).collect();
 
-        let total_pins: usize = nl.gates().iter().map(|g| g.inputs().len()).sum();
-
-        let mut kinds = Vec::with_capacity(num_gates);
-        let mut outputs = Vec::with_capacity(num_gates);
-        let mut gate_levels = Vec::with_capacity(num_gates);
-        let mut pin_offsets = Vec::with_capacity(num_gates + 1);
-        let mut pin_nets = Vec::with_capacity(total_pins);
-        pin_offsets.push(0u32);
-        for g in nl.gates() {
-            kinds.push(g.kind());
-            outputs.push(g.output());
-            gate_levels.push(nl.level(g.output()));
-            pin_nets.extend_from_slice(g.inputs());
-            pin_offsets.push(u32::try_from(pin_nets.len()).expect("pin count overflow"));
-        }
-
-        // Counting sort of gates into level buckets. Gates within a level
-        // are independent, so id order inside a bucket is as good as any;
-        // it is also deterministic.
+        // Counting sort of gates into level buckets, id order inside a
+        // bucket.
         let levels = nl.max_level() as usize + 1;
         let mut counts = vec![0u32; levels + 1];
         for &lvl in &gate_levels {
@@ -95,10 +96,33 @@ impl CompiledCircuit {
             cursor[lvl as usize] += 1;
         }
 
+        // The op order: the schedule with each level sorted by kind and
+        // fanin, ties in id order. Each gate's key packs (kind, fanin, id)
+        // into one integer, so the sort compares plain integers, and the
+        // keys are distinct, so an unstable sort gives the stable order.
+        // Any order within a level is valid, so clamping the fanin field
+        // only lumps absurdly wide gates together.
+        let mut keys: Vec<u64> = schedule
+            .iter()
+            .map(|&gid| {
+                let g = nl.gate(gid);
+                let fanin = g.inputs().len().min((1 << 24) - 1) as u64;
+                (g.kind() as u64) << 56 | fanin << 32 | gid.index() as u64
+            })
+            .collect();
+        for level in level_offsets.windows(2) {
+            keys[level[0] as usize..level[1] as usize].sort_unstable();
+        }
+        let ops: Vec<GateId> = keys
+            .into_iter()
+            .map(|key| GateId::from_index((key & 0xffff_ffff) as usize))
+            .collect();
+        let program = Program::lay_out(nl, &ops);
+
         // Every gate pin contributes at most one fanout entry (duplicates
-        // to the same gate are removed), so `total_pins` is a tight bound.
+        // to the same gate are removed), so the pin count is a tight bound.
         let mut fanout_offsets = Vec::with_capacity(num_nets + 1);
-        let mut fanout_gates = Vec::with_capacity(total_pins);
+        let mut fanout_gates = Vec::with_capacity(program.pin_nets.len());
         let mut observed = vec![false; num_nets];
         fanout_offsets.push(0u32);
         for net in nl.net_ids() {
@@ -121,25 +145,21 @@ impl CompiledCircuit {
             fanout_offsets.push(u32::try_from(fanout_gates.len()).expect("fanout overflow"));
         }
 
-        let gate_driven = nl
-            .net_ids()
-            .map(|n| matches!(nl.driver(n), crate::Driver::Gate(_)))
-            .collect();
-
         let cc = CompiledCircuit {
             num_nets,
             max_level: nl.max_level(),
-            kinds,
-            outputs,
+            kinds: program.kinds,
+            outputs: program.outputs,
+            pin_offsets: program.pin_offsets,
+            pin_nets: program.pin_nets,
+            op_of: program.op_of,
+            driver_op: program.driver_op,
             gate_levels,
-            pin_offsets,
-            pin_nets,
             level_offsets,
             schedule,
             fanout_offsets,
             fanout_gates,
             observed,
-            gate_driven,
             pi_nets: nl.pis().to_vec(),
             ff_q: nl.ffs().iter().map(|ff| ff.q()).collect(),
             ff_d: nl.ffs().iter().map(|ff| ff.d()).collect(),
@@ -161,36 +181,57 @@ impl CompiledCircuit {
         if self.kinds.len() != nl.num_gates() || self.max_level != nl.max_level() {
             return Err("gate count or max level mismatch".into());
         }
+        if self.outputs.len() != self.kinds.len()
+            || self.pin_offsets.len() != self.kinds.len() + 1
+            || self.op_of.len() != self.kinds.len()
+        {
+            return Err("program array lengths mismatch".into());
+        }
+        // The program must be a level-sorted permutation of the gates, and
+        // `op_of` its inverse: every gate owns one op, inside its level's
+        // span.
+        let mut gate_at = vec![None; nl.num_gates()];
         for gid in nl.gate_ids() {
-            let g = nl.gate(gid);
-            let gi = gid.index();
-            if self.kinds[gi] != g.kind() {
-                return Err(format!("{gid}: kind mismatch"));
+            let op = self.op_of[gid.index()] as usize;
+            match gate_at.get_mut(op) {
+                Some(slot @ None) => *slot = Some(gid),
+                Some(Some(other)) => return Err(format!("{gid}: op {op} also holds {other}")),
+                None => return Err(format!("{gid}: op {op} out of range")),
             }
-            if self.outputs[gi] != g.output() {
-                return Err(format!("{gid}: output mismatch"));
-            }
-            if self.inputs(gid) != g.inputs() {
-                return Err(format!("{gid}: input span mismatch"));
-            }
-            if self.gate_levels[gi] != nl.level(g.output()) {
+            if self.gate_levels[gid.index()] != nl.level(nl.gate(gid).output()) {
                 return Err(format!("{gid}: level mismatch"));
             }
+            if !self
+                .ops_at_level(self.gate_levels[gid.index()])
+                .contains(&op)
+            {
+                return Err(format!("{gid}: op {op} not level-sorted"));
+            }
         }
-        // The schedule must be a level-sorted permutation of all gates.
-        let mut seen = vec![false; nl.num_gates()];
-        let mut last_level = 0;
+        // Each op computes its gate: same kind, output and pins.
+        for (op, gid) in gate_at.into_iter().enumerate() {
+            let g = nl.gate(gid.expect("op_of is a bijection"));
+            if self.kinds[op] != g.kind() {
+                return Err(format!("op {op}: kind mismatch"));
+            }
+            if self.outputs[op] != g.output() {
+                return Err(format!("op {op}: output mismatch"));
+            }
+            if self.op_inputs(op) != g.inputs() {
+                return Err(format!("op {op}: input span mismatch"));
+            }
+        }
+        // The schedule must list every gate once, level by level, in id
+        // order within a level.
+        let mut last: Option<(u32, GateId)> = None;
         for &gid in &self.schedule {
-            if std::mem::replace(&mut seen[gid.index()], true) {
-                return Err(format!("{gid}: scheduled twice"));
+            let key = (self.gate_levels[gid.index()], gid);
+            if last.is_some_and(|prev| prev >= key) {
+                return Err(format!("{gid}: schedule not in level-then-id order"));
             }
-            let lvl = self.gate_levels[gid.index()];
-            if lvl < last_level {
-                return Err(format!("{gid}: schedule not level-sorted"));
-            }
-            last_level = lvl;
+            last = Some(key);
         }
-        if !seen.iter().all(|&s| s) {
+        if self.schedule.len() != nl.num_gates() {
             return Err("schedule misses a gate".into());
         }
         for l in 0..=self.max_level {
@@ -219,9 +260,12 @@ impl CompiledCircuit {
             if self.observed[net.index()] != obs {
                 return Err(format!("{net}: observed flag mismatch"));
             }
-            let driven = matches!(nl.driver(net), crate::Driver::Gate(_));
-            if self.gate_driven[net.index()] != driven {
-                return Err(format!("{net}: gate_driven flag mismatch"));
+            let driver = match nl.driver(net) {
+                crate::Driver::Gate(gid) => Some(self.op_of[gid.index()] as usize),
+                _ => None,
+            };
+            if self.driver_op(net) != driver {
+                return Err(format!("{net}: driving op mismatch"));
             }
         }
         if self.pi_nets != nl.pis()
@@ -260,13 +304,13 @@ impl CompiledCircuit {
     /// The logic function of a gate.
     #[inline]
     pub fn kind(&self, gate: GateId) -> GateKind {
-        self.kinds[gate.index()]
+        self.kinds[self.op_of(gate)]
     }
 
     /// The net driven by a gate.
     #[inline]
     pub fn output(&self, gate: GateId) -> NetId {
-        self.outputs[gate.index()]
+        self.outputs[self.op_of(gate)]
     }
 
     /// The combinational level of a gate's output.
@@ -278,25 +322,84 @@ impl CompiledCircuit {
     /// A gate's input nets in pin order (a span of the `pin_nets` CSR).
     #[inline]
     pub fn inputs(&self, gate: GateId) -> &[NetId] {
-        let gi = gate.index();
-        let lo = self.pin_offsets[gi] as usize;
-        let hi = self.pin_offsets[gi + 1] as usize;
+        self.op_inputs(self.op_of(gate))
+    }
+
+    /// The op position of a gate in the evaluation program.
+    #[inline]
+    pub fn op_of(&self, gate: GateId) -> usize {
+        self.op_of[gate.index()] as usize
+    }
+
+    /// The op driving a net, or `None` for a primary input or flip-flop
+    /// output.
+    #[inline]
+    pub fn driver_op(&self, net: NetId) -> Option<usize> {
+        match self.driver_op[net.index()] {
+            NO_OP => None,
+            op => Some(op as usize),
+        }
+    }
+
+    /// The logic function of op `op`.
+    #[inline]
+    pub fn op_kind(&self, op: usize) -> GateKind {
+        self.kinds[op]
+    }
+
+    /// The net op `op` drives.
+    #[inline]
+    pub fn op_output(&self, op: usize) -> NetId {
+        self.outputs[op]
+    }
+
+    /// The input nets of op `op` in pin order.
+    #[inline]
+    pub fn op_inputs(&self, op: usize) -> &[NetId] {
+        let lo = self.pin_offsets[op] as usize;
+        let hi = self.pin_offsets[op + 1] as usize;
         &self.pin_nets[lo..hi]
     }
 
-    /// All gates, pre-sorted by ascending level (a valid evaluation order).
+    /// The op positions of level `level`.
+    #[inline]
+    pub fn ops_at_level(&self, level: u32) -> Range<usize> {
+        let l = level as usize;
+        self.level_offsets[l] as usize..self.level_offsets[l + 1] as usize
+    }
+
+    /// The evaluation program: every op's kind, output net and input pins,
+    /// in op order (a valid evaluation order, grouped by kind and fanin
+    /// within each level).
+    #[inline]
+    pub fn ops(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (GateKind, NetId, &[NetId])> + ExactSizeIterator + '_ {
+        self.kinds
+            .iter()
+            .zip(&self.outputs)
+            .zip(self.pin_offsets.windows(2))
+            .map(|((&kind, &out), span)| {
+                (
+                    kind,
+                    out,
+                    &self.pin_nets[span[0] as usize..span[1] as usize],
+                )
+            })
+    }
+
+    /// All gates by ascending level, in id order within a level (a valid
+    /// evaluation order; searches that take the first match walk it).
     #[inline]
     pub fn schedule(&self) -> &[GateId] {
         &self.schedule
     }
 
-    /// The gates whose output sits at combinational level `level`.
+    /// The gates whose output sits at combinational level `level`, in id
+    /// order.
     #[inline]
     pub fn gates_at_level(&self, level: u32) -> &[GateId] {
-        let l = level as usize;
-        let lo = self.level_offsets[l] as usize;
-        let hi = self.level_offsets[l + 1] as usize;
-        &self.schedule[lo..hi]
+        &self.schedule[self.ops_at_level(level)]
     }
 
     /// The gates consuming a net (deduplicated; multi-pin connections to
@@ -320,7 +423,7 @@ impl CompiledCircuit {
     /// flip-flop output — the source nets a simulation seeds).
     #[inline]
     pub fn gate_driven(&self, net: NetId) -> bool {
-        self.gate_driven[net.index()]
+        self.driver_op[net.index()] != NO_OP
     }
 
     /// Primary-input nets in declaration order.
@@ -357,6 +460,49 @@ impl CompiledCircuit {
     #[inline]
     pub fn pos(&self) -> &[NetId] {
         &self.po_nets
+    }
+}
+
+/// The op-ordered arrays of an evaluation program, laid out from an op
+/// order (a permutation of the gates).
+struct Program {
+    kinds: Vec<GateKind>,
+    outputs: Vec<NetId>,
+    pin_offsets: Vec<u32>,
+    pin_nets: Vec<NetId>,
+    op_of: Vec<u32>,
+    driver_op: Vec<u32>,
+}
+
+impl Program {
+    fn lay_out(nl: &Netlist, ops: &[GateId]) -> Program {
+        let total_pins: usize = nl.gates().iter().map(|g| g.inputs().len()).sum();
+        let mut p = Program {
+            kinds: Vec::with_capacity(ops.len()),
+            outputs: Vec::with_capacity(ops.len()),
+            pin_offsets: Vec::with_capacity(ops.len() + 1),
+            pin_nets: Vec::with_capacity(total_pins),
+            op_of: vec![0; nl.num_gates()],
+            driver_op: Vec::new(),
+        };
+        p.pin_offsets.push(0);
+        for (op, &gid) in ops.iter().enumerate() {
+            let g = nl.gate(gid);
+            p.kinds.push(g.kind());
+            p.outputs.push(g.output());
+            p.pin_nets.extend_from_slice(g.inputs());
+            p.pin_offsets
+                .push(u32::try_from(p.pin_nets.len()).expect("pin count overflow"));
+            p.op_of[gid.index()] = u32::try_from(op).expect("gate count overflow");
+        }
+        p.driver_op = nl
+            .net_ids()
+            .map(|n| match nl.driver(n) {
+                crate::Driver::Gate(gid) => p.op_of[gid.index()],
+                _ => NO_OP,
+            })
+            .collect();
+        p
     }
 }
 
@@ -404,6 +550,115 @@ mod tests {
             defined[cc.output(gid).index()] = true;
         }
         assert!(defined.iter().all(|&d| d));
+    }
+
+    /// The gate at every op position (the inverse of `op_of`).
+    fn op_order(cc: &CompiledCircuit) -> Vec<GateId> {
+        let mut ops = vec![GateId::from_index(0); cc.num_gates()];
+        for gi in 0..cc.num_gates() {
+            let gid = GateId::from_index(gi);
+            ops[cc.op_of(gid)] = gid;
+        }
+        ops
+    }
+
+    /// `cc` with its program re-laid out from the op order `ops`.
+    fn with_program(nl: &Netlist, cc: &CompiledCircuit, ops: &[GateId]) -> CompiledCircuit {
+        let p = Program::lay_out(nl, ops);
+        CompiledCircuit {
+            kinds: p.kinds,
+            outputs: p.outputs,
+            pin_offsets: p.pin_offsets,
+            pin_nets: p.pin_nets,
+            op_of: p.op_of,
+            driver_op: p.driver_op,
+            ..cc.clone()
+        }
+    }
+
+    fn catalog_and_synthetic() -> Vec<Netlist> {
+        let mut nls: Vec<Netlist> = crate::catalog::all()
+            .iter()
+            .map(|b| b.instantiate())
+            .collect();
+        nls.push(s27());
+        for seed in 0..4 {
+            nls.push(generate(&SynthSpec::new("prog", 9, 5, 13, 400, seed)).unwrap());
+        }
+        nls
+    }
+
+    #[test]
+    fn program_validates_on_catalog_and_synthetic_circuits() {
+        for nl in catalog_and_synthetic() {
+            let cc = CompiledCircuit::compile(&nl);
+            assert_eq!(cc.validate(&nl), Ok(()), "{}", nl.name());
+            assert_eq!(cc.ops().len(), nl.num_gates());
+            for (op, (kind, out, pins)) in cc.ops().enumerate() {
+                assert_eq!(kind, cc.op_kind(op));
+                assert_eq!(out, cc.op_output(op));
+                assert_eq!(pins, cc.op_inputs(op));
+                assert_eq!(cc.driver_op(out), Some(op), "{}: op {op}", nl.name());
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_ops_swapped_across_a_level() {
+        let nl = generate(&SynthSpec::new("swap", 7, 5, 11, 240, 3)).unwrap();
+        let cc = CompiledCircuit::compile(&nl);
+        let ops = op_order(&cc);
+        // Swapping two ops of one level keeps a valid program; swapping
+        // an op of level 1 with one of level 2 does not, although each op
+        // still computes its own gate and `op_of` is still its inverse.
+        let l1 = cc.ops_at_level(1);
+        let l2 = cc.ops_at_level(2);
+        assert!(l1.len() >= 2 && !l2.is_empty());
+        let mut within = ops.clone();
+        within.swap(l1.start, l1.start + 1);
+        assert_eq!(with_program(&nl, &cc, &within).validate(&nl), Ok(()));
+        let mut across = ops;
+        across.swap(l1.start, l2.start);
+        let err = with_program(&nl, &cc, &across).validate(&nl).unwrap_err();
+        assert!(err.contains("not level-sorted"), "{err}");
+    }
+
+    #[test]
+    fn ops_are_grouped_by_kind_and_fanin_within_each_level() {
+        for nl in catalog_and_synthetic() {
+            let cc = CompiledCircuit::compile(&nl);
+            let ops = op_order(&cc);
+            for level in 0..=cc.max_level() {
+                let span = cc.ops_at_level(level);
+                let keys: Vec<(GateKind, usize, GateId)> = span
+                    .map(|op| (cc.op_kind(op), cc.op_inputs(op).len(), ops[op]))
+                    .collect();
+                // Sorted by (kind, fanin), ties in gate-id order.
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "{} level {level}: {keys:?}",
+                    nl.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_is_level_then_id_order() {
+        for nl in catalog_and_synthetic() {
+            let cc = CompiledCircuit::compile(&nl);
+            let mut reference: Vec<GateId> = nl.gate_ids().collect();
+            reference.sort_by_key(|&gid| (nl.level(nl.gate(gid).output()), gid));
+            assert_eq!(cc.schedule(), reference.as_slice(), "{}", nl.name());
+            for level in 0..=cc.max_level() {
+                let expect: Vec<GateId> = reference
+                    .iter()
+                    .copied()
+                    .filter(|&gid| cc.gate_level(gid) == level)
+                    .collect();
+                assert_eq!(cc.gates_at_level(level), expect.as_slice());
+            }
+        }
     }
 
     #[test]

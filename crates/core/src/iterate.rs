@@ -55,7 +55,7 @@ impl Default for IterateConfig {
 }
 
 /// The outcome of the iterated Phases 1–2: the single long test `τ_seq`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TauSeqResult {
     /// The test `τ_seq = (SI_seq, T_seq)`.
     pub test: ScanTest,
@@ -170,7 +170,7 @@ pub fn build_tau_seq(
     }
 
     let test = best.expect("max_iter >= 1, so at least one iteration set `best`");
-    let det = test.detects(nl, universe, targets);
+    let det = fsim.detect(&test.si, &test.seq, targets, universe, true);
     let detected: Vec<FaultId> = targets
         .iter()
         .zip(det.iter())
@@ -232,6 +232,38 @@ mod tests {
         }
         assert!(r.iterations >= 1);
         assert!(r.test.len() <= t0.len(), "sequence only ever shrinks");
+    }
+
+    /// Every simulation of `build_tau_seq`, the final check of `τ_seq`
+    /// included, shards one 63-fault word per partition: results and
+    /// gate-words are the same at any thread count.
+    #[test]
+    fn results_and_work_are_identical_at_any_thread_count() {
+        use atspeed_circuit::synth::{generate, SynthSpec};
+        use atspeed_sim::SimConfig;
+        let nl = generate(&SynthSpec::new("tau", 6, 3, 10, 160, 5)).unwrap();
+        let u = FaultUniverse::full(&nl);
+        let targets: Vec<FaultId> = u.representatives().to_vec();
+        assert!(targets.len() > 2 * 63, "{} targets", targets.len());
+        let t0 = random_t0(&nl, 24, 9);
+        let c = comb_tset::generate(&nl, &u, &CombTsetConfig::default())
+            .unwrap()
+            .tests;
+        let run = |threads: usize| {
+            let mut cfg = IterateConfig::default();
+            cfg.phase1.sim = SimConfig::with_threads(threads);
+            cfg.omission.sim = SimConfig::with_threads(threads);
+            let scope = atspeed_sim::stats::scoped();
+            let r = build_tau_seq(&nl, &u, &t0, &c, &targets, cfg).unwrap();
+            (r, scope.report().totals().gate_evals)
+        };
+        let (one, one_work) = run(1);
+        assert!(!one.detected.is_empty());
+        for threads in [2, 4] {
+            let (r, work) = run(threads);
+            assert_eq!(r, one, "threads={threads}");
+            assert_eq!(work, one_work, "threads={threads}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use std::io::{self, Read, Write};
 
 use atspeed_core::{PipelineConfig, PipelineResult, T0Source};
+use atspeed_sim::SimConfig;
 use atspeed_verify::encode_stimuli;
 
 /// Frame magic; rejects HTTP requests and random port scans immediately.
@@ -246,18 +247,23 @@ impl SubmitRequest {
         )
     }
 
-    /// Decodes a submission payload. Unknown config keys are rejected —
-    /// a typo must not silently fall back to a default and poison the
-    /// cache with a mislabeled result.
+    /// Decodes a submission payload. A payload without a `threads` key
+    /// runs at `default_sim` (the server's default for jobs); its own
+    /// `threads` wins. Unknown config keys are rejected — a typo must not
+    /// silently fall back to a default and poison the cache with a
+    /// mislabeled result.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::BadPayload`] with the offending line.
-    pub fn decode(payload: &str) -> Result<SubmitRequest, ProtocolError> {
+    pub fn decode(payload: &str, default_sim: SimConfig) -> Result<SubmitRequest, ProtocolError> {
         let bad = |msg: String| ProtocolError::BadPayload(msg);
         let mut req = SubmitRequest {
             name: "submitted".to_owned(),
-            config: PipelineConfig::default(),
+            config: PipelineConfig {
+                sim: default_sim,
+                ..PipelineConfig::default()
+            },
             bench: String::new(),
         };
         let mut t0 = "directed".to_owned();
@@ -561,8 +567,23 @@ mod tests {
             },
             bench: "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n".to_owned(),
         };
-        let got = SubmitRequest::decode(&req.encode()).unwrap();
+        let got = SubmitRequest::decode(&req.encode(), SimConfig::default()).unwrap();
         assert_eq!(got, req);
+
+        // Without a `threads` key the job runs at the server's default;
+        // its own `threads` wins.
+        let bare = "seed = 3\n\nINPUT(a)\n";
+        let at = |payload: &str| {
+            SubmitRequest::decode(payload, SimConfig::with_threads(3))
+                .unwrap()
+                .config
+                .sim
+        };
+        assert_eq!(at(bare), SimConfig::with_threads(3));
+        assert_eq!(
+            at(&format!("threads = 1\n{bare}")),
+            SimConfig::with_threads(1)
+        );
 
         for bad in [
             "typo_key = 1\n\nINPUT(a)\n",
@@ -578,7 +599,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    SubmitRequest::decode(bad),
+                    SubmitRequest::decode(bad, SimConfig::default()),
                     Err(ProtocolError::BadPayload(_))
                 ),
                 "`{bad}` must be rejected"

@@ -53,8 +53,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Job worker threads (how many jobs run concurrently).
     pub workers: usize,
-    /// Default simulation config for jobs that don't override `threads`
-    /// in their submission.
+    /// Simulation config for jobs whose submission has no `threads` key
+    /// (a submission's own `threads` wins).
     pub job_sim: SimConfig,
     /// Cache capacity bounds.
     pub budget: CacheBudget,
@@ -249,7 +249,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Returns whether the connection is still usable.
 fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, frame: &Frame) -> bool {
-    let request = match SubmitRequest::decode(&frame.text_payload()) {
+    let request = match SubmitRequest::decode(&frame.text_payload(), shared.cfg.job_sim) {
         Ok(r) => r,
         Err(e) => {
             // A malformed submission is the client's problem, not a

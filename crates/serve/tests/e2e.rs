@@ -316,6 +316,71 @@ fn per_job_history_records_are_appended() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A submission without a `threads` key runs at the server's `job_sim`; a
+/// submission's own `threads` wins. The thread count a job ran at shows in
+/// its history record's fingerprint.
+#[test]
+fn jobs_without_threads_run_at_the_server_default() {
+    use atspeed_serve::{read_frame, write_frame, Frame, FrameKind};
+    use atspeed_sim::SimConfig;
+    use atspeed_trace::history::config_fingerprint;
+
+    let dir = std::env::temp_dir().join(format!("atspeed-serve-jobsim-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let history = dir.join("jobs.jsonl");
+    let server = Server::start(ServeConfig {
+        job_sim: SimConfig::with_threads(3),
+        history: Some(history.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    let bench = s27_bench();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut expected = Vec::new();
+    for (seed, threads) in [(3u64, None), (4, Some(1usize))] {
+        let threads_line = threads.map_or(String::new(), |t| format!("threads = {t}\n"));
+        let payload =
+            format!("name = s27\nseed = {seed}\n{threads_line}t0 = random\nt0_len = 16\n\n{bench}");
+        write_frame(&mut stream, &Frame::text(FrameKind::Submit, payload)).unwrap();
+        assert_eq!(
+            read_frame(&mut stream).unwrap().kind,
+            FrameKind::ResultHeader
+        );
+        assert_eq!(read_frame(&mut stream).unwrap().kind, FrameKind::ResultBody);
+        let config = PipelineConfig {
+            seed,
+            t0_source: T0Source::Random { len: 16 },
+            ..PipelineConfig::default()
+        };
+        expected.push(config_fingerprint(
+            &[config.canonical_lines()],
+            Some(threads.unwrap_or(3)),
+        ));
+    }
+    drop(stream);
+    Client::connect(server.addr()).unwrap().shutdown().unwrap();
+    server.wait();
+
+    let text = std::fs::read_to_string(&history).unwrap();
+    let recorded: Vec<String> = text
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(|line| {
+            let v = atspeed_trace::json::parse(line).expect("history line parses");
+            v.get("config_fingerprint")
+                .and_then(atspeed_trace::json::Value::as_str)
+                .unwrap()
+                .to_owned()
+        })
+        .collect();
+    assert_eq!(recorded, expected);
+    // The first job at 1 thread would have recorded another fingerprint.
+    let at_one = config_fingerprint(&[quick_config().canonical_lines()], Some(1));
+    assert_ne!(expected[0], at_one);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `Server::wait` must return after a shutdown that races worker start-up.
 /// A worker that had just read `stop == false` and not yet parked on the
 /// queue condvar used to miss the stop notification and never exit. Many

@@ -1,162 +1,34 @@
-//! Levelized combinational evaluation with fault-injection overrides.
+//! The reference walker: levelized combinational evaluation over the
+//! pointer-based netlist, with its own fault injection.
 
-use atspeed_circuit::{Driver, FfId, GateId, NetId, Netlist, PoId};
+use atspeed_circuit::Netlist;
 
 use crate::fault::{Fault, FaultSite};
 use crate::logic::W3;
 
-/// Fault-injection overrides for one simulation pass.
+/// Forces onto `w` the faults of `faults` sited at `site`: stuck-at-0
+/// first, then stuck-at-1, so a slot carrying both ends at 1.
 ///
-/// Holds, per simulation slot, the stuck-at values to force. Stem overrides
-/// are applied to a net's value right after it is computed (or seeded, for
-/// primary inputs and flip-flop outputs); pin overrides are applied where a
-/// specific consumer reads the net — a gate input pin, a flip-flop D input,
-/// or a primary-output position — leaving all other consumers fault-free.
-///
-/// The structure is sized for a netlist once and reused across passes via
-/// [`Overrides::clear`], keeping per-pass cost proportional to the number of
-/// injected faults rather than the circuit size.
-#[derive(Debug, Clone)]
-pub struct Overrides {
-    stem_force0: Vec<u64>,
-    stem_force1: Vec<u64>,
-    touched_stems: Vec<NetId>,
-    gate_flagged: Vec<bool>,
-    gate_pins: Vec<(GateId, u8, bool, u64)>,
-    ff_pins: Vec<(FfId, bool, u64)>,
-    po_pins: Vec<(PoId, bool, u64)>,
-}
-
-impl Overrides {
-    /// Creates an empty override set sized for `nl`.
-    pub fn new(nl: &Netlist) -> Self {
-        Overrides {
-            stem_force0: vec![0; nl.num_nets()],
-            stem_force1: vec![0; nl.num_nets()],
-            touched_stems: Vec::new(),
-            gate_flagged: vec![false; nl.num_gates()],
-            gate_pins: Vec::new(),
-            ff_pins: Vec::new(),
-            po_pins: Vec::new(),
-        }
-    }
-
-    /// Removes all injected faults; cost is proportional to how many faults
-    /// were injected, not to the circuit size.
-    pub fn clear(&mut self) {
-        for net in self.touched_stems.drain(..) {
-            self.stem_force0[net.index()] = 0;
-            self.stem_force1[net.index()] = 0;
-        }
-        for (gate, _, _, _) in self.gate_pins.drain(..) {
-            self.gate_flagged[gate.index()] = false;
-        }
-        self.ff_pins.clear();
-        self.po_pins.clear();
-    }
-
-    /// Injects `fault` into the slots of `mask`.
-    ///
-    /// Slot 0 is conventionally the good machine in fault simulation; the
-    /// caller is responsible for keeping bit 0 out of `mask` there.
-    pub fn add(&mut self, fault: Fault, mask: u64) {
-        match fault.site {
-            FaultSite::Stem(net) => {
-                let i = net.index();
-                if self.stem_force0[i] == 0 && self.stem_force1[i] == 0 {
-                    self.touched_stems.push(net);
-                }
-                if fault.stuck {
-                    self.stem_force1[i] |= mask;
-                } else {
-                    self.stem_force0[i] |= mask;
-                }
-            }
-            FaultSite::GatePin(gate, pin) => {
-                self.gate_flagged[gate.index()] = true;
-                self.gate_pins.push((gate, pin, fault.stuck, mask));
-            }
-            FaultSite::FfPin(ff) => self.ff_pins.push((ff, fault.stuck, mask)),
-            FaultSite::PoPin(po) => self.po_pins.push((po, fault.stuck, mask)),
-        }
-    }
-
-    /// Whether no faults are injected.
-    pub fn is_empty(&self) -> bool {
-        self.touched_stems.is_empty()
-            && self.gate_pins.is_empty()
-            && self.ff_pins.is_empty()
-            && self.po_pins.is_empty()
-    }
-
-    /// Applies the stem override for `net` to `w`.
-    #[inline]
-    pub fn apply_stem(&self, net: NetId, w: W3) -> W3 {
-        let i = net.index();
-        let f0 = self.stem_force0[i];
-        let f1 = self.stem_force1[i];
-        if f0 == 0 && f1 == 0 {
-            w
-        } else {
-            w.force(false, f0).force(true, f1)
-        }
-    }
-
-    /// Applies pin overrides for input `pin` of `gate` to `w`.
-    #[inline]
-    pub fn apply_gate_pin(&self, gate: GateId, pin: u8, w: W3) -> W3 {
-        if !self.gate_flagged[gate.index()] {
-            return w;
-        }
-        let mut out = w;
-        for &(g, p, stuck, mask) in &self.gate_pins {
-            if g == gate && p == pin {
-                out = out.force(stuck, mask);
+/// This is the reference rule the kernel's overlay must match; tests also
+/// use it for the flip-flop-pin and primary-output-pin faults a pass
+/// leaves to its caller.
+pub fn inject(faults: &[(Fault, u64)], site: FaultSite, w: W3) -> W3 {
+    let (mut zero, mut one) = (0u64, 0u64);
+    for &(fault, mask) in faults {
+        if fault.site == site {
+            if fault.stuck {
+                one |= mask;
+            } else {
+                zero |= mask;
             }
         }
-        out
     }
-
-    /// Applies pin overrides for the D input of `ff` to `w`.
-    #[inline]
-    pub fn apply_ff_pin(&self, ff: FfId, w: W3) -> W3 {
-        let mut out = w;
-        for &(f, stuck, mask) in &self.ff_pins {
-            if f == ff {
-                out = out.force(stuck, mask);
-            }
-        }
-        out
-    }
-
-    /// Applies pin overrides for primary output `po` to `w`.
-    #[inline]
-    pub fn apply_po_pin(&self, po: PoId, w: W3) -> W3 {
-        let mut out = w;
-        for &(p, stuck, mask) in &self.po_pins {
-            if p == po {
-                out = out.force(stuck, mask);
-            }
-        }
-        out
-    }
-
-    /// The nets with an active stem override, for the kernel's seed pass.
-    #[inline]
-    pub(crate) fn stems(&self) -> &[NetId] {
-        &self.touched_stems
-    }
-
-    /// Whether `gate` has at least one input-pin override.
-    #[inline]
-    pub(crate) fn is_gate_flagged(&self, gate: GateId) -> bool {
-        self.gate_flagged[gate.index()]
-    }
+    w.force(false, zero).force(true, one)
 }
 
 /// Evaluates the combinational core of a netlist over packed values.
 ///
-/// The value array is indexed by [`NetId`]; the caller seeds the source nets
+/// The value array is indexed by [`NetId`](atspeed_circuit::NetId); the caller seeds the source nets
 /// (primary inputs and flip-flop outputs) and [`CombSim::eval`] fills in
 /// every gate output in levelized order.
 ///
@@ -204,36 +76,44 @@ impl<'a> CombSim<'a> {
         }
     }
 
-    /// Evaluates all gates with fault injection.
+    /// Evaluates all gates with the faults of `faults` injected, each into
+    /// the slots of its mask.
     ///
-    /// Stem overrides on source nets (primary inputs, flip-flop outputs) are
-    /// applied to the seeded values first, then each gate is evaluated with
-    /// its pin overrides and its output stem override.
+    /// Stem faults on source nets (primary inputs, flip-flop outputs) force
+    /// the seeded values first; then each gate reads its inputs through
+    /// its pin faults and forces its output through its stem faults, by
+    /// [`inject`]. Flip-flop-pin and primary-output-pin faults affect only
+    /// what the caller observes, so the pass leaves them to the caller.
+    ///
+    /// The walk finds every fault by scanning `faults`, sharing no
+    /// structure with the kernel's [`Overrides`](crate::kernel::Overrides),
+    /// so differential tests check the overlay against an independent
+    /// injection.
     ///
     /// # Panics
     ///
     /// Panics if `vals` is shorter than the netlist's net count.
-    pub fn eval_with(&mut self, vals: &mut [W3], ov: &Overrides) {
+    pub fn eval_with(&mut self, vals: &mut [W3], faults: &[(Fault, u64)]) {
         assert!(vals.len() >= self.nl.num_nets());
         crate::stats::add_gate_evals(self.nl.num_gates() as u64);
-        for &net in &ov.touched_stems {
-            if !matches!(self.nl.driver(net), Driver::Gate(_)) {
-                vals[net.index()] = ov.apply_stem(net, vals[net.index()]);
-            }
+        let sources = self
+            .nl
+            .pis()
+            .iter()
+            .copied()
+            .chain(self.nl.ffs().iter().map(|ff| ff.q()));
+        for net in sources {
+            vals[net.index()] = inject(faults, FaultSite::Stem(net), vals[net.index()]);
         }
         for &gid in self.nl.topo_order() {
             let g = self.nl.gate(gid);
             self.ins.clear();
-            if ov.gate_flagged[gid.index()] {
-                for (pin, &n) in g.inputs().iter().enumerate() {
-                    self.ins
-                        .push(ov.apply_gate_pin(gid, pin as u8, vals[n.index()]));
-                }
-            } else {
-                self.ins.extend(g.inputs().iter().map(|&n| vals[n.index()]));
+            for (pin, &n) in g.inputs().iter().enumerate() {
+                let site = FaultSite::GatePin(gid, pin as u8);
+                self.ins.push(inject(faults, site, vals[n.index()]));
             }
             let out = W3::eval_gate(g.kind(), &self.ins);
-            vals[g.output().index()] = ov.apply_stem(g.output(), out);
+            vals[g.output().index()] = inject(faults, FaultSite::Stem(g.output()), out);
         }
     }
 }
@@ -243,7 +123,7 @@ mod tests {
     use super::*;
     use crate::logic::V3;
     use atspeed_circuit::bench_fmt::s27;
-    use atspeed_circuit::{GateKind, NetlistBuilder};
+    use atspeed_circuit::{Driver, GateKind, NetlistBuilder};
 
     fn mux() -> atspeed_circuit::Netlist {
         // y = (a AND s') OR (b AND s)
@@ -312,21 +192,20 @@ mod tests {
     fn stem_override_forces_value() {
         let nl = mux();
         let mut sim = CombSim::new(&nl);
-        let mut ov = Overrides::new(&nl);
         let t0 = nl.find_net("t0").unwrap();
         // Stuck-at-1 on t0 in slot 1 only.
-        ov.add(
+        let faults = [(
             Fault {
                 site: FaultSite::Stem(t0),
                 stuck: true,
             },
             0b10,
-        );
+        )];
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         vals[nl.find_net("a").unwrap().index()] = W3::ALL_ZERO;
         vals[nl.find_net("b").unwrap().index()] = W3::ALL_ZERO;
         vals[nl.find_net("s").unwrap().index()] = W3::ALL_ZERO;
-        sim.eval_with(&mut vals, &ov);
+        sim.eval_with(&mut vals, &faults);
         let y = vals[nl.find_net("y").unwrap().index()];
         assert_eq!(y.get(0), V3::Zero, "good machine unaffected");
         assert_eq!(y.get(1), V3::One, "faulty machine sees stuck-at-1");
@@ -344,14 +223,13 @@ mod tests {
             Driver::Gate(g) => g,
             other => panic!("unexpected driver {other:?}"),
         };
-        let mut ov = Overrides::new(&nl);
-        ov.add(
+        let faults = [(
             Fault {
                 site: FaultSite::GatePin(g17_gate, 0),
                 stuck: true,
             },
             0b10,
-        );
+        )];
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         for &pi in nl.pis() {
             vals[pi.index()] = W3::ALL_ZERO;
@@ -359,7 +237,7 @@ mod tests {
         for ff in nl.ffs() {
             vals[ff.q().index()] = W3::ALL_ZERO;
         }
-        sim.eval_with(&mut vals, &ov);
+        sim.eval_with(&mut vals, &faults);
         // The branch value itself (stem G11) is untouched in both slots.
         assert_eq!(vals[g11.index()].get(0), vals[g11.index()].get(1));
         let g17 = nl.find_net("G17").unwrap();
@@ -368,46 +246,46 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_and_is_reusable() {
+    fn stuck_at_one_wins_at_one_site() {
         let nl = mux();
         let mut sim = CombSim::new(&nl);
-        let mut ov = Overrides::new(&nl);
-        ov.add(
-            Fault {
-                site: FaultSite::Stem(nl.find_net("y").unwrap()),
-                stuck: true,
-            },
-            !1u64,
-        );
-        assert!(!ov.is_empty());
-        ov.clear();
-        assert!(ov.is_empty());
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
-        vals[nl.find_net("a").unwrap().index()] = W3::ALL_ZERO;
-        vals[nl.find_net("b").unwrap().index()] = W3::ALL_ZERO;
-        vals[nl.find_net("s").unwrap().index()] = W3::ALL_ZERO;
-        sim.eval_with(&mut vals, &ov);
-        assert_eq!(vals[nl.find_net("y").unwrap().index()], W3::ALL_ZERO);
+        let y = nl.find_net("y").unwrap();
+        let stem = |stuck| Fault {
+            site: FaultSite::Stem(y),
+            stuck,
+        };
+        // Slot 1 carries both stuck values, in either list order.
+        for faults in [
+            [(stem(true), 0b10), (stem(false), 0b110)],
+            [(stem(false), 0b110), (stem(true), 0b10)],
+        ] {
+            let mut vals = vec![W3::ALL_X; nl.num_nets()];
+            for name in ["a", "b", "s"] {
+                vals[nl.find_net(name).unwrap().index()] = W3::ALL_ONE;
+            }
+            sim.eval_with(&mut vals, &faults);
+            let w = vals[y.index()];
+            assert_eq!((w.get(0), w.get(1), w.get(2)), (V3::One, V3::One, V3::Zero));
+        }
     }
 
     #[test]
     fn source_stem_override_applies_to_seeded_pi() {
         let nl = mux();
         let mut sim = CombSim::new(&nl);
-        let mut ov = Overrides::new(&nl);
         let a = nl.find_net("a").unwrap();
-        ov.add(
+        let faults = [(
             Fault {
                 site: FaultSite::Stem(a),
                 stuck: true,
             },
             0b10,
-        );
+        )];
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         vals[a.index()] = W3::ALL_ZERO;
         vals[nl.find_net("b").unwrap().index()] = W3::ALL_ZERO;
         vals[nl.find_net("s").unwrap().index()] = W3::ALL_ZERO;
-        sim.eval_with(&mut vals, &ov);
+        sim.eval_with(&mut vals, &faults);
         let y = vals[nl.find_net("y").unwrap().index()];
         assert_eq!(y.get(0), V3::Zero);
         assert_eq!(y.get(1), V3::One);

@@ -11,7 +11,7 @@
 
 use atspeed_circuit::{CompiledCircuit, Driver, GateId, NetId, Netlist};
 
-use crate::comb::CombSim;
+use crate::comb::{inject, CombSim};
 use crate::fault::{FaultId, FaultSite, FaultUniverse};
 use crate::kernel::CompiledSim;
 use crate::logic::{V3, W3};
@@ -274,8 +274,9 @@ impl<'a> CombFaultSim<'a> {
 
     fn eval_faulty_gate(&mut self, gid: GateId, fault: crate::fault::Fault) {
         let cc = self.cc;
-        let kind = cc.kind(gid);
-        let span = cc.inputs(gid);
+        let op = cc.op_of(gid);
+        let kind = cc.op_kind(op);
+        let span = cc.op_inputs(op);
         // Fold the gate function over the compiled pin span, applying the
         // single injected pin fault (if it lands here) in the stream.
         let mut acc = W3::ALL_X;
@@ -293,7 +294,7 @@ impl<'a> CombFaultSim<'a> {
             };
         }
         let out = if kind.inverts() { acc.not() } else { acc };
-        let onet = cc.output(gid);
+        let onet = cc.op_output(op);
         let out = if let FaultSite::Stem(net) = fault.site {
             // A stem fault downstream of itself cannot occur (acyclic), but
             // reconvergence can route through the fault net only if the
@@ -322,31 +323,31 @@ impl<'a> CombFaultSim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<u64> {
-        use crate::comb::Overrides;
+        use atspeed_circuit::{FfId, PoId};
         assert!(!tests.is_empty() && tests.len() <= 64);
         self.seed_and_eval_good(tests);
         let good = self.good.clone();
         let mut sim = CombSim::new(self.nl);
-        let mut ov = Overrides::new(self.nl);
         let mut out = Vec::with_capacity(faults.len());
         let mut vals = vec![W3::ALL_X; self.nl.num_nets()];
         for &fid in faults {
-            ov.clear();
-            ov.add(universe.fault(fid), u64::MAX);
+            let injected = [(universe.fault(fid), u64::MAX)];
             // Re-seed sources.
             for net in self.nl.net_ids() {
                 if !matches!(self.nl.driver(net), Driver::Gate(_)) {
                     vals[net.index()] = good[net.index()];
                 }
             }
-            sim.eval_with(&mut vals, &ov);
+            sim.eval_with(&mut vals, &injected);
             let mut mask = 0u64;
             for (k, &po) in self.nl.pos().iter().enumerate() {
-                let w = ov.apply_po_pin(atspeed_circuit::PoId::from_index(k), vals[po.index()]);
+                let site = FaultSite::PoPin(PoId::from_index(k));
+                let w = inject(&injected, site, vals[po.index()]);
                 mask |= good[po.index()].diff_known(w);
             }
             for (f, ff) in self.nl.ffs().iter().enumerate() {
-                let w = ov.apply_ff_pin(atspeed_circuit::FfId::from_index(f), vals[ff.d().index()]);
+                let site = FaultSite::FfPin(FfId::from_index(f));
+                let w = inject(&injected, site, vals[ff.d().index()]);
                 mask |= good[ff.d().index()].diff_known(w);
             }
             out.push(mask);

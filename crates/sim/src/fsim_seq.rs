@@ -11,9 +11,8 @@
 
 use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId};
 
-use crate::comb::Overrides;
 use crate::fault::{FaultId, FaultUniverse};
-use crate::kernel::CompiledSim;
+use crate::kernel::{CompiledSim, Overrides};
 use crate::logic::{V3, W3};
 use crate::vectors::{Sequence, State};
 
@@ -201,7 +200,7 @@ pub struct SeqFaultSim<'a> {
     nl: &'a Netlist,
     cc: &'a CompiledCircuit,
     vals: Vec<W3>,
-    ov: Overrides,
+    ov: Overrides<'a>,
 }
 
 /// How many faulty machines ride along with the good machine per pass.
@@ -215,7 +214,7 @@ impl<'a> SeqFaultSim<'a> {
             nl,
             cc,
             vals: vec![W3::ALL_X; cc.num_nets()],
-            ov: Overrides::new(nl),
+            ov: Overrides::new(cc),
         }
     }
 
@@ -912,7 +911,8 @@ mod tests {
     /// from X-heavy stimuli.
     #[test]
     fn detect_matches_per_fault_legacy_simulation() {
-        use crate::comb::CombSim;
+        use crate::comb::{inject, CombSim};
+        use crate::fault::FaultSite;
         use atspeed_circuit::synth::{generate, SynthSpec};
         let known_diff = |w: W3| w.get(0).is_known() && w.get(1).is_known() && w.get(0) != w.get(1);
         let synth = generate(&SynthSpec::new("seq-ref", 5, 3, 8, 160, 11)).unwrap();
@@ -939,8 +939,7 @@ mod tests {
             let mut legacy = CombSim::new(&nl);
             let mut vals = vec![W3::ALL_X; nl.num_nets()];
             for (k, &fid) in reps.iter().enumerate() {
-                let mut ov = Overrides::new(&nl);
-                ov.add(u.fault(fid), 0b10);
+                let injected = [(u.fault(fid), 0b10)];
                 let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
                 let mut caught = false;
                 for t in 0..seq.len() {
@@ -950,13 +949,14 @@ mod tests {
                     for (f, ff) in nl.ffs().iter().enumerate() {
                         vals[ff.q().index()] = state[f];
                     }
-                    legacy.eval_with(&mut vals, &ov);
+                    legacy.eval_with(&mut vals, &injected);
                     for (p, &po) in nl.pos().iter().enumerate() {
-                        caught |=
-                            known_diff(ov.apply_po_pin(PoId::from_index(p), vals[po.index()]));
+                        let site = FaultSite::PoPin(PoId::from_index(p));
+                        caught |= known_diff(inject(&injected, site, vals[po.index()]));
                     }
                     for (f, ff) in nl.ffs().iter().enumerate() {
-                        state[f] = ov.apply_ff_pin(FfId::from_index(f), vals[ff.d().index()]);
+                        let site = FaultSite::FfPin(FfId::from_index(f));
+                        state[f] = inject(&injected, site, vals[ff.d().index()]);
                     }
                 }
                 caught |= state.iter().any(|&w| known_diff(w));

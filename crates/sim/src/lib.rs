@@ -6,8 +6,10 @@
 //! - [`logic`] — a 3-valued (0/1/X) logic system packed 64 slots per word,
 //!   so one gate evaluation advances 64 independent machines;
 //! - [`vectors`] — primary-input sequences and state vectors;
-//! - [`comb`] — levelized combinational evaluation with fault-injection
-//!   overrides;
+//! - [`kernel`] — the compiled full-pass kernel over a circuit's evaluation
+//!   program, and the per-op [`Overrides`] overlay that injects faults;
+//! - [`comb`] — the reference walker over the pointer-based netlist, with
+//!   its own fault injection;
 //! - [`fault`] — the single stuck-at fault universe with structural
 //!   equivalence collapsing;
 //! - [`fsim_comb`] — parallel-pattern single-fault (PPSFP) combinational
@@ -57,11 +59,11 @@ pub mod transition;
 pub mod vcd;
 pub mod vectors;
 
-pub use comb::{CombSim, Overrides};
+pub use comb::CombSim;
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use fsim_comb::{CombFaultSim, CombTest};
 pub use fsim_seq::{DetectionProfile, EndStates, FinalObserve, SeqFaultSim, SeqSim};
-pub use kernel::CompiledSim;
+pub use kernel::{CompiledSim, Overrides};
 pub use logic::{V3, W3};
 pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig};
 pub use stats::{PhaseStats, SimReport};

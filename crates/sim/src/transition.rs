@@ -22,10 +22,9 @@
 
 use atspeed_circuit::{NetId, Netlist};
 
-use crate::comb::Overrides;
 use crate::fault::{Fault, FaultSite};
 use crate::fsim_seq::seed_sources;
-use crate::kernel::CompiledSim;
+use crate::kernel::{CompiledSim, Overrides};
 use crate::logic::{V3, W3};
 use crate::vectors::{Sequence, State};
 
@@ -78,7 +77,7 @@ pub struct TransitionFaultSim<'a> {
     nl: &'a Netlist,
     good: Vec<W3>,
     faulty: Vec<W3>,
-    ov: Overrides,
+    ov: Overrides<'a>,
 }
 
 impl<'a> TransitionFaultSim<'a> {
@@ -89,7 +88,7 @@ impl<'a> TransitionFaultSim<'a> {
             nl,
             good: vec![W3::ALL_X; cc.num_nets()],
             faulty: vec![W3::ALL_X; cc.num_nets()],
-            ov: Overrides::new(nl),
+            ov: Overrides::new(cc),
         }
     }
 

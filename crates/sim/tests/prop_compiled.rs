@@ -5,14 +5,17 @@
 //! The legacy [`CombSim`] walker is the reference implementation: every
 //! property here demands *bit-identical* values or detection masks from the
 //! compiled full-pass and override paths, including 3-valued X inputs and
-//! fault-injection overrides.
+//! fault injection. The walker injects faults from a plain list itself, so
+//! the kernel's [`Overrides`] overlay is checked against code it shares
+//! nothing with.
 
 use atspeed_circuit::synth::{generate, SynthSpec};
-use atspeed_circuit::{catalog, Netlist};
+use atspeed_circuit::{catalog, CompiledCircuit, FfId, GateId, NetId, Netlist, PoId};
+use atspeed_sim::comb::inject;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, Overrides, ParallelFsim, SeqSim, Sequence,
-    SimConfig, V3, W3,
+    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, FaultSite, Overrides, ParallelFsim,
+    SeqSim, Sequence, SimConfig, V3, W3,
 };
 use proptest::prelude::*;
 
@@ -57,14 +60,81 @@ fn seed_sources(nl: &Netlist, vals: &mut [W3], next: &mut impl FnMut() -> u64) {
     }
 }
 
-/// A random override set over up to 63 collapsed faults of `nl`.
-fn random_overrides(nl: &Netlist, u: &FaultUniverse, next: &mut impl FnMut() -> u64) -> Overrides {
-    let mut ov = Overrides::new(nl);
+/// A random 3-valued word, X in about half the slots.
+fn x_heavy_w3(next: &mut impl FnMut() -> u64) -> W3 {
+    let known = next();
+    let value = next();
+    W3 {
+        zero: known & !value,
+        one: known & value,
+    }
+}
+
+/// A random fault set over up to 63 collapsed faults of `nl`, one slot
+/// each.
+fn random_faults(u: &FaultUniverse, next: &mut impl FnMut() -> u64) -> Vec<(Fault, u64)> {
     let reps = u.representatives();
+    let mut faults = Vec::new();
     for (k, &fid) in reps.iter().take(63).enumerate() {
         if next() & 3 == 0 {
-            ov.add(u.fault(fid), 1u64 << (k % 63 + 1));
+            faults.push((u.fault(fid), 1u64 << (k % 63 + 1)));
         }
+    }
+    faults
+}
+
+/// Faults stacked on a few sites: on each of up to three gates an output
+/// stem fault and faults on several pins, both stuck values possible at
+/// one site; stems on primary inputs and flip-flop outputs; faults on
+/// primary-output and flip-flop D pins; every mask spans random slots, so
+/// slots carry several faults at once.
+fn stacked_faults(nl: &Netlist, next: &mut impl FnMut() -> u64) -> Vec<(Fault, u64)> {
+    let mut faults = Vec::new();
+    let mut push = |site: FaultSite, r: u64, mask: u64| {
+        faults.push((
+            Fault {
+                site,
+                stuck: r & 1 == 1,
+            },
+            mask,
+        ));
+    };
+    for _ in 0..3 {
+        let gid = GateId::from_index((next() % nl.num_gates() as u64) as usize);
+        let g = nl.gate(gid);
+        push(FaultSite::Stem(g.output()), next(), next());
+        for pin in 0..g.inputs().len() {
+            for _ in 0..next() % 3 {
+                push(FaultSite::GatePin(gid, pin as u8), next(), next());
+            }
+        }
+    }
+    let sources: Vec<NetId> = nl
+        .pis()
+        .iter()
+        .copied()
+        .chain(nl.ffs().iter().map(|ff| ff.q()))
+        .collect();
+    for _ in 0..4 {
+        let net = sources[(next() % sources.len() as u64) as usize];
+        push(FaultSite::Stem(net), next(), next());
+    }
+    for _ in 0..3 {
+        let po = PoId::from_index((next() % nl.num_pos() as u64) as usize);
+        push(FaultSite::PoPin(po), next(), next());
+        if nl.num_ffs() > 0 {
+            let ff = FfId::from_index((next() % nl.num_ffs() as u64) as usize);
+            push(FaultSite::FfPin(ff), next(), next());
+        }
+    }
+    faults
+}
+
+/// The overlay of `faults` over `cc`.
+fn overlay<'a>(cc: &'a CompiledCircuit, faults: &[(Fault, u64)]) -> Overrides<'a> {
+    let mut ov = Overrides::new(cc);
+    for &(fault, mask) in faults {
+        ov.add(fault, mask);
     }
     ov
 }
@@ -95,17 +165,67 @@ proptest! {
     fn compiled_override_pass_matches_legacy(nl in arb_netlist(), seed in any::<u64>()) {
         let mut next = rng(seed);
         let u = FaultUniverse::full(&nl);
-        let ov = random_overrides(&nl, &u, &mut next);
+        let faults = random_faults(&u, &mut next);
         let cc = nl.compiled();
+        let ov = overlay(cc, &faults);
         let sim = CompiledSim::new(cc);
         let mut legacy = CombSim::new(&nl);
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
             seed_sources(&nl, &mut vals, &mut next);
             let mut reference = vals.clone();
-            legacy.eval_with(&mut reference, &ov);
+            legacy.eval_with(&mut reference, &faults);
             sim.eval_with(&mut vals, &ov);
             prop_assert_eq!(&vals, &reference);
+        }
+    }
+
+    /// Faults stacked on one gate (its output stem and several pins, in
+    /// overlapping slots), stems on primary inputs and flip-flop outputs,
+    /// stacked observation-pin faults, and X-heavy sources: every slot of
+    /// every net, and of every observed output and captured state, equals
+    /// the reference walker's.
+    #[test]
+    fn stacked_faults_match_legacy(nl in arb_netlist(), seed in any::<u64>()) {
+        let mut next = rng(seed);
+        let faults = stacked_faults(&nl, &mut next);
+        let cc = nl.compiled();
+        let ov = overlay(cc, &faults);
+        let sim = CompiledSim::new(cc);
+        let mut legacy = CombSim::new(&nl);
+        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        for _ in 0..4 {
+            for net in nl.pis().iter().copied().chain(nl.ffs().iter().map(|ff| ff.q())) {
+                vals[net.index()] = x_heavy_w3(&mut next);
+            }
+            let mut reference = vals.clone();
+            legacy.eval_with(&mut reference, &faults);
+            sim.eval_with(&mut vals, &ov);
+            for net in nl.net_ids() {
+                for slot in 0..64 {
+                    prop_assert_eq!(
+                        vals[net.index()].get(slot),
+                        reference[net.index()].get(slot),
+                        "net {} slot {}", nl.net_name(net), slot
+                    );
+                }
+            }
+            for (k, &po) in nl.pos().iter().enumerate() {
+                let po_id = PoId::from_index(k);
+                prop_assert_eq!(
+                    ov.apply_po_pin(po_id, vals[po.index()]),
+                    inject(&faults, FaultSite::PoPin(po_id), reference[po.index()]),
+                    "PO {}", k
+                );
+            }
+            for (f, ff) in nl.ffs().iter().enumerate() {
+                let ff_id = FfId::from_index(f);
+                prop_assert_eq!(
+                    ov.apply_ff_pin(ff_id, vals[ff.d().index()]),
+                    inject(&faults, FaultSite::FfPin(ff_id), reference[ff.d().index()]),
+                    "FF {}", f
+                );
+            }
         }
     }
 

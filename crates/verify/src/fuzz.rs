@@ -7,8 +7,9 @@
 //! workspace supports:
 //!
 //! 1. **logic** — the legacy [`CombSim`] walker against the compiled CSR
-//!    kernel ([`CompiledSim`]) on the full-pass and fault-override paths,
-//!    over random 3-valued inputs;
+//!    kernel ([`CompiledSim`]) on the full-pass and fault-injection paths,
+//!    over random 3-valued inputs; the walker injects the fault list
+//!    itself, the kernel through its [`Overrides`] overlay;
 //! 2. **comb-detect / matrix** — the serial PPSFP engine against the
 //!    test-sharded (fault-dropping) parallel front end, plus the
 //!    fault-sharded detection matrix against the detection bitmap
@@ -35,8 +36,8 @@ use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, Overrides, ParallelFsim, SeqFaultSim, Sequence,
-    SimConfig, State, V3, W3,
+    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, Overrides, ParallelFsim, SeqFaultSim,
+    Sequence, SimConfig, State, V3, W3,
 };
 
 /// Salt so stimuli derivation is independent of how many random draws the
@@ -179,15 +180,19 @@ fn sample_faults(u: &FaultUniverse, cap: usize) -> Vec<FaultId> {
     reps.iter().copied().step_by(stride).take(cap).collect()
 }
 
-/// A random override set over up to 63 collapsed faults.
-fn random_overrides(nl: &Netlist, u: &FaultUniverse, next: &mut impl FnMut() -> u64) -> Overrides {
-    let mut ov = Overrides::new(nl);
-    for (k, &fid) in u.representatives().iter().take(63).enumerate() {
+/// A random fault set: about 16 faults drawn from the whole uncollapsed
+/// universe, so gate-pin faults on every pin occur, each in one random
+/// faulty-machine slot, so a slot or a site can carry several faults.
+fn random_faults(u: &FaultUniverse, next: &mut impl FnMut() -> u64) -> Vec<(Fault, u64)> {
+    let n = u.num_faults() as u64;
+    let mut faults = Vec::new();
+    for _ in 0..63 {
         if next() & 3 == 0 {
-            ov.add(u.fault(fid), 1u64 << (k % 63 + 1));
+            let fault = u.fault(FaultId::from_index((next() % n) as usize));
+            faults.push((fault, 1u64 << (next() % 63 + 1)));
         }
     }
-    ov
+    faults
 }
 
 /// Legacy walker vs compiled kernel on the full and override paths.
@@ -200,7 +205,11 @@ fn check_logic(
     let mut legacy = CombSim::new(nl);
     let mut vals = vec![W3::ALL_X; nl.num_nets()];
     let mut reference = vec![W3::ALL_X; nl.num_nets()];
-    let ov = random_overrides(nl, u, next);
+    let faults = random_faults(u, next);
+    let mut ov = Overrides::new(nl.compiled());
+    for &(fault, mask) in &faults {
+        ov.add(fault, mask);
+    }
 
     let mut checks = 0;
     for pass in 0..4 {
@@ -219,7 +228,7 @@ fn check_logic(
             sim.eval(&mut vals);
             "full"
         } else {
-            legacy.eval_with(&mut reference, &ov);
+            legacy.eval_with(&mut reference, &faults);
             sim.eval_with(&mut vals, &ov);
             "override"
         };
