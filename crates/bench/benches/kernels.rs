@@ -1,47 +1,34 @@
 //! Kernel micro-benchmarks: the legacy pointer walker vs the compiled full
-//! pass, over the ISCAS-89 circuits of the catalog.
+//! pass over the ISCAS-89 circuits of the catalog, and Phase-2 vector
+//! omission on s298 at 1, 2 and 4 threads.
 //!
-//! Besides the human-readable criterion output, the bench writes a
-//! machine-readable JSON summary (per circuit, per kernel: rounds, wall
-//! time, gate evaluations, events skipped, gate-evals/sec) so CI can
-//! archive runs and compare kernels across commits:
-//!
-//! - `KERNELS_JSON` — output path (default `target/kernels.json`);
-//! - `KERNELS_CIRCUITS` — comma-separated circuit filter (default: every
-//!   ISCAS-89 catalog circuit).
-//!
-//! The workload is a sequence of reseed-and-evaluate rounds: round 0
+//! The kernel workload is a sequence of reseed-and-evaluate rounds: round 0
 //! assigns every source net a random 3-valued word, later rounds reseed a
 //! small random subset, as consecutive cycles of a sequential simulation
 //! do. Both kernels compute identical values (the differential tests in
-//! `atspeed-sim` prove it); only the traversal differs. Gate evaluations
-//! are counted in gate-words (one gate over one 64-slot word).
+//! `atspeed-sim` prove it); only the traversal differs.
+//!
+//! The Criterion timings are for local comparison; the counts a change is
+//! judged by come from the benchmark in `perfbench/`.
 
 use atspeed_atpg::compact::{omit_vectors, OmissionConfig};
 use atspeed_atpg::random_t0;
 use atspeed_circuit::catalog::{self, BenchmarkInfo, Suite};
 use atspeed_circuit::{NetId, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{stats, CombSim, CompiledSim, SeqFaultSim, SimConfig, V3, W3};
+use atspeed_sim::{CombSim, CompiledSim, SeqFaultSim, SimConfig, V3, W3};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
 fn selected() -> Vec<BenchmarkInfo> {
-    let filter = std::env::var("KERNELS_CIRCUITS").ok();
     catalog::all()
         .iter()
         .copied()
         .filter(|b| b.suite == Suite::Iscas89)
-        .filter(|b| {
-            filter
-                .as_deref()
-                .is_none_or(|f| f.split(',').any(|n| n.trim() == b.name))
-        })
         .collect()
 }
 
@@ -112,126 +99,6 @@ fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, vals: &mut [W3]) {
     black_box(vals.first().copied());
 }
 
-struct KernelRow {
-    kernel: &'static str,
-    wall_s: f64,
-    gate_evals: u64,
-    events_skipped: u64,
-}
-
-/// Timed measurement windows per kernel (window 0 is an untimed warm-up).
-/// Windows are interleaved across kernels — every kernel gets one window,
-/// then every kernel gets the next — and each kernel keeps its fastest
-/// window, so the best windows of both kernels land in the same quiet
-/// phases of a noisy shared machine and their ratio stays meaningful.
-const MEASURE_WINDOWS: usize = 5;
-
-fn measure_circuit(info: &BenchmarkInfo, num_rounds: usize, repeats: usize) -> Vec<KernelRow> {
-    let w = make_workload(info, num_rounds);
-    let cc = w.nl.compiled();
-
-    let mut legacy = CombSim::new(&w.nl);
-    let mut lvals = vec![W3::ALL_X; w.nl.num_nets()];
-    let sim = CompiledSim::new(cc);
-    let mut cvals = vec![W3::ALL_X; w.nl.num_nets()];
-
-    type Runner<'a> = (&'static str, Box<dyn FnMut() + 'a>);
-    let mut runners: Vec<Runner<'_>> = vec![
-        (
-            "legacy",
-            Box::new(|| run_legacy(&w, &mut legacy, &mut lvals)),
-        ),
-        ("compiled", Box::new(|| run_compiled(&w, &sim, &mut cvals))),
-    ];
-
-    let mut rows: Vec<KernelRow> = Vec::new();
-    for window in 0..MEASURE_WINDOWS {
-        for (k, (kernel, run)) in runners.iter_mut().enumerate() {
-            stats::reset();
-            let start = Instant::now();
-            for _ in 0..repeats {
-                run();
-            }
-            let wall = start.elapsed().as_secs_f64();
-            let t = stats::report().totals();
-            if window == 0 {
-                // Warm-up window: record the (deterministic) counter
-                // totals, discard the cold wall time.
-                rows.push(KernelRow {
-                    kernel,
-                    wall_s: f64::INFINITY,
-                    gate_evals: t.gate_evals,
-                    events_skipped: t.events_skipped,
-                });
-            } else if wall < rows[k].wall_s {
-                rows[k].wall_s = wall;
-            }
-        }
-    }
-    rows
-}
-
-/// One timed sweep like [`run_compiled`] but with a span per round — the
-/// instrumentation density of real pipeline code — so the profiler
-/// overhead measurement exercises the push/pop hot path, not just the
-/// background sampler.
-///
-/// Production spans wrap phases, PODEM fault generations, and fault-sim
-/// partitions — units of 0.1 ms and up, never per-gate or per-round work.
-/// One span per 64-round block reproduces that density (a few thousand
-/// spans per second of kernel work); per-round spans would measure a
-/// regime the codebase deliberately avoids.
-fn run_compiled_spanned(w: &Workload, sim: &CompiledSim<'_>, vals: &mut [W3]) {
-    for block in w.rounds.chunks(64) {
-        let _sp = atspeed_trace::span("bench.block");
-        for round in block {
-            for &(net, val) in round {
-                vals[net.index()] = val;
-            }
-            sim.eval(vals);
-        }
-    }
-    black_box(vals.first().copied());
-}
-
-/// Wall time of the spanned compiled sweep with the profiler off vs
-/// sampling at 250 Hz. The contract is <2% overhead enabled; the JSON
-/// summary archives the measured ratio per run.
-struct ProfilerOverhead {
-    wall_s_off: f64,
-    wall_s_on: f64,
-}
-
-fn measure_profiler_overhead(w: &Workload, repeats: usize) -> ProfilerOverhead {
-    let sim = CompiledSim::new(w.nl.compiled());
-    let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
-    let time_sweeps = |vals: &mut [W3]| {
-        let start = Instant::now();
-        for _ in 0..repeats {
-            run_compiled_spanned(w, &sim, vals);
-        }
-        start.elapsed().as_secs_f64()
-    };
-    // Warm-up pass so both timed passes see hot caches.
-    time_sweeps(&mut vals);
-    let wall_s_off = time_sweeps(&mut vals);
-    atspeed_trace::profile::start(atspeed_trace::profile::DEFAULT_HZ);
-    let wall_s_on = time_sweeps(&mut vals);
-    let _ = atspeed_trace::profile::stop();
-    ProfilerOverhead {
-        wall_s_off,
-        wall_s_on,
-    }
-}
-
-/// One measured Phase-2 omission run at a given thread count.
-struct OmissionRow {
-    threads: usize,
-    wall_s: f64,
-    attempts: usize,
-    removed: usize,
-}
-
 /// The vector-omission workload: a random sequence over a catalog circuit
 /// plus the faults it detects (the set every omission must preserve).
 struct OmissionWorkload {
@@ -275,128 +142,10 @@ fn run_omission(w: &OmissionWorkload, threads: usize) -> (usize, usize) {
     (stats.attempts, stats.removed)
 }
 
-fn measure_omission(w: &OmissionWorkload, repeats: usize) -> Vec<OmissionRow> {
-    [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            let start = Instant::now();
-            let mut attempts = 0;
-            let mut removed = 0;
-            for _ in 0..repeats {
-                let (a, r) = run_omission(w, threads);
-                attempts += a;
-                removed += r;
-            }
-            OmissionRow {
-                threads,
-                wall_s: start.elapsed().as_secs_f64(),
-                attempts,
-                removed,
-            }
-        })
-        .collect()
-}
-
-fn emit_json(
-    circuits: &[(BenchmarkInfo, Vec<KernelRow>)],
-    rounds: usize,
-    repeats: usize,
-    omission: &(BenchmarkInfo, usize, Vec<OmissionRow>),
-    profiler: &(BenchmarkInfo, ProfilerOverhead),
-) {
-    let path = std::env::var("KERNELS_JSON").unwrap_or_else(|_| {
-        // Default into the workspace target dir, independent of the cwd
-        // cargo runs the bench from.
-        format!("{}/../../target/kernels.json", env!("CARGO_MANIFEST_DIR"))
-    });
-    let mut out = String::from("{\n  \"circuits\": [\n");
-    for (i, (info, rows)) in circuits.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"gates\": {}, \"rounds\": {}, \"repeats\": {}, \
-             \"kernels\": [\n",
-            info.name, info.num_gates, rounds, repeats
-        ));
-        for (j, r) in rows.iter().enumerate() {
-            let evals_per_sec = if r.wall_s > 0.0 {
-                r.gate_evals as f64 / r.wall_s
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "      {{\"kernel\": \"{}\", \"wall_us\": {}, \"gate_evals\": {}, \
-                 \"events_skipped\": {}, \"gate_evals_per_sec\": {:.1}}}{}\n",
-                r.kernel,
-                (r.wall_s * 1e6) as u64,
-                r.gate_evals,
-                r.events_skipped,
-                evals_per_sec,
-                if j + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 == circuits.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    let (info, seq_len, rows) = omission;
-    out.push_str(&format!(
-        "  \"omission\": {{\"circuit\": \"{}\", \"seq_len\": {}, \"runs\": [\n",
-        info.name, seq_len
-    ));
-    for (j, r) in rows.iter().enumerate() {
-        let attempts_per_sec = if r.wall_s > 0.0 {
-            r.attempts as f64 / r.wall_s
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_us\": {}, \"attempts\": {}, \"removed\": {}, \
-             \"attempts_per_sec\": {:.1}}}{}\n",
-            r.threads,
-            (r.wall_s * 1e6) as u64,
-            r.attempts,
-            r.removed,
-            attempts_per_sec,
-            if j + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]},\n");
-    let (pinfo, po) = profiler;
-    let overhead_pct = if po.wall_s_off > 0.0 {
-        (po.wall_s_on / po.wall_s_off - 1.0) * 100.0
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        "  \"profiler_overhead\": {{\"circuit\": \"{}\", \"hz\": {}, \
-         \"wall_us_off\": {}, \"wall_us_on\": {}, \"overhead_pct\": {:.2}}}\n}}\n",
-        pinfo.name,
-        atspeed_trace::profile::DEFAULT_HZ,
-        (po.wall_s_off * 1e6) as u64,
-        (po.wall_s_on * 1e6) as u64,
-        overhead_pct,
-    ));
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("kernel summary written to {path}"),
-        Err(e) => atspeed_trace::warn!("bench.kernels", "could not write kernel summary";
-            path = path, error = e),
-    }
-}
-
 fn bench_kernels(c: &mut Criterion) {
-    // Criterion timings for humans; a fixed-round measured pass for the
-    // JSON artifact. Smoke mode (plain `cargo test`) keeps both tiny.
-    let (rounds, repeats, samples) = if bench_mode() {
-        (64, 16, 10)
-    } else {
-        (4, 1, 1)
-    };
+    // Smoke mode (plain `cargo test`) keeps every group tiny.
+    let (rounds, samples) = if bench_mode() { (64, 10) } else { (4, 1) };
 
-    let mut summary = Vec::new();
     for info in selected() {
         let w = make_workload(&info, rounds);
         let cc = w.nl.compiled();
@@ -411,15 +160,13 @@ fn bench_kernels(c: &mut Criterion) {
         let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
         g.bench_function("compiled", |b| b.iter(|| run_compiled(&w, &sim, &mut vals)));
         g.finish();
-
-        summary.push((info, measure_circuit(&info, rounds, repeats)));
     }
 
-    // Phase-2 omission throughput at 1, 2 and 4 threads on a fixed catalog
-    // circuit (results are identical at every thread count; only the
-    // sweep-start profiles are sharded, so only wall time differs).
+    // Phase-2 omission at 1, 2 and 4 threads on a fixed catalog circuit
+    // (results are identical at every thread count; only the sweep-start
+    // profiles are sharded, so only wall time differs).
     let om_info = catalog::by_name("s298").expect("s298 is in the catalog");
-    let (om_len, om_repeats) = if bench_mode() { (48, 3) } else { (12, 1) };
+    let om_len = if bench_mode() { 48 } else { 12 };
     let ow = make_omission_workload(&om_info, om_len);
     let mut g = c.benchmark_group("omission_s298");
     g.sample_size(samples);
@@ -429,26 +176,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
     }
     g.finish();
-    let om_rows = measure_omission(&ow, om_repeats);
-
-    // Profiler tax: the same compiled sweep (with per-round spans) timed
-    // with sampling off and at the default 250 Hz. Longer rounds in bench
-    // mode so the ratio is measured over a multi-second window.
-    let prof_info = catalog::by_name("s1423").unwrap_or(om_info);
-    // ~1 s per timed pass in bench mode: long enough for hundreds of
-    // 250 Hz samples, so the ratio measures the tax rather than noise.
-    let prof_rounds = if bench_mode() { 512 } else { 8 };
-    let prof_repeats = if bench_mode() { 320 } else { 1 };
-    let pw = make_workload(&prof_info, prof_rounds);
-    let overhead = measure_profiler_overhead(&pw, prof_repeats);
-
-    emit_json(
-        &summary,
-        rounds,
-        repeats,
-        &(om_info, om_len, om_rows),
-        &(prof_info, overhead),
-    );
 }
 
 criterion_group!(kernels, bench_kernels);

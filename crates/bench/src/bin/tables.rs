@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tables [--table N] [--circuits a,b,c] [--quick] [--verify] [--no-parallel]
-//!        [--sim-threads N] [--csv FILE] [--sim-json FILE]
+//!        [--sim-threads N] [--csv FILE]
 //!        [--trace FILE] [--metrics-json FILE] [--profile FILE]
 //!        [--profile-hz N] [--history FILE] [--log LEVEL]
 //! ```
@@ -27,8 +27,8 @@
 //!
 //! A per-phase simulation-instrumentation report (gate evaluations,
 //! fault-sim invocations, faults dropped, partition wall times) prints
-//! after the tables; `--sim-json FILE` additionally writes it as JSON
-//! (conventionally `BENCH_<tag>.json`). Phase attribution is exact under
+//! after the tables; `--metrics-json` exports the same counters as
+//! `phase/<label>/<field>`. Phase attribution is exact under
 //! `--no-parallel`; with the parallel circuit runner, concurrently running
 //! circuits share the phase labels, so per-phase rows are approximate while
 //! totals remain exact. `--sim-threads N` (or the `SIM_THREADS` environment
@@ -53,7 +53,6 @@ struct Args {
     verify: bool,
     sim_threads: Option<usize>,
     csv: Option<String>,
-    sim_json: Option<String>,
     telemetry: TelemetryArgs,
 }
 
@@ -66,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
         verify: false,
         sim_threads: None,
         csv: None,
-        sim_json: None,
         telemetry: TelemetryArgs::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -92,9 +90,6 @@ fn parse_args() -> Result<Args, String> {
             "--csv" => {
                 args.csv = Some(it.next().ok_or("--csv needs a path")?);
             }
-            "--sim-json" => {
-                args.sim_json = Some(it.next().ok_or("--sim-json needs a path")?);
-            }
             "--no-parallel" => args.parallel = false,
             "--sim-threads" => {
                 let v = it.next().ok_or("--sim-threads needs a count")?;
@@ -103,7 +98,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: tables [--table N] [--circuits a,b,c] [--quick] [--verify] \
-                     [--no-parallel] [--sim-threads N] [--csv FILE] [--sim-json FILE] \
+                     [--no-parallel] [--sim-threads N] [--csv FILE] \
                      [--trace FILE] [--metrics-json FILE] [--profile FILE] \
                      [--profile-hz N] [--history FILE] [--log LEVEL]"
                         .to_owned(),
@@ -202,14 +197,6 @@ fn main() -> ExitCode {
         sim.threads
     );
     println!("{report}");
-    if let Some(path) = args.sim_json {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            atspeed_trace::error!("bench.tables", "failed to write sim json";
-                path = path, error = e);
-            return ExitCode::FAILURE;
-        }
-        atspeed_trace::info!("bench.tables", "wrote sim json"; path = path);
-    }
     if let Some(path) = args.csv {
         let csv = atspeed_bench::csv::to_csv(&exps);
         if let Err(e) = std::fs::write(&path, csv) {

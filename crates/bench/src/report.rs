@@ -317,7 +317,6 @@ pub fn render_html(inputs: &ReportInputs) -> String {
                     .and_then(|(_, v)| v.as_f64())
                     .unwrap_or(0.0)
             };
-            card("gate evals / s", fmt_count(get("gate_evals_per_sec")));
             card("gate evals", fmt_count(get("gate_evals_total")));
             card("phase wall", fmt_us(get("wall_us_total") as u64));
             card("omission attempts / s", {
@@ -500,8 +499,8 @@ pub fn render_html(inputs: &ReportInputs) -> String {
             );
         };
         chart(
-            "gate evals / s",
-            &series(&["derived", "gate_evals_per_sec"]),
+            "gate evals",
+            &series(&["derived", "gate_evals_total"]),
             &|v| fmt_count(v),
         );
         chart(
@@ -633,7 +632,7 @@ mod tests {
               "histograms": {"podem/backtracks": {"count": 10, "sum": 50, "mean": 5.0,
                              "p50": 4.0, "p99": 9.5, "buckets": {"4": 10}}},
               "derived": {"gate_evals_total": 500000, "wall_us_total": 3000,
-                          "gate_evals_per_sec": 166666666.7, "partition_imbalance": 1.0,
+                          "partition_imbalance": 1.0,
                           "omission_attempts_total": 120, "omission_wall_us": 900,
                           "omission_attempts_per_sec": 133333.3,
                           "peak_rss_bytes": 1048576}
@@ -658,11 +657,11 @@ mod tests {
         .unwrap()
     }
 
-    fn history_record(fp: &str, rate: f64, rss: f64) -> Value {
+    fn history_record(fp: &str, gate_evals: f64, rss: f64) -> Value {
         parse(&format!(
             r#"{{"schema":1,"unix_time_s":1,"git_sha":"abc","command":"tables --quick",
                 "config_fingerprint":"{fp}","wall_us":1000,"peak_rss_bytes":{rss},
-                "derived":{{"gate_evals_per_sec":{rate},"omission_attempts_per_sec":10.0}}}}"#
+                "derived":{{"gate_evals_total":{gate_evals},"omission_attempts_per_sec":10.0}}}}"#
         ))
         .unwrap()
     }

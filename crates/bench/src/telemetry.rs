@@ -26,8 +26,8 @@ use atspeed_sim::stats::SimReport;
 use atspeed_trace::history::RunRecord;
 use atspeed_trace::Level;
 
-/// Telemetry-related command-line options shared by `tables`, `calibrate`,
-/// `stress`, and `verifier`.
+/// Telemetry-related command-line options shared by `tables`, `stress`,
+/// `verifier` and `serve`.
 #[derive(Debug, Default)]
 pub struct TelemetryArgs {
     /// Chrome-trace output path (`--trace`). `None` leaves tracing off.
@@ -178,111 +178,124 @@ impl TelemetryArgs {
     }
 }
 
-/// The headline figures benchmark CI compares across runs — the `derived`
-/// object of `--metrics-json` and the `derived` field of every history
-/// record, computed once from the same sources.
+/// The headline figures of a run — the `derived` object of
+/// `--metrics-json` and the `derived` field of every history record,
+/// computed once from the same sources.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedMetrics {
     /// Gate evaluations summed over phases.
     pub gate_evals_total: u64,
     /// Phase wall time summed over phases, µs.
     pub wall_us_total: u64,
-    /// `gate_evals_total` per second of summed phase wall time.
-    pub gate_evals_per_sec: f64,
     /// Whole-run partition imbalance (see
     /// [`atspeed_sim::stats::PhaseStats::partition_imbalance`]).
     pub partition_imbalance: f64,
-    /// Phase-2 vector-omission attempts (zero when Phase 2 never ran).
-    pub omission_attempts_total: u64,
-    /// Wall time the omission engine charged itself, µs.
-    pub omission_wall_us: u64,
-    /// Omission attempts per second of omission wall time.
-    pub omission_attempts_per_sec: f64,
+    /// Phase-2 vector omission; `None` for a served job (see
+    /// [`DerivedMetrics::for_job`]).
+    pub omission: Option<OmissionFigures>,
     /// Peak resident set in bytes (0 where unmeasurable).
     pub peak_rss_bytes: u64,
 }
 
+/// Phase-2 vector-omission figures, read from the process-global metrics
+/// registry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OmissionFigures {
+    /// Omission attempts (zero when Phase 2 never ran).
+    pub attempts_total: u64,
+    /// Wall time the omission engine charged itself, µs.
+    pub wall_us: u64,
+}
+
+impl OmissionFigures {
+    /// Attempts per second of omission wall time (0.0 without wall time).
+    pub fn attempts_per_sec(&self) -> f64 {
+        if self.wall_us > 0 {
+            self.attempts_total as f64 / (self.wall_us as f64 / 1e6)
+        } else {
+            0.0
+        }
+    }
+}
+
 impl DerivedMetrics {
-    /// Computes the figures from a run's report and a registry snapshot.
+    /// The figures of a whole process run: `report`, plus the omission
+    /// counters of `snapshot` (the global registry).
     pub fn compute(
         report: &SimReport,
         snapshot: &atspeed_trace::MetricsSnapshot,
     ) -> DerivedMetrics {
+        let job = DerivedMetrics::for_job(report);
+        DerivedMetrics {
+            omission: Some(OmissionFigures {
+                attempts_total: snapshot.counter("omission/attempts").unwrap_or(0),
+                wall_us: snapshot.counter("omission/wall_us").unwrap_or(0),
+            }),
+            // Falls back to whatever a binary recorded explicitly.
+            peak_rss_bytes: atspeed_trace::rss::peak_rss_bytes()
+                .or_else(|| snapshot.gauge("process/peak_rss_bytes").map(|v| v as u64))
+                .unwrap_or(0),
+            ..job
+        }
+    }
+
+    /// The figures of one served job, from the job's own stats `report`
+    /// only. The omission counters reach only the process-global
+    /// registry, where they sum every job the server has run, so a job's
+    /// figures leave them out.
+    pub fn for_job(report: &SimReport) -> DerivedMetrics {
         let t = report.totals();
-        let om_attempts = snapshot.counter("omission/attempts").unwrap_or(0);
-        let om_wall_us = snapshot.counter("omission/wall_us").unwrap_or(0);
-        let om_rate = if om_wall_us > 0 {
-            om_attempts as f64 / (om_wall_us as f64 / 1e6)
-        } else {
-            0.0
-        };
-        // Peak RSS: measure at export time (the kernel high-water mark
-        // only grows, so this is the whole run's peak), falling back to
-        // whatever a binary recorded explicitly.
-        let peak_rss = atspeed_trace::rss::peak_rss_bytes()
-            .or_else(|| snapshot.gauge("process/peak_rss_bytes").map(|v| v as u64))
-            .unwrap_or(0);
         DerivedMetrics {
             gate_evals_total: t.gate_evals,
             wall_us_total: t.wall.as_micros().min(u128::from(u64::MAX)) as u64,
-            gate_evals_per_sec: if t.wall.as_secs_f64() > 0.0 {
-                t.gate_evals as f64 / t.wall.as_secs_f64()
-            } else {
-                0.0
-            },
             partition_imbalance: t.partition_imbalance(),
-            omission_attempts_total: om_attempts,
-            omission_wall_us: om_wall_us,
-            omission_attempts_per_sec: om_rate,
-            peak_rss_bytes: peak_rss,
+            omission: None,
+            // Measured at export time: the kernel high-water mark only
+            // grows, so this is the process's peak so far.
+            peak_rss_bytes: atspeed_trace::rss::peak_rss_bytes().unwrap_or(0),
         }
     }
 
     /// `(name, value)` pairs in schema order, for the history record.
     pub fn pairs(&self) -> Vec<(String, f64)> {
-        vec![
+        let mut pairs = vec![
             ("gate_evals_total".into(), self.gate_evals_total as f64),
             ("wall_us_total".into(), self.wall_us_total as f64),
-            ("gate_evals_per_sec".into(), self.gate_evals_per_sec),
             ("partition_imbalance".into(), self.partition_imbalance),
-            (
-                "omission_attempts_total".into(),
-                self.omission_attempts_total as f64,
-            ),
-            ("omission_wall_us".into(), self.omission_wall_us as f64),
-            (
-                "omission_attempts_per_sec".into(),
-                self.omission_attempts_per_sec,
-            ),
-            ("peak_rss_bytes".into(), self.peak_rss_bytes as f64),
-        ]
+        ];
+        if let Some(om) = self.omission {
+            pairs.push(("omission_attempts_total".into(), om.attempts_total as f64));
+            pairs.push(("omission_wall_us".into(), om.wall_us as f64));
+            pairs.push(("omission_attempts_per_sec".into(), om.attempts_per_sec()));
+        }
+        pairs.push(("peak_rss_bytes".into(), self.peak_rss_bytes as f64));
+        pairs
     }
 
-    /// The body of the `derived` JSON object (no `"derived":` wrapper),
-    /// field names and formatting identical to what the metrics-baseline
-    /// gate has always parsed.
+    /// The body of the `derived` JSON object (no `"derived":` wrapper).
     pub fn to_json_body(&self) -> String {
+        let omission = self.omission.map_or(String::new(), |om| {
+            format!(
+                "\"omission_attempts_total\":{},\"omission_wall_us\":{},\
+                 \"omission_attempts_per_sec\":{:.1},",
+                om.attempts_total,
+                om.wall_us,
+                om.attempts_per_sec(),
+            )
+        });
         format!(
             "\"gate_evals_total\":{},\"wall_us_total\":{},\
-             \"gate_evals_per_sec\":{:.1},\"partition_imbalance\":{:.3},\
-             \"omission_attempts_total\":{},\
-             \"omission_wall_us\":{},\
-             \"omission_attempts_per_sec\":{:.1},\
-             \"peak_rss_bytes\":{}",
+             \"partition_imbalance\":{:.3},{omission}\"peak_rss_bytes\":{}",
             self.gate_evals_total,
             self.wall_us_total,
-            self.gate_evals_per_sec,
             self.partition_imbalance,
-            self.omission_attempts_total,
-            self.omission_wall_us,
-            self.omission_attempts_per_sec,
             self.peak_rss_bytes,
         )
     }
 }
 
 /// The global metrics registry as JSON, extended with a `derived` object
-/// holding the headline figures benchmark CI compares across runs.
+/// holding the run's headline figures.
 pub fn metrics_json_with_derived(report: &SimReport) -> String {
     let snapshot = atspeed_trace::metrics::global().snapshot();
     let base = snapshot.to_json();
@@ -355,7 +368,7 @@ mod tests {
         let json = metrics_json_with_derived(&report);
         assert!(json.contains("\"derived\""));
         assert!(json.contains("\"gate_evals_total\":1000"));
-        assert!(json.contains("\"gate_evals_per_sec\":100000.0"));
+        assert!(json.contains("\"wall_us_total\":10000"));
         assert!(json.contains("\"omission_attempts_per_sec\""));
         assert!(json.contains("\"peak_rss_bytes\""));
         // Balanced braces — cheap structural sanity check.
@@ -388,7 +401,7 @@ mod tests {
                 .map(|(_, v)| *v)
         };
         assert_eq!(get("gate_evals_total"), Some(500.0));
-        assert_eq!(get("gate_evals_per_sec"), Some(100_000.0));
+        assert_eq!(get("wall_us_total"), Some(5000.0));
         assert!(get("peak_rss_bytes").is_some());
         atspeed_trace::json::parse(&record.to_json_line()).expect("record parses");
     }

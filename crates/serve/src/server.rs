@@ -443,7 +443,7 @@ fn write_job_telemetry(
     tracer: &Tracer,
 ) {
     if let Some(path) = &shared.cfg.history {
-        let derived = DerivedMetrics::compute(report, &atspeed_trace::metrics::global().snapshot());
+        let derived = DerivedMetrics::for_job(report);
         let mut record = RunRecord::for_current_process(None);
         record.command = format!("serve job {} seed={}", request.name, request.config.seed);
         record.config_fingerprint = config_fingerprint(

@@ -316,6 +316,66 @@ fn per_job_history_records_are_appended() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A served job's history record holds the job's own figures: the
+/// gate-words its pipeline evaluated, and no omission figures. Omission
+/// counts reach only the process-global registry, where they add up every
+/// job the server has run, so a second job's record would carry the first
+/// job's attempts too.
+#[test]
+fn served_history_records_hold_only_the_jobs_own_figures() {
+    use atspeed_trace::json::Value;
+
+    let dir = std::env::temp_dir().join(format!("atspeed-serve-own-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let history = dir.join("jobs.jsonl");
+    let server = Server::start(ServeConfig {
+        history: Some(history.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let bench = s27_bench();
+    let configs = [
+        quick_config(),
+        PipelineConfig {
+            seed: 12,
+            ..quick_config()
+        },
+    ];
+    let mut client = Client::connect(server.addr()).unwrap();
+    for cfg in &configs {
+        client.submit("s27", &bench, cfg).unwrap();
+    }
+    client.shutdown().unwrap();
+    server.wait();
+
+    let text = std::fs::read_to_string(&history).unwrap();
+    let records: Vec<Value> = text
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(|l| atspeed_trace::json::parse(l).expect("history line parses"))
+        .collect();
+    assert_eq!(records.len(), configs.len());
+    let nl = bench_fmt::s27();
+    for (record, cfg) in records.iter().zip(&configs) {
+        let derived = record.get("derived").and_then(Value::as_obj).unwrap();
+        assert!(
+            derived
+                .iter()
+                .all(|(name, _)| !name.starts_with("omission_")),
+            "{derived:?}"
+        );
+        let scope = atspeed_sim::stats::scoped();
+        atspeed_core::Pipeline::from_config(&nl, cfg).run().unwrap();
+        let own = scope.report().totals().gate_evals as f64;
+        let recorded = record
+            .get("derived")
+            .and_then(|d| d.get("gate_evals_total"))
+            .and_then(Value::as_f64);
+        assert_eq!(recorded, Some(own));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A submission without a `threads` key runs at the server's `job_sim`; a
 /// submission's own `threads` wins. The thread count a job ran at shows in
 /// its history record's fingerprint.

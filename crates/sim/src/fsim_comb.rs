@@ -51,6 +51,7 @@ pub struct CombFaultSim<'a> {
     buckets: Vec<Vec<GateId>>,
     in_queue: Vec<bool>,
     processed: Vec<GateId>,
+    counted: bool,
 }
 
 impl<'a> CombFaultSim<'a> {
@@ -67,6 +68,23 @@ impl<'a> CombFaultSim<'a> {
             buckets: vec![Vec::new(); cc.max_level() as usize + 2],
             in_queue: vec![false; cc.num_gates()],
             processed: Vec::new(),
+            counted: true,
+        }
+    }
+
+    /// A simulator whose calls add no fault-simulation invocation:
+    /// [`ParallelFsim`](crate::parallel::ParallelFsim) counts each of its
+    /// own calls once and runs its partitions on these.
+    pub(crate) fn uncounted(nl: &'a Netlist) -> Self {
+        CombFaultSim {
+            counted: false,
+            ..CombFaultSim::new(nl)
+        }
+    }
+
+    fn count_invocation(&self) {
+        if self.counted {
+            crate::stats::add_invocation();
         }
     }
 
@@ -93,7 +111,7 @@ impl<'a> CombFaultSim<'a> {
             !tests.is_empty() && tests.len() <= 64,
             "1..=64 tests per block"
         );
-        crate::stats::add_invocation();
+        self.count_invocation();
         self.seed_and_eval_good(tests);
         faults
             .iter()
@@ -109,7 +127,7 @@ impl<'a> CombFaultSim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<bool> {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let mut detected = vec![false; faults.len()];
         let mut alive: Vec<usize> = (0..faults.len()).collect();
         for block in tests.chunks(64) {
@@ -141,7 +159,7 @@ impl<'a> CombFaultSim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<Vec<u64>> {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let words = tests.len().div_ceil(64);
         let mut matrix = vec![vec![0u64; words]; faults.len()];
         for (b, block) in tests.chunks(64).enumerate() {

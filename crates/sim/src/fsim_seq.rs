@@ -201,6 +201,7 @@ pub struct SeqFaultSim<'a> {
     cc: &'a CompiledCircuit,
     vals: Vec<W3>,
     ov: Overrides<'a>,
+    counted: bool,
 }
 
 /// How many faulty machines ride along with the good machine per pass.
@@ -215,6 +216,23 @@ impl<'a> SeqFaultSim<'a> {
             cc,
             vals: vec![W3::ALL_X; cc.num_nets()],
             ov: Overrides::new(cc),
+            counted: true,
+        }
+    }
+
+    /// A simulator whose calls add no fault-simulation invocation:
+    /// [`ParallelFsim`](crate::parallel::ParallelFsim) counts each of its
+    /// own calls once and runs its partitions on these.
+    pub(crate) fn uncounted(nl: &'a Netlist) -> Self {
+        SeqFaultSim {
+            counted: false,
+            ..SeqFaultSim::new(nl)
+        }
+    }
+
+    fn count_invocation(&self) {
+        if self.counted {
+            crate::stats::add_invocation();
         }
     }
 
@@ -257,7 +275,7 @@ impl<'a> SeqFaultSim<'a> {
         universe: &FaultUniverse,
         observe: FinalObserve<'_>,
     ) -> Vec<bool> {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let mut detected = vec![false; faults.len()];
         let mut state = Vec::with_capacity(init.len());
         for (chunk_idx, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {
@@ -286,7 +304,7 @@ impl<'a> SeqFaultSim<'a> {
         universe: &FaultUniverse,
         observe_final_state: bool,
     ) -> bool {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let observe = if observe_final_state {
             FinalObserve::FullState
         } else {
@@ -315,7 +333,7 @@ impl<'a> SeqFaultSim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> EndStates {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let mut rec = EndStates::new(init.len());
         let mut state = Vec::with_capacity(init.len());
         for chunk in faults.chunks(FAULTS_PER_PASS) {
@@ -367,7 +385,7 @@ impl<'a> SeqFaultSim<'a> {
         which: &[usize],
         universe: &FaultUniverse,
     ) -> bool {
-        crate::stats::add_invocation();
+        self.count_invocation();
         assert_eq!(rec.num_ffs, self.nl.num_ffs(), "record width mismatch");
         let open: Vec<usize> = which
             .iter()
@@ -476,7 +494,7 @@ impl<'a> SeqFaultSim<'a> {
         universe: &FaultUniverse,
         max_state_words: usize,
     ) -> (Vec<DetectionProfile>, u64) {
-        crate::stats::add_invocation();
+        self.count_invocation();
         let mut truncated = 0u64;
         let mut profiles = vec![DetectionProfile::default(); faults.len()];
         for (chunk_idx, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {

@@ -29,6 +29,8 @@
 //!
 //! `threads = 1` (the [`SimConfig`] default) dispatches straight to the
 //! single-threaded engines, reproducing their behavior bit-for-bit.
+//! Every [`ParallelFsim`] call counts one fault-simulation invocation
+//! ([`stats`]) at any thread count.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -403,10 +405,11 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<u64> {
+        stats::add_invocation();
         self.fault_sharded(
             faults,
             || self.comb_partitions(faults, universe),
-            || CombFaultSim::new(self.nl),
+            || CombFaultSim::uncounted(self.nl),
             |sim, ids| sim.detect_block(tests, ids, universe),
         )
     }
@@ -420,15 +423,16 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<bool> {
+        stats::add_invocation();
         let blocks: Vec<&[CombTest]> = tests.chunks(64).collect();
         if self.cfg.effective_threads(blocks.len()) <= 1 {
-            return CombFaultSim::new(self.nl).detect_all(tests, faults, universe);
+            return CombFaultSim::uncounted(self.nl).detect_all(tests, faults, universe);
         }
         self.test_sharded(
             blocks.len(),
             faults,
             "fsim.detect_all.claim",
-            || CombFaultSim::new(self.nl),
+            || CombFaultSim::uncounted(self.nl),
             |sim, b, ids| {
                 sim.detect_block(blocks[b], ids, universe)
                     .into_iter()
@@ -446,10 +450,11 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> Vec<Vec<u64>> {
+        stats::add_invocation();
         self.fault_sharded(
             faults,
             || self.comb_partitions(faults, universe),
-            || CombFaultSim::new(self.nl),
+            || CombFaultSim::uncounted(self.nl),
             |sim, ids| sim.detect_matrix(tests, ids, universe),
         )
     }
@@ -526,10 +531,11 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         observe: FinalObserve<'_>,
     ) -> Vec<bool> {
+        stats::add_invocation();
         self.fault_sharded(
             faults,
             || Self::seq_partitions(faults),
-            || SeqFaultSim::new(self.nl),
+            || SeqFaultSim::uncounted(self.nl),
             |sim, ids| sim.detect_observed(init, seq, ids, universe, observe),
         )
     }
@@ -560,11 +566,12 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         max_state_words: usize,
     ) -> (Vec<DetectionProfile>, u64) {
+        stats::add_invocation();
         let truncated = AtomicU64::new(0);
         let profiles = self.fault_sharded(
             faults,
             || Self::seq_partitions(faults),
-            || SeqFaultSim::new(self.nl),
+            || SeqFaultSim::uncounted(self.nl),
             |sim, ids| {
                 let (ps, t) = sim.profiles_bounded(init, seq, ids, universe, max_state_words);
                 truncated.fetch_add(t, Ordering::Relaxed);
@@ -584,15 +591,16 @@ impl<'a> ParallelFsim<'a> {
         faults: &[FaultId],
         universe: &FaultUniverse,
     ) -> EndStates {
+        stats::add_invocation();
         let words: Vec<&[FaultId]> = faults.chunks(FAULTS_PER_PASS).collect();
         if self.cfg.effective_threads(words.len()) <= 1 {
-            return SeqFaultSim::new(self.nl).end_states(init, seq, faults, universe);
+            return SeqFaultSim::uncounted(self.nl).end_states(init, seq, faults, universe);
         }
         let mut parts = claim_map(
             self.cfg,
             words.len(),
             "fsim.partition",
-            || SeqFaultSim::new(self.nl),
+            || SeqFaultSim::uncounted(self.nl),
             |sim, w| sim.end_states(init, seq, words[w], universe),
         )
         .into_iter();
@@ -616,6 +624,7 @@ impl<'a> ParallelFsim<'a> {
         which: &[usize],
         universe: &FaultUniverse,
     ) -> bool {
+        stats::add_invocation();
         let open: Vec<usize> = which
             .iter()
             .copied()
@@ -624,14 +633,14 @@ impl<'a> ParallelFsim<'a> {
         let words: Vec<&[usize]> = open.chunks(FAULTS_PER_PASS).collect();
         let wave = self.cfg.effective_threads(words.len());
         if wave <= 1 {
-            return SeqFaultSim::new(self.nl).detects_all_from(rec, suffix, &open, universe);
+            return SeqFaultSim::uncounted(self.nl).detects_all_from(rec, suffix, &open, universe);
         }
         words.chunks(wave).all(|wave| {
             claim_map(
                 self.cfg,
                 wave.len(),
                 "fsim.partition",
-                || SeqFaultSim::new(self.nl),
+                || SeqFaultSim::uncounted(self.nl),
                 |sim, w| sim.detects_all_from(rec, suffix, wave[w], universe),
             )
             .into_iter()
@@ -655,11 +664,12 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         observe_final_state: bool,
     ) -> Vec<bool> {
+        stats::add_invocation();
         self.test_sharded(
             runs.len(),
             faults,
             "fsim.detect_union.claim",
-            || SeqFaultSim::new(self.nl),
+            || SeqFaultSim::uncounted(self.nl),
             |sim, i, ids| {
                 let (init, seq) = runs[i];
                 sim.detect(init, seq, ids, universe, observe_final_state)
@@ -818,6 +828,63 @@ mod tests {
             let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
             assert_eq!(det, par.detect(&init, &seq, &faults, &u, true));
             assert_eq!(profiles, par.profiles(&init, &seq, &faults, &u));
+        }
+    }
+
+    #[test]
+    fn each_call_counts_one_invocation_at_any_thread_count() {
+        // More than two 63-fault words and 64-test blocks, so every call
+        // fans out to several partitions once it has more than one thread.
+        let nl = synth_circuit();
+        let u = FaultUniverse::full(&nl);
+        let faults: Vec<FaultId> = u.representatives().to_vec();
+        assert!(faults.len() > 2 * FAULTS_PER_PASS, "needs three words");
+        let tests = comb_tests(&nl, 3 * 64 - 5, 11);
+        let seq = pattern_sequence(&nl, 24, 7, 3, 5);
+        let init = vec![V3::Zero; nl.num_ffs()];
+        let runs: Vec<(&State, &Sequence)> = (0..3).map(|_| (&init, &seq)).collect();
+        let which: Vec<usize> = (0..faults.len()).collect();
+        for threads in [1, 2, 4] {
+            let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
+            let rec = par.end_states(&init, &seq, &faults, &u);
+            let calls: [(&str, &dyn Fn()); 10] = [
+                ("detect_block", &|| {
+                    par.detect_block(&tests[..64], &faults, &u);
+                }),
+                ("detect_all", &|| {
+                    par.detect_all(&tests, &faults, &u);
+                }),
+                ("detect_matrix", &|| {
+                    par.detect_matrix(&tests, &faults, &u);
+                }),
+                ("detect", &|| {
+                    par.detect(&init, &seq, &faults, &u, true);
+                }),
+                ("detect_observed", &|| {
+                    par.detect_observed(&init, &seq, &faults, &u, FinalObserve::None);
+                }),
+                ("profiles", &|| {
+                    par.profiles(&init, &seq, &faults, &u);
+                }),
+                ("profiles_bounded", &|| {
+                    par.profiles_bounded(&init, &seq, &faults, &u, 1);
+                }),
+                ("end_states", &|| {
+                    par.end_states(&init, &seq, &faults, &u);
+                }),
+                ("detects_all_from", &|| {
+                    par.detects_all_from(&rec, &seq, &which, &u);
+                }),
+                ("detect_union", &|| {
+                    par.detect_union(&runs, &faults, &u, true);
+                }),
+            ];
+            for (name, call) in calls {
+                let scope = stats::scoped();
+                call();
+                let n = scope.report().totals().fsim_invocations;
+                assert_eq!(n, 1, "{name} at {threads} threads");
+            }
         }
     }
 

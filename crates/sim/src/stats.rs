@@ -31,9 +31,11 @@
 //!   touched. The gates that propagation skipped are reported in the same
 //!   unit (`events_skipped`), so for every propagated fault
 //!   `evals + skipped == num_gates`;
-//! - **invocations** — engine-level fault-simulation entry points
-//!   (`detect*`, `profiles`). A parallel call that fans out to `P`
-//!   partitions counts once per partition;
+//! - **invocations** — calls of a fault-simulation entry point (`detect*`,
+//!   `profiles*`, `end_states`). A [`ParallelFsim`](crate::ParallelFsim)
+//!   call counts once at any thread count; the engine calls it makes on
+//!   its partitions count none, so the total does not depend on the
+//!   thread count;
 //! - **faults dropped** — faults removed from further simulation by
 //!   detection, including cross-partition drops through the shared bitmap.
 
@@ -585,44 +587,6 @@ impl SimReport {
         }
         t
     }
-
-    /// Renders the report as a JSON object (phase label → counters).
-    ///
-    /// Hand-rolled because the workspace carries no serialization
-    /// dependency; labels are restricted to identifier-like strings by the
-    /// callers, but quotes and backslashes are escaped anyway.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\n");
-        for (i, (name, s)) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "  \"{}\": {{\"gate_evals\": {}, \"fsim_invocations\": {}, \
-                 \"faults_dropped\": {}, \"events_skipped\": {}, \
-                 \"gate_evals_per_sec\": {:.1}, \"wall_us\": {}, \"partitions\": {}, \
-                 \"partition_wall_total_us\": {}, \"partition_wall_max_us\": {}, \
-                 \"partition_wall_p50_us\": {}, \"partition_wall_p99_us\": {}, \
-                 \"partition_imbalance\": {:.3}}}{}\n",
-                esc(name),
-                s.gate_evals,
-                s.fsim_invocations,
-                s.faults_dropped,
-                s.events_skipped,
-                s.gate_evals_per_sec(),
-                s.wall.as_micros(),
-                s.partitions,
-                s.partition_wall_total.as_micros(),
-                s.partition_wall_max.as_micros(),
-                s.partition_wall_p50.as_micros(),
-                s.partition_wall_p99.as_micros(),
-                s.partition_imbalance(),
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for SimReport {
@@ -740,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_ratio_reported_in_json_and_display() {
+    fn imbalance_ratio_reported_in_display() {
         let mut s = PhaseStats {
             partitions: 4,
             partition_wall_total: Duration::from_millis(40),
@@ -755,13 +719,13 @@ mod tests {
         record_partition(Duration::from_millis(1));
         record_partition(Duration::from_millis(3));
         let r = scope.report();
-        let json = r.to_json();
-        assert!(json.contains("\"partition_imbalance\": 1.5"), "{json}");
-        assert!(format!("{r}").contains("imbal"));
+        let table = format!("{r}");
+        assert!(table.contains("imbal"), "{table}");
+        assert!(table.contains("  1.50\n"), "{table}");
     }
 
     #[test]
-    fn partition_quantiles_surface_in_report_json_and_display() {
+    fn partition_quantiles_surface_in_report_display() {
         let scope = scoped();
         set_phase("q");
         for _ in 0..20 {
@@ -783,33 +747,9 @@ mod tests {
             q.partition_wall_p99,
             q.partition_wall_p50
         );
-        let json = r.to_json();
-        assert!(json.contains("\"partition_wall_p50_us\""), "{json}");
-        assert!(json.contains("\"partition_wall_p99_us\""), "{json}");
         let table = format!("{r}");
         assert!(table.contains("part p50"), "{table}");
         assert!(table.contains("part p99"), "{table}");
-    }
-
-    #[test]
-    fn json_keeps_existing_schema_fields() {
-        let scope = scoped();
-        set_phase("alpha");
-        add_gate_evals(10);
-        let json = scope.report().to_json();
-        for key in [
-            "\"gate_evals\": 10",
-            "\"fsim_invocations\": 0",
-            "\"faults_dropped\": 0",
-            "\"events_skipped\": 0",
-            "\"gate_evals_per_sec\"",
-            "\"wall_us\"",
-            "\"partitions\": 0",
-            "\"partition_wall_total_us\": 0",
-            "\"partition_wall_max_us\": 0",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

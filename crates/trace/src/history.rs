@@ -202,7 +202,7 @@ mod tests {
             wall_us: 1234,
             peak_rss_bytes: 5 << 20,
             derived: vec![
-                ("gate_evals_per_sec".into(), 2.5e7),
+                ("gate_evals_total".into(), 2.5e7),
                 ("peak_rss_bytes".into(), (5 << 20) as f64),
             ],
         }
@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(v.get("wall_us").and_then(Value::as_u64), Some(1234));
         let derived = v.get("derived").expect("derived object");
         assert_eq!(
-            derived.get("gate_evals_per_sec").and_then(Value::as_f64),
+            derived.get("gate_evals_total").and_then(Value::as_f64),
             Some(2.5e7)
         );
         assert!(!line.contains('\n'), "one record, one line");
