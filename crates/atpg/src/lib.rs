@@ -23,7 +23,6 @@ pub mod comb_tset;
 pub mod compact;
 mod error;
 pub mod podem;
-pub mod restore;
 pub mod sat;
 pub mod sat_atpg;
 pub mod scoap;
@@ -32,7 +31,6 @@ pub mod seq_tgen;
 pub use comb_tset::{CombTestSet, CombTsetConfig};
 pub use error::AtpgError;
 pub use podem::{Podem, PodemConfig, PodemOutcome};
-pub use restore::{restore_vectors, RestorationConfig, RestorationStats};
 pub use sat::{SatResult, Solver};
 pub use sat_atpg::{SatAtpg, SatAtpgConfig, SatAtpgOutcome};
 pub use scoap::Scoap;

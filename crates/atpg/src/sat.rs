@@ -100,11 +100,6 @@ impl Solver {
         v
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.assign.len()
-    }
-
     /// Adds a clause (a disjunction of literals). An empty clause makes the
     /// formula trivially unsatisfiable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {

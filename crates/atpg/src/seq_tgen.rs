@@ -107,25 +107,11 @@ pub struct IncrementalSim<'a> {
 struct Group<'a> {
     ov: Overrides<'a>,
     state: Vec<W3>,
-    faults: Vec<FaultId>,
     active: u64,
     detected: u64,
 }
 
 impl<'a> IncrementalSim<'a> {
-    /// Builds groups of up to 63 faulty machines over `targets`, starting
-    /// from `init` (use all-X when no scan-in precedes the sequence).
-    pub fn new_with_state(
-        nl: &'a Netlist,
-        universe: &FaultUniverse,
-        targets: &[FaultId],
-        init: &[V3],
-    ) -> Self {
-        let mut sim = Self::new(nl, universe, targets);
-        sim.load_state(init);
-        sim
-    }
-
     /// Overwrites every machine's flip-flop state with `state`, modeling a
     /// scan-in (all machines receive the same scanned value; stuck-at
     /// effects re-apply at the next evaluation).
@@ -163,19 +149,6 @@ impl<'a> IncrementalSim<'a> {
         newly
     }
 
-    /// The fault-free (good machine) flip-flop state.
-    pub fn good_state(&self) -> Vec<V3> {
-        match self.groups.first() {
-            Some(g) => g.state.iter().map(|w| w.get(0)).collect(),
-            None => vec![V3::X; self.nl.num_ffs()],
-        }
-    }
-
-    /// Number of tracked faults.
-    pub fn num_targets(&self) -> usize {
-        self.groups.iter().map(|g| g.faults.len()).sum()
-    }
-
     /// Builds groups of up to 63 faulty machines over `targets`, all in the
     /// unknown initial state.
     pub fn new(nl: &'a Netlist, universe: &FaultUniverse, targets: &[FaultId]) -> Self {
@@ -194,7 +167,6 @@ impl<'a> IncrementalSim<'a> {
                 Group {
                     ov,
                     state: vec![W3::ALL_X; nl.num_ffs()],
-                    faults: chunk.to_vec(),
                     active,
                     detected: 0,
                 }
@@ -216,19 +188,6 @@ impl<'a> IncrementalSim<'a> {
     /// Whether every tracked fault has been detected.
     pub fn all_detected(&self) -> bool {
         self.groups.iter().all(|g| g.detected == g.active)
-    }
-
-    /// The detected faults, in group order.
-    pub fn detected_faults(&self) -> Vec<FaultId> {
-        let mut out = Vec::new();
-        for g in &self.groups {
-            for (k, &fid) in g.faults.iter().enumerate() {
-                if g.detected & (1u64 << (k + 1)) != 0 {
-                    out.push(fid);
-                }
-            }
-        }
-        out
     }
 
     /// Applies `vector` to every machine, committing states; returns the

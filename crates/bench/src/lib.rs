@@ -9,8 +9,9 @@
 //! cargo run -p atspeed-bench --release --bin tables -- --circuits s298,b06 --quick
 //! ```
 //!
-//! The Criterion benches under `benches/` time the workload behind each
-//! table on small circuits.
+//! The Criterion bench `benches/kernels.rs` compares the simulation
+//! kernels and times vector omission for local use; the benchmark in
+//! `perfbench/` times the work behind the tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

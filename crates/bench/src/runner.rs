@@ -12,7 +12,7 @@ use atspeed_circuit::catalog::{BenchmarkInfo, Suite};
 use atspeed_circuit::Netlist;
 use atspeed_core::dynamic::{dynamic_schedule, DynamicConfig, DynamicResult};
 use atspeed_core::phase4::baseline4;
-use atspeed_core::{CoreError, Pipeline, PipelineResult, T0Source, TestSet};
+use atspeed_core::{CoreError, Pipeline, PipelineResult, T0Source};
 use atspeed_sim::fault::FaultUniverse;
 use atspeed_sim::SimConfig;
 
@@ -256,12 +256,6 @@ pub fn shape_holds(e: &CircuitExperiment) -> bool {
             (Some(prop), Some(b4)) => prop.max >= b4.max,
             _ => true,
         }
-}
-
-/// Helper for benches: total clock cycles of a test set under this
-/// circuit's cost model.
-pub fn cycles_of(nl: &Netlist, set: &TestSet) -> usize {
-    set.clock_cycles(nl.num_ffs())
 }
 
 #[cfg(test)]

@@ -246,11 +246,6 @@ impl Netlist {
         (0..self.num_gates()).map(GateId::from_index)
     }
 
-    /// Iterates over all flip-flop ids.
-    pub fn ff_ids(&self) -> impl Iterator<Item = FfId> + '_ {
-        (0..self.num_ffs()).map(FfId::from_index)
-    }
-
     /// The flat CSR view of this netlist, compiled on first use and cached
     /// (clones share the cache). Hot simulation loops should index the
     /// compiled arrays instead of walking [`Netlist::gate`] pointers.

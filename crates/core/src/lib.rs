@@ -31,10 +31,8 @@
 #![warn(missing_docs)]
 
 pub mod delay;
-pub mod diagnose;
 pub mod dynamic;
 mod error;
-pub mod export;
 pub mod iterate;
 pub mod oracle;
 pub mod partial;
@@ -46,9 +44,7 @@ pub mod pipeline;
 pub mod test;
 
 pub use delay::{transition_coverage, DelayCoverage};
-pub use diagnose::{diagnose, Candidate};
 pub use error::CoreError;
-pub use export::write_test_program;
 pub use iterate::{build_tau_seq, IterateConfig, TauSeqResult};
 pub use oracle::{verify_test_set, ClaimedCoverage, OracleReport};
 pub use partial::PartialScan;

@@ -11,7 +11,7 @@ use atspeed_atpg::comb_tset::{self, CombTsetConfig};
 use atspeed_atpg::{directed_t0, property_t0, random_t0, DirectedConfig, PropertyConfig};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{stats, CombTest, Sequence, SimConfig};
+use atspeed_sim::{stats, CombTest, SimConfig};
 
 use crate::error::CoreError;
 use crate::iterate::{build_tau_seq, IterateConfig};
@@ -141,39 +141,23 @@ impl PipelineConfig {
 #[derive(Debug, Clone)]
 pub struct Pipeline<'a> {
     nl: &'a Netlist,
-    t0_source: T0Source,
-    seed: u64,
-    comb_cfg: CombTsetConfig,
-    iterate_cfg: IterateConfig,
-    run_phase4: bool,
-    provided_t0: Option<Sequence>,
+    cfg: PipelineConfig,
     provided_c: Option<Vec<CombTest>>,
-    sim: SimConfig,
-    verify: bool,
-    memory: MemoryBudget,
 }
 
 impl<'a> Pipeline<'a> {
-    /// Creates a pipeline for `nl` with default settings (directed `T_0`
-    /// capped at 1024 vectors, Phase 4 enabled).
+    /// Creates a pipeline for `nl` with the [`PipelineConfig`] defaults
+    /// (directed `T_0` capped at 1024 vectors, Phase 4 enabled).
     ///
     /// Threading defaults to [`SimConfig::from_env`] (`SIM_THREADS`, serial
     /// when unset); every stage produces identical results at any thread
     /// count, so the environment only changes wall time.
     pub fn new(nl: &'a Netlist) -> Self {
-        Pipeline {
-            nl,
-            t0_source: T0Source::Directed { max_len: 1024 },
-            seed: 1,
-            comb_cfg: CombTsetConfig::default(),
-            iterate_cfg: IterateConfig::default(),
-            run_phase4: true,
-            provided_t0: None,
-            provided_c: None,
+        let cfg = PipelineConfig {
             sim: SimConfig::from_env(),
-            verify: false,
-            memory: MemoryBudget::default(),
-        }
+            ..PipelineConfig::default()
+        };
+        Self::from_config(nl, &cfg)
     }
 
     /// Creates a pipeline for `nl` from a plain-data [`PipelineConfig`].
@@ -184,16 +168,8 @@ impl<'a> Pipeline<'a> {
     pub fn from_config(nl: &'a Netlist, cfg: &PipelineConfig) -> Self {
         Pipeline {
             nl,
-            t0_source: cfg.t0_source,
-            seed: cfg.seed,
-            comb_cfg: CombTsetConfig::default(),
-            iterate_cfg: IterateConfig::default(),
-            run_phase4: cfg.phase4,
-            provided_t0: None,
+            cfg: *cfg,
             provided_c: None,
-            sim: cfg.sim,
-            verify: cfg.verify,
-            memory: cfg.memory,
         }
     }
 
@@ -201,45 +177,33 @@ impl<'a> Pipeline<'a> {
     /// [`MemoryBudget`]. Any budget yields a sound (possibly less
     /// compacted) test set.
     pub fn memory_budget(mut self, memory: MemoryBudget) -> Self {
-        self.memory = memory;
+        self.cfg.memory = memory;
         self
     }
 
     /// Overrides the threading configuration for every stage (combinational
     /// set generation, `T_0` generation, Phases 1–4).
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
+        self.cfg.sim = sim;
         self
     }
 
     /// Sets the `T_0` source.
     pub fn t0_source(mut self, source: T0Source) -> Self {
-        self.t0_source = source;
+        self.cfg.t0_source = source;
         self
     }
 
     /// Sets the master seed (combinational set and `T_0` generation derive
     /// from it).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the combinational-test-set configuration.
-    pub fn comb_config(mut self, cfg: CombTsetConfig) -> Self {
-        self.comb_cfg = cfg;
-        self
-    }
-
-    /// Overrides the Phases 1–2 iteration configuration.
-    pub fn iterate_config(mut self, cfg: IterateConfig) -> Self {
-        self.iterate_cfg = cfg;
+        self.cfg.seed = seed;
         self
     }
 
     /// Enables or disables Phase 4 (static compaction of the result).
     pub fn phase4(mut self, enabled: bool) -> Self {
-        self.run_phase4 = enabled;
+        self.cfg.phase4 = enabled;
         self
     }
 
@@ -249,13 +213,7 @@ impl<'a> Pipeline<'a> {
     /// claimed coverage ([`verify_test_set`]). [`Pipeline::run`] then
     /// returns [`CoreError::VerificationFailed`] on any discrepancy.
     pub fn verify(mut self, enabled: bool) -> Self {
-        self.verify = enabled;
-        self
-    }
-
-    /// Supplies an external `T_0` instead of generating one.
-    pub fn with_t0(mut self, t0: Sequence) -> Self {
-        self.provided_t0 = Some(t0);
+        self.cfg.verify = enabled;
         self
     }
 
@@ -274,6 +232,7 @@ impl<'a> Pipeline<'a> {
     /// fault universe is empty.
     pub fn run(self) -> Result<PipelineResult, CoreError> {
         let nl = self.nl;
+        let cfg = self.cfg;
         let universe = FaultUniverse::full(nl);
         let targets: Vec<FaultId> = universe.representatives().to_vec();
 
@@ -286,10 +245,12 @@ impl<'a> Pipeline<'a> {
         let (comb_tests, untestable) = match self.provided_c {
             Some(c) => (c, Vec::new()),
             None => {
-                let mut cfg = self.comb_cfg.clone();
-                cfg.seed = cfg.seed.wrapping_add(self.seed.wrapping_mul(0x9e37_79b9));
-                cfg.sim = self.sim;
-                let set = comb_tset::generate(nl, &universe, &cfg)?;
+                let mut comb_cfg = CombTsetConfig::default();
+                comb_cfg.seed = comb_cfg
+                    .seed
+                    .wrapping_add(cfg.seed.wrapping_mul(0x9e37_79b9));
+                comb_cfg.sim = cfg.sim;
+                let set = comb_tset::generate(nl, &universe, &comb_cfg)?;
                 (set.tests, set.untestable)
             }
         };
@@ -301,32 +262,29 @@ impl<'a> Pipeline<'a> {
         drop(sp);
         stats::set_phase("t0-gen");
         let sp = atspeed_trace::span("pipeline.t0-gen");
-        let t0 = match self.provided_t0 {
-            Some(t0) => t0,
-            None => match self.t0_source {
-                T0Source::Directed { max_len } => directed_t0(
-                    nl,
-                    &universe,
-                    &targets,
-                    &DirectedConfig {
-                        max_len,
-                        seed: self.seed.wrapping_add(11),
-                        sim: self.sim,
-                        ..DirectedConfig::default()
-                    },
-                ),
-                T0Source::Property { max_len } => property_t0(
-                    nl,
-                    &universe,
-                    &targets,
-                    &PropertyConfig {
-                        max_len,
-                        seed: self.seed.wrapping_add(13),
-                        ..PropertyConfig::default()
-                    },
-                ),
-                T0Source::Random { len } => random_t0(nl, len, self.seed.wrapping_add(17)),
-            },
+        let t0 = match cfg.t0_source {
+            T0Source::Directed { max_len } => directed_t0(
+                nl,
+                &universe,
+                &targets,
+                &DirectedConfig {
+                    max_len,
+                    seed: cfg.seed.wrapping_add(11),
+                    sim: cfg.sim,
+                    ..DirectedConfig::default()
+                },
+            ),
+            T0Source::Property { max_len } => property_t0(
+                nl,
+                &universe,
+                &targets,
+                &PropertyConfig {
+                    max_len,
+                    seed: cfg.seed.wrapping_add(13),
+                    ..PropertyConfig::default()
+                },
+            ),
+            T0Source::Random { len } => random_t0(nl, len, cfg.seed.wrapping_add(17)),
         };
         if t0.is_empty() {
             return Err(CoreError::EmptyT0);
@@ -343,10 +301,10 @@ impl<'a> Pipeline<'a> {
                 ("faults", &targets.len()),
             ],
         );
-        let mut iterate_cfg = self.iterate_cfg;
-        iterate_cfg.phase1.sim = self.sim;
-        iterate_cfg.omission.sim = self.sim;
-        iterate_cfg.omission.profile_state_words = self.memory.profile_state_words;
+        let mut iterate_cfg = IterateConfig::default();
+        iterate_cfg.phase1.sim = cfg.sim;
+        iterate_cfg.omission.sim = cfg.sim;
+        iterate_cfg.omission.profile_state_words = cfg.memory.profile_state_words;
         let tau = build_tau_seq(nl, &universe, &t0, &comb_tests, &targets, iterate_cfg)?;
 
         // Phase 3: top up to complete coverage.
@@ -358,7 +316,7 @@ impl<'a> Pipeline<'a> {
             .copied()
             .collect();
         let sp = atspeed_trace::span_args("pipeline.phase3", &[("undetected", &undetected.len())]);
-        let p3 = top_up_with(nl, &universe, &comb_tests, &undetected, self.sim);
+        let p3 = top_up_with(nl, &universe, &comb_tests, &undetected, cfg.sim);
 
         let mut tests: Vec<ScanTest> = Vec::with_capacity(1 + p3.added.len());
         tests.push(tau.test.clone());
@@ -375,7 +333,7 @@ impl<'a> Pipeline<'a> {
             .filter(|f| !p3.still_undetected.contains(f))
             .copied()
             .collect();
-        let (compacted_set, _) = if self.run_phase4 {
+        let (compacted_set, _) = if cfg.phase4 {
             combine_tests_cfg(
                 nl,
                 &universe,
@@ -383,8 +341,8 @@ impl<'a> Pipeline<'a> {
                 &detected_by_set,
                 CombineConfig {
                     transfer: None,
-                    sim: self.sim,
-                    max_failed_pairs: self.memory.max_failed_pairs,
+                    sim: cfg.sim,
+                    max_failed_pairs: cfg.memory.max_failed_pairs,
                 },
             )
         } else {
@@ -397,7 +355,7 @@ impl<'a> Pipeline<'a> {
         // initial set carries the per-test τ_seq claim (test 0); the
         // compacted set must cover the same whole-set claim, which is
         // exactly Phase 4's "coverage never decreases" invariant.
-        let oracle = if self.verify {
+        let oracle = if cfg.verify {
             stats::set_phase("verify");
             let sp = atspeed_trace::span("pipeline.verify");
             let init_claim = ClaimedCoverage {
@@ -537,19 +495,6 @@ mod tests {
         assert_eq!(r.t0_len, 100);
         assert!(r.tau_seq_len <= 100);
         assert!(r.final_detected >= r.tau_seq_detected);
-    }
-
-    #[test]
-    fn provided_inputs_are_respected() {
-        use atspeed_atpg::random_t0 as rt0;
-        let nl = s27();
-        let t0 = rt0(&nl, 32, 9);
-        let r = Pipeline::new(&nl)
-            .with_t0(t0.clone())
-            .seed(5)
-            .run()
-            .unwrap();
-        assert_eq!(r.t0_len, 32);
     }
 
     #[test]

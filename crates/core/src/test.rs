@@ -4,11 +4,11 @@ use std::fmt;
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, ParallelFsim, SeqFaultSim, SeqSim, Sequence, SimConfig, State, V3};
+use atspeed_sim::{CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3};
 
 /// A scan-based test `τ = (SI, T)`: a scan-in state followed by a
 /// primary-input sequence applied at speed. The expected scan-out vector
-/// `SO` is fault-free-simulated on demand rather than stored.
+/// `SO` is not stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanTest {
     /// The scan-in state `SI` (one value per flip-flop).
@@ -40,16 +40,6 @@ impl ScanTest {
     /// Whether the input sequence is empty (a degenerate test).
     pub fn is_empty(&self) -> bool {
         self.seq.is_empty()
-    }
-
-    /// The expected fault-free scan-out vector `SO` after applying the test.
-    pub fn expected_scan_out(&self, nl: &Netlist) -> State {
-        let trace = SeqSim::new(nl).run(&self.si, &self.seq);
-        trace
-            .states
-            .last()
-            .cloned()
-            .unwrap_or_else(|| self.si.clone())
     }
 
     /// Which of `faults` this test detects (primary outputs each cycle plus
@@ -125,26 +115,10 @@ impl TestSet {
     /// each test overlaps the scan-in of the next); each primary-input
     /// vector takes one functional cycle. An empty set costs nothing.
     pub fn clock_cycles(&self, n_sv: usize) -> usize {
-        self.clock_cycles_with_chains(n_sv, 1)
-    }
-
-    /// The cost model generalized to `chains` balanced parallel scan
-    /// chains: a scan operation shifts `ceil(N_SV / chains)` cycles, so
-    /// `N_cyc = (k+1)·ceil(N_SV/chains) + Σ L(T_j)`.
-    ///
-    /// With more chains, scan operations get cheaper and the relative
-    /// advantage of few-test/long-sequence sets shrinks — a useful
-    /// sensitivity study on the paper's premise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chains` is zero.
-    pub fn clock_cycles_with_chains(&self, n_sv: usize, chains: usize) -> usize {
-        assert!(chains > 0, "at least one scan chain");
         if self.tests.is_empty() {
             return 0;
         }
-        (self.tests.len() + 1) * n_sv.div_ceil(chains) + self.total_vectors()
+        (self.tests.len() + 1) * n_sv + self.total_vectors()
     }
 
     /// Sequence-length statistics (the paper's Table 4).
@@ -253,24 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_chain_cost_model() {
-        let set = TestSet::from_tests(vec![t("000", &["0000", "1111"]), t("111", &["1010"])]);
-        // 21 state variables over 4 chains: ceil(21/4) = 6 shift cycles.
-        assert_eq!(set.clock_cycles_with_chains(21, 4), 3 * 6 + 3);
-        // One chain degenerates to the paper's formula.
-        assert_eq!(set.clock_cycles_with_chains(21, 1), set.clock_cycles(21));
-        // Enough chains make scan a single cycle.
-        assert_eq!(set.clock_cycles_with_chains(21, 21), 3 + 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one scan chain")]
-    fn zero_chains_rejected() {
-        let set = TestSet::from_tests(vec![t("0", &["0"])]);
-        let _ = set.clock_cycles_with_chains(1, 0);
-    }
-
-    #[test]
     fn at_speed_stats() {
         let set = TestSet::from_tests(vec![
             t("000", &["0000"; 7]),
@@ -292,15 +248,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.si, parse_values("010"));
         assert_eq!(t.seq.vector(0), &parse_values("1100")[..]);
-    }
-
-    #[test]
-    fn expected_scan_out_matches_good_simulation() {
-        let nl = s27();
-        let test = t("010", &["1010", "0110"]);
-        let so = test.expected_scan_out(&nl);
-        let trace = SeqSim::new(&nl).run(&test.si, &test.seq);
-        assert_eq!(so, trace.states[1]);
     }
 
     #[test]

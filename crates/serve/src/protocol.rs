@@ -34,6 +34,11 @@ pub const MAGIC: [u8; 4] = *b"ATSP";
 /// cannot OOM a worker.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
+/// Upper bound on a Submit's `t0_len`. A random `T_0` allocates all its
+/// vectors up front, and a failed allocation aborts the process rather
+/// than failing the job, so the length is bounded before any job runs.
+pub const MAX_T0_LEN: usize = 65_536;
+
 /// Frame type byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -312,7 +317,14 @@ impl SubmitRequest {
                     }
                     t0 = value.to_owned();
                 }
-                "t0_len" => t0_len = parse_usize(value)?,
+                "t0_len" => {
+                    t0_len = parse_usize(value)?;
+                    if t0_len > MAX_T0_LEN {
+                        return Err(bad(format!(
+                            "bad t0_len `{value}` (expected at most {MAX_T0_LEN})"
+                        )));
+                    }
+                }
                 "phase4" => req.config.phase4 = parse_flag(value)?,
                 "verify" => req.config.verify = parse_flag(value)?,
                 "profile_state_words" => {
@@ -585,6 +597,16 @@ mod tests {
             SimConfig::with_threads(1)
         );
 
+        // The `t0_len` cap itself still decodes.
+        let capped = format!("t0 = random\nt0_len = {MAX_T0_LEN}\n\nINPUT(a)\n");
+        assert_eq!(
+            SubmitRequest::decode(&capped, SimConfig::default())
+                .unwrap()
+                .config
+                .t0_source,
+            T0Source::Random { len: MAX_T0_LEN }
+        );
+
         for bad in [
             "typo_key = 1\n\nINPUT(a)\n",
             "seed = banana\n\nINPUT(a)\n",
@@ -594,6 +616,8 @@ mod tests {
             "engine = scalar\n\nINPUT(a)\n",
             "t0 = psychic\n\nINPUT(a)\n",
             "phase4 = maybe\n\nINPUT(a)\n",
+            "t0 = random\nt0_len = 1000000000000\n\nINPUT(a)\n",
+            "t0_len = 65537\n\nINPUT(a)\n",
             "seed = 1\n",          // no blank line, no netlist
             "seed = 1\n\n\n   \n", // empty netlist
         ] {

@@ -301,12 +301,6 @@ impl FaultUniverse {
     }
 }
 
-/// Convenience: whether `nl` has any net observable only through state
-/// (i.e., flip-flops exist), which decides if scan-out matters.
-pub fn has_state(nl: &Netlist) -> bool {
-    nl.num_ffs() > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

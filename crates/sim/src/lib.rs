@@ -56,7 +56,6 @@ pub mod logic;
 pub mod parallel;
 pub mod stats;
 pub mod transition;
-pub mod vcd;
 pub mod vectors;
 
 pub use comb::CombSim;

@@ -12,14 +12,10 @@
 //! The maximum level defaults to `info` and is process-global
 //! ([`set_max_level`]); the [`crate::error!`], [`crate::warn!`],
 //! [`crate::info!`], and [`crate::debug!`] macros check it before
-//! evaluating any field expression. Output goes to stderr unless a file
-//! sink is installed with [`set_log_file`].
+//! evaluating any field expression. Every line goes to stderr.
 
 use std::fmt;
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity, ordered from most to least severe.
@@ -48,7 +44,7 @@ impl Level {
 
     /// Parses a level name (case-insensitive), e.g. for a `--log LEVEL`
     /// flag. `"off"` is not a level; use [`set_max_level`] with
-    /// [`Level::Error`] and accept errors, or filter at the sink.
+    /// [`Level::Error`] and accept errors, or filter stderr.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
@@ -87,29 +83,6 @@ pub fn max_level() -> Level {
 #[inline]
 pub fn enabled(level: Level) -> bool {
     level as u8 <= MAX_LEVEL.load(Ordering::Relaxed)
-}
-
-/// Where log lines go: stderr by default, or an installed file sink.
-static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
-
-/// Redirects log output to `path` (appending), e.g. for archived run logs.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error; the sink is unchanged on
-/// failure.
-pub fn set_log_file(path: impl AsRef<Path>) -> std::io::Result<()> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(Box::new(file));
-    Ok(())
-}
-
-/// Restores the default stderr sink.
-pub fn log_to_stderr() {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
 /// A numeric-looking field value is emitted as a bare JSON number only
@@ -154,14 +127,7 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &dyn fmt::Dis
         }
     }
     line.push('}');
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    match sink.as_mut() {
-        Some(w) => {
-            let _ = writeln!(w, "{line}");
-            let _ = w.flush();
-        }
-        None => eprintln!("{line}"),
-    }
+    eprintln!("{line}");
 }
 
 /// Emits an event at an explicit [`Level`]; the level macros forward here.
@@ -233,8 +199,8 @@ mod tests {
         assert!(!is_bare_number("NaN"));
     }
 
-    // The max-level filter and sink are process-global; everything that
-    // toggles them lives in this one test to stay harness-order-proof.
+    // The max-level filter is process-global; everything that toggles it
+    // lives in this one test to stay harness-order-proof.
     #[test]
     fn filter_and_macros_respect_max_level() {
         assert_eq!(max_level(), Level::Info);

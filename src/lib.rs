@@ -18,7 +18,7 @@
 //!   trace-event export, a counter/gauge/histogram registry, and leveled
 //!   structured JSONL logs.
 //!
-//! This facade crate re-exports the four member crates under stable names.
+//! This facade crate re-exports the five member crates under stable names.
 //! See the workspace `README.md` for a tour and `DESIGN.md` for the
 //! paper-to-module map.
 //!
