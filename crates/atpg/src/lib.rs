@@ -35,5 +35,5 @@ pub use sat::{SatResult, Solver};
 pub use sat_atpg::{SatAtpg, SatAtpgConfig, SatAtpgOutcome};
 pub use scoap::Scoap;
 pub use seq_tgen::{
-    directed_t0, property_t0, random_t0, DirectedConfig, IncrementalSim, PropertyConfig,
+    directed_t0, property_t0, random_t0, DirectedConfig, PropertyConfig, MAX_T0_LEN,
 };

@@ -9,17 +9,21 @@
 //! - [`random_t0`] — uniform random vectors (the Table 5 configuration);
 //! - [`directed_t0`] — STRATEGATE-style greedy simulation-based search:
 //!   each step appends the candidate vector that newly detects the most
-//!   target faults (with a cheap activity tie-break), tracked by an
-//!   incremental parallel-fault simulator;
+//!   target faults (with a cheap activity tie-break), tracked by the
+//!   incremental parallel-fault simulator [`IncrementalSim`];
 //! - [`property_t0`] — PROPTEST-style burst generation: random bursts are
 //!   kept only when they detect new faults, otherwise rolled back.
 
-use atspeed_circuit::{CompiledCircuit, Netlist};
+use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::parallel::claim_map;
-use atspeed_sim::{CompiledSim, Overrides, Sequence, SimConfig, V3, W3};
+use atspeed_sim::{IncrementalSim, Sequence, SimConfig, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The longest `T_0` a front end accepts for [`random_t0`], which
+/// allocates every vector up front: a failed allocation aborts the process
+/// rather than failing the request, so lengths are bounded before any work.
+pub const MAX_T0_LEN: usize = 65_536;
 
 /// Generates a uniform random binary sequence of `len` vectors.
 pub fn random_t0(nl: &Netlist, len: usize, seed: u64) -> Sequence {
@@ -87,229 +91,6 @@ impl Default for PropertyConfig {
             seed: 3,
         }
     }
-}
-
-/// Incremental parallel-fault sequential simulator: keeps per-fault machine
-/// states across appended vectors so that candidate vectors can be scored
-/// and sequences extended one step at a time.
-///
-/// Observation is primary outputs only — `T_0` is applied without scan, so
-/// this measures the paper's `F_0`-style detection.
-#[derive(Debug)]
-pub struct IncrementalSim<'a> {
-    nl: &'a Netlist,
-    groups: Vec<Group<'a>>,
-    vals: Vec<W3>,
-    total_detected: usize,
-}
-
-#[derive(Debug)]
-struct Group<'a> {
-    ov: Overrides<'a>,
-    state: Vec<W3>,
-    active: u64,
-    detected: u64,
-}
-
-impl<'a> IncrementalSim<'a> {
-    /// Overwrites every machine's flip-flop state with `state`, modeling a
-    /// scan-in (all machines receive the same scanned value; stuck-at
-    /// effects re-apply at the next evaluation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not have one value per flip-flop.
-    pub fn load_state(&mut self, state: &[V3]) {
-        assert_eq!(state.len(), self.nl.num_ffs(), "state width mismatch");
-        for g in &mut self.groups {
-            for (f, w) in g.state.iter_mut().enumerate() {
-                *w = W3::broadcast(state[f]);
-            }
-        }
-    }
-
-    /// Observes the current flip-flop state of every machine (modeling a
-    /// scan-out) and returns the number of newly detected faults.
-    pub fn scan_observe(&mut self) -> usize {
-        let mut newly = 0usize;
-        for g in &mut self.groups {
-            let mut sd = 0u64;
-            for w in &g.state {
-                match w.get(0) {
-                    V3::One => sd |= w.zero,
-                    V3::Zero => sd |= w.one,
-                    V3::X => {}
-                }
-            }
-            let fresh = sd & g.active & !g.detected;
-            g.detected |= fresh;
-            newly += fresh.count_ones() as usize;
-        }
-        self.total_detected += newly;
-        newly
-    }
-
-    /// Builds groups of up to 63 faulty machines over `targets`, all in the
-    /// unknown initial state.
-    pub fn new(nl: &'a Netlist, universe: &FaultUniverse, targets: &[FaultId]) -> Self {
-        let groups = targets
-            .chunks(63)
-            .map(|chunk| {
-                let mut ov = Overrides::new(nl.compiled());
-                for (k, &fid) in chunk.iter().enumerate() {
-                    ov.add(universe.fault(fid), 1u64 << (k + 1));
-                }
-                let active = if chunk.len() == 63 {
-                    !1u64
-                } else {
-                    ((1u64 << chunk.len()) - 1) << 1
-                };
-                Group {
-                    ov,
-                    state: vec![W3::ALL_X; nl.num_ffs()],
-                    active,
-                    detected: 0,
-                }
-            })
-            .collect();
-        IncrementalSim {
-            nl,
-            groups,
-            vals: vec![W3::ALL_X; nl.num_nets()],
-            total_detected: 0,
-        }
-    }
-
-    /// Total faults detected so far (primary outputs only).
-    pub fn total_detected(&self) -> usize {
-        self.total_detected
-    }
-
-    /// Whether every tracked fault has been detected.
-    pub fn all_detected(&self) -> bool {
-        self.groups.iter().all(|g| g.detected == g.active)
-    }
-
-    /// Applies `vector` to every machine, committing states; returns the
-    /// number of newly detected faults.
-    pub fn apply(&mut self, vector: &[V3]) -> usize {
-        let mut newly = 0usize;
-        let cc = self.nl.compiled();
-        let sim = CompiledSim::new(cc);
-        for gi in 0..self.groups.len() {
-            let (po_mask, next) = {
-                let g = &self.groups[gi];
-                seed(cc, &mut self.vals, vector, &g.state);
-                sim.eval_with(&mut self.vals, &g.ov);
-                let po_mask = po_diff(cc, &self.vals, &self.groups[gi].ov);
-                let next: Vec<W3> = capture(cc, &self.vals, &self.groups[gi].ov);
-                (po_mask, next)
-            };
-            let g = &mut self.groups[gi];
-            let fresh = po_mask & g.active & !g.detected;
-            g.detected |= fresh;
-            g.state = next;
-            newly += fresh.count_ones() as usize;
-        }
-        self.total_detected += newly;
-        newly
-    }
-
-    /// Scores `vector` without committing: `(new detections, state
-    /// activity)` over the first `sample` still-live groups.
-    pub fn score(&mut self, vector: &[V3], sample: usize) -> (usize, usize) {
-        let mut vals = std::mem::take(&mut self.vals);
-        let r = self.score_in(&mut vals, vector, sample);
-        self.vals = vals;
-        r
-    }
-
-    /// [`IncrementalSim::score`] with caller-provided scratch: evaluation
-    /// rewrites every net from the seeded inputs, so any scratch of
-    /// `num_nets` width gives the same score.
-    /// Committing nothing and taking `&self`, this is shareable across
-    /// scoring threads.
-    pub fn score_in(&self, vals: &mut [W3], vector: &[V3], sample: usize) -> (usize, usize) {
-        let cc = self.nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let mut detections = 0usize;
-        let mut activity = 0usize;
-        let mut scored = 0usize;
-        for g in &self.groups {
-            if scored >= sample {
-                break;
-            }
-            if g.detected == g.active {
-                continue;
-            }
-            scored += 1;
-            seed(cc, vals, vector, &g.state);
-            sim.eval_with(vals, &g.ov);
-            let po_mask = po_diff(cc, vals, &g.ov);
-            detections += (po_mask & g.active & !g.detected).count_ones() as usize;
-            // Activity: faulty machines whose next state newly differs.
-            let next = capture(cc, vals, &g.ov);
-            let mut sd = 0u64;
-            for w in &next {
-                match w.get(0) {
-                    V3::One => sd |= w.zero,
-                    V3::Zero => sd |= w.one,
-                    V3::X => {}
-                }
-            }
-            activity += (sd & g.active & !g.detected).count_ones() as usize;
-        }
-        (detections, activity)
-    }
-
-    /// Scores every candidate in `cands`, sharding candidates across
-    /// `sim.threads` workers (each with its own net scratch). Scoring is
-    /// read-only, so the result vector is identical at any thread count.
-    pub fn score_batch(
-        &self,
-        cands: &[Vec<V3>],
-        sample: usize,
-        sim: SimConfig,
-    ) -> Vec<(usize, usize)> {
-        claim_map(
-            sim,
-            cands.len(),
-            "tgen.score.claim",
-            || vec![W3::ALL_X; self.nl.num_nets()],
-            |vals, k| self.score_in(vals, &cands[k], sample),
-        )
-    }
-}
-
-fn seed(cc: &CompiledCircuit, vals: &mut [W3], vector: &[V3], state: &[W3]) {
-    debug_assert_eq!(vector.len(), cc.pis().len());
-    for (i, &pi) in cc.pis().iter().enumerate() {
-        vals[pi.index()] = W3::broadcast(vector[i]);
-    }
-    for (f, &q) in cc.ff_qs().iter().enumerate() {
-        vals[q.index()] = state[f];
-    }
-}
-
-fn po_diff(cc: &CompiledCircuit, vals: &[W3], ov: &Overrides) -> u64 {
-    let mut mask = 0u64;
-    for (k, &po) in cc.pos().iter().enumerate() {
-        let w = ov.apply_po_pin(atspeed_circuit::PoId::from_index(k), vals[po.index()]);
-        match w.get(0) {
-            V3::One => mask |= w.zero,
-            V3::Zero => mask |= w.one,
-            V3::X => {}
-        }
-    }
-    mask
-}
-
-fn capture(cc: &CompiledCircuit, vals: &[W3], ov: &Overrides) -> Vec<W3> {
-    cc.ff_ds()
-        .iter()
-        .enumerate()
-        .map(|(f, &d)| ov.apply_ff_pin(atspeed_circuit::FfId::from_index(f), vals[d.index()]))
-        .collect()
 }
 
 /// STRATEGATE-style directed generation: greedy candidate selection by
@@ -383,23 +164,14 @@ pub fn property_t0(
                     .collect()
             })
             .collect();
-        let snapshot: Vec<(Vec<W3>, u64, usize)> = inc
-            .groups
-            .iter()
-            .map(|g| (g.state.clone(), g.detected, 0))
-            .collect();
-        let total_before = inc.total_detected;
+        inc.checkpoint();
         let mut newly = 0usize;
         for v in &burst {
             newly += inc.apply(v);
         }
         if newly == 0 {
             // Roll back: the burst added nothing.
-            for (g, (state, detected, _)) in inc.groups.iter_mut().zip(snapshot) {
-                g.state = state;
-                g.detected = detected;
-            }
-            inc.total_detected = total_before;
+            inc.rollback();
             stale += 1;
             rolled_back.inc();
         } else {
@@ -523,7 +295,7 @@ mod tests {
         let mut inc = IncrementalSim::new(&nl, &u, &targets);
         let v: Vec<V3> = vec![V3::One, V3::Zero, V3::One, V3::Zero];
         let before = inc.total_detected();
-        let _ = inc.score(&v, 4);
+        let _ = inc.score_batch(std::slice::from_ref(&v), 4, SimConfig::default());
         assert_eq!(inc.total_detected(), before);
         // Applying after scoring gives the same result as applying fresh.
         let mut inc2 = IncrementalSim::new(&nl, &u, &targets);

@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use atspeed_atpg::compact::OmissionConfig;
-use atspeed_atpg::random_t0;
+use atspeed_atpg::{random_t0, MAX_T0_LEN};
 use atspeed_bench::telemetry::TelemetryArgs;
 use atspeed_circuit::bench_fmt;
 use atspeed_circuit::synth::{generate, SynthSpec};
@@ -46,6 +46,13 @@ use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{stats, CombTest, SimConfig, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The largest `--gates` and `--ffs` accepted: far above the defaults,
+/// and small enough that the tables sized from them up front cannot abort
+/// the process on a failed allocation (`--t0-len` takes the served-job
+/// bound, [`MAX_T0_LEN`], for the same reason).
+const MAX_GATES: usize = 1_000_000;
+const MAX_FFS: usize = 65_536;
 
 struct Args {
     gates: usize,
@@ -82,11 +89,18 @@ fn parse_args() -> Result<Args, String> {
             let v = it.next().ok_or(format!("{flag} needs a number"))?;
             v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
         };
+        let size = |flag: &str, max: usize, it: &mut dyn Iterator<Item = String>| {
+            let n = num(flag, it)?;
+            if n > max {
+                return Err(format!("{flag} {n} is above the limit of {max}"));
+            }
+            Ok(n)
+        };
         match a.as_str() {
-            "--gates" => args.gates = num("--gates", &mut it)?,
-            "--ffs" => args.ffs = num("--ffs", &mut it)?,
+            "--gates" => args.gates = size("--gates", MAX_GATES, &mut it)?,
+            "--ffs" => args.ffs = size("--ffs", MAX_FFS, &mut it)?,
             "--faults" => args.faults = num("--faults", &mut it)?,
-            "--t0-len" => args.t0_len = num("--t0-len", &mut it)?,
+            "--t0-len" => args.t0_len = size("--t0-len", MAX_T0_LEN, &mut it)?,
             "--seed" => args.seed = num("--seed", &mut it)? as u64,
             "--attempts" => args.attempts = num("--attempts", &mut it)?,
             "--mem-words" => args.mem_words = num("--mem-words", &mut it)?,

@@ -15,10 +15,9 @@
 //! cycles of the resulting schedule (Table 3, column "[2,3]").
 
 use atspeed_atpg::seq_tgen::pick_best;
-use atspeed_atpg::IncrementalSim;
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, SimConfig, V3};
+use atspeed_sim::{CombTest, IncrementalSim, SimConfig, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -43,6 +43,7 @@ pub mod phase4;
 pub mod pipeline;
 pub mod test;
 
+pub use atspeed_atpg::MAX_T0_LEN;
 pub use delay::{transition_coverage, DelayCoverage};
 pub use error::CoreError;
 pub use iterate::{build_tau_seq, IterateConfig, TauSeqResult};

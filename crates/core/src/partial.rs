@@ -16,7 +16,7 @@
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{FinalObserve, SeqFaultSim, V3};
+use atspeed_sim::{FinalObserve, ParallelFsim, Sequence, SimConfig, State, V3};
 
 use crate::test::TestSet;
 
@@ -94,36 +94,22 @@ impl PartialScan {
         faults: &[FaultId],
     ) -> Vec<bool> {
         assert_eq!(self.scanned.len(), nl.num_ffs(), "mask width mismatch");
-        let mut fsim = SeqFaultSim::new(nl);
-        let mut detected = vec![false; faults.len()];
-        let mut alive: Vec<usize> = (0..faults.len()).collect();
-        for t in &set.tests {
-            if alive.is_empty() {
-                break;
-            }
-            let ids: Vec<FaultId> = alive.iter().map(|&k| faults[k]).collect();
-            let si = self.restrict_state(&t.si);
-            let det = fsim.detect_observed(
-                &si,
-                &t.seq,
-                &ids,
-                universe,
-                FinalObserve::PartialState(&self.scanned),
-            );
-            alive = alive
-                .iter()
-                .zip(det.iter())
-                .filter_map(|(&k, &d)| {
-                    if d {
-                        detected[k] = true;
-                        None
-                    } else {
-                        Some(k)
-                    }
-                })
-                .collect();
-        }
-        detected
+        let inits: Vec<State> = set
+            .tests
+            .iter()
+            .map(|t| self.restrict_state(&t.si))
+            .collect();
+        let runs: Vec<(&State, &Sequence)> = inits
+            .iter()
+            .zip(&set.tests)
+            .map(|(si, t)| (si, &t.seq))
+            .collect();
+        ParallelFsim::new(nl, SimConfig::default()).detect_union(
+            &runs,
+            faults,
+            universe,
+            FinalObserve::PartialState(&self.scanned),
+        )
     }
 
     /// Convenience: detected count.

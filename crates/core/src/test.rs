@@ -4,7 +4,9 @@ use std::fmt;
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3};
+use atspeed_sim::{
+    CombTest, FinalObserve, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3,
+};
 
 /// A scan-based test `τ = (SI, T)`: a scan-in state followed by a
 /// primary-input sequence applied at speed. The expected scan-out vector
@@ -155,7 +157,7 @@ impl TestSet {
         sim: SimConfig,
     ) -> Vec<bool> {
         let runs: Vec<(&State, &Sequence)> = self.tests.iter().map(|t| (&t.si, &t.seq)).collect();
-        ParallelFsim::new(nl, sim).detect_union(&runs, faults, universe, true)
+        ParallelFsim::new(nl, sim).detect_union(&runs, faults, universe, FinalObserve::FullState)
     }
 
     /// Count of detected faults among `faults`.

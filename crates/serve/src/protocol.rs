@@ -34,10 +34,8 @@ pub const MAGIC: [u8; 4] = *b"ATSP";
 /// cannot OOM a worker.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Upper bound on a Submit's `t0_len`. A random `T_0` allocates all its
-/// vectors up front, and a failed allocation aborts the process rather
-/// than failing the job, so the length is bounded before any job runs.
-pub const MAX_T0_LEN: usize = 65_536;
+/// Upper bound on a Submit's `t0_len`, checked before any job runs.
+pub use atspeed_core::MAX_T0_LEN;
 
 /// Frame type byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

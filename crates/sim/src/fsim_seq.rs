@@ -1,19 +1,24 @@
 //! Sequential (cycle-accurate) simulation and parallel-fault fault
 //! simulation.
 //!
-//! The fault simulator packs the good machine into slot 0 of every word and
-//! up to 63 faulty machines into the remaining slots (the classic
-//! parallel-fault organization). Detection is recorded when a primary
-//! output is binary in both machines and differs; scanning out additionally
+//! Every parallel-fault sequential simulation steps one [`Word`]: the good
+//! machine in slot 0 and up to 63 faulty machines in the remaining slots
+//! (the classic parallel-fault organization), each with its own flip-flop
+//! state, under one fault overlay. [`SeqFaultSim`] runs whole sequences on
+//! a word per 63 faults, [`IncrementalSim`] keeps a word per 63 faults
+//! across appended vectors, and the transition-fault simulator re-arms a
+//! word's faults every cycle. Detection is recorded when a primary output
+//! is binary in both machines and differs; scanning out additionally
 //! observes the flip-flop state, and [`SeqFaultSim::profiles`] records the
 //! full per-cycle state-difference sets that Phase 1 of the paper uses to
 //! choose the scan-out time unit.
 
 use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId};
 
-use crate::fault::{FaultId, FaultUniverse};
+use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::kernel::{CompiledSim, Overrides};
 use crate::logic::{V3, W3};
+use crate::parallel::{claim_map, SimConfig};
 use crate::vectors::{Sequence, State};
 
 /// Fault-free trace of a sequence: per-cycle primary-output values and the
@@ -132,6 +137,154 @@ pub enum FinalObserve<'m> {
     PartialState(&'m [bool]),
 }
 
+impl FinalObserve<'_> {
+    /// A full scan-out when `observe_final_state` is set, else none.
+    pub(crate) fn scan_out(observe_final_state: bool) -> Self {
+        if observe_final_state {
+            FinalObserve::FullState
+        } else {
+            FinalObserve::None
+        }
+    }
+}
+
+/// The slots of `w` whose value is binary and opposite to slot 0's — the
+/// one detection predicate: an X on either side never counts.
+#[inline]
+fn slot0_diff(w: W3) -> u64 {
+    match w.get(0) {
+        V3::One => w.zero,
+        V3::Zero => w.one,
+        V3::X => 0,
+    }
+}
+
+/// The positions `k` of the faults whose slots `k + 1` are set in `mask`
+/// (slot 0, the good machine, never is).
+pub(crate) fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
+    debug_assert_eq!(mask & 1, 0, "slot 0 is the good machine");
+    std::iter::from_fn(move || {
+        let slot = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (slot < 64).then(|| slot - 1)
+    })
+}
+
+/// One word of the parallel-fault organization: the good machine in slot 0
+/// and up to [`FAULTS_PER_PASS`] faulty machines in slots `1..=63`, each
+/// with its own flip-flop state, under one fault overlay. A cycle is
+/// [`Word::eval`] (which reports the slots a primary output detects) then
+/// [`Word::capture`]; [`Word::observe`] compares the state with slot 0.
+#[derive(Debug)]
+pub(crate) struct Word<'a> {
+    cc: &'a CompiledCircuit,
+    ov: Overrides<'a>,
+    /// Per-flip-flop values, one slot per machine.
+    pub(crate) state: Vec<W3>,
+    /// The slots of the faulty machines.
+    pub(crate) active: u64,
+}
+
+impl<'a> Word<'a> {
+    /// An empty word over `cc`, every machine in the unknown state.
+    pub(crate) fn new(cc: &'a CompiledCircuit) -> Self {
+        Word {
+            cc,
+            ov: Overrides::new(cc),
+            state: vec![W3::ALL_X; cc.ff_qs().len()],
+            active: 0,
+        }
+    }
+
+    /// Injects fault `k` of `faults` into slot `k + 1`, replacing the
+    /// overlay, and makes those slots the active ones.
+    pub(crate) fn set_faults(&mut self, faults: &[FaultId], universe: &FaultUniverse) {
+        self.active = self.inject(faults.iter().map(|&f| universe.fault(f)).enumerate());
+    }
+
+    /// Replaces the overlay with `faults`, each `(k, fault)` injected into
+    /// slot `k + 1`, and returns the slots injected. The active slots stay.
+    pub(crate) fn inject(&mut self, faults: impl IntoIterator<Item = (usize, Fault)>) -> u64 {
+        self.ov.clear();
+        let mut injected = 0u64;
+        for (k, fault) in faults {
+            let slot = 1u64 << (k + 1);
+            self.ov.add(fault, slot);
+            injected |= slot;
+        }
+        injected
+    }
+
+    /// Loads `state` into every machine (a scan-in: fault effects apply
+    /// again from the next evaluation).
+    pub(crate) fn load(&mut self, state: &[V3]) {
+        self.state.clear();
+        self.state.extend(state.iter().map(|&v| W3::broadcast(v)));
+    }
+
+    /// Evaluates one cycle into `vals` — `vector` broadcast to every slot,
+    /// each slot's state, the overlay injected — and returns the active
+    /// slots a primary output detects.
+    pub(crate) fn eval(&self, vals: &mut [W3], vector: &[V3]) -> u64 {
+        debug_assert_eq!(vector.len(), self.cc.pis().len(), "input width mismatch");
+        seed_sources(self.cc, vals, vector, &self.state);
+        CompiledSim::new(self.cc).eval_with(vals, &self.ov);
+        let mut mask = 0u64;
+        for (k, &po) in self.cc.pos().iter().enumerate() {
+            mask |= slot0_diff(self.ov.apply_po_pin(PoId::from_index(k), vals[po.index()]));
+        }
+        mask & self.active
+    }
+
+    /// The flip-flop inputs of the cycle evaluated in `vals`, pin faults
+    /// applied: the state the cycle captures.
+    fn next_state<'v>(
+        cc: &'v CompiledCircuit,
+        ov: &'v Overrides<'v>,
+        vals: &'v [W3],
+    ) -> impl Iterator<Item = W3> + 'v {
+        cc.ff_ds()
+            .iter()
+            .enumerate()
+            .map(move |(f, &d)| ov.apply_ff_pin(FfId::from_index(f), vals[d.index()]))
+    }
+
+    /// Captures the cycle evaluated in `vals` into every machine's state.
+    pub(crate) fn capture(&mut self, vals: &[W3]) {
+        for (s, w) in self
+            .state
+            .iter_mut()
+            .zip(Self::next_state(self.cc, &self.ov, vals))
+        {
+            *s = w;
+        }
+    }
+
+    /// The active slots whose captured state would differ from slot 0 after
+    /// the cycle evaluated in `vals`, without capturing it.
+    pub(crate) fn next_state_diff(&self, vals: &[W3]) -> u64 {
+        Self::next_state(self.cc, &self.ov, vals).fold(0, |m, w| m | slot0_diff(w)) & self.active
+    }
+
+    /// The active slots whose state, as far as `observe` sees it, differs
+    /// from slot 0's.
+    pub(crate) fn observe(&self, observe: FinalObserve<'_>) -> u64 {
+        let mask = match observe {
+            FinalObserve::None => 0,
+            FinalObserve::FullState => self.state.iter().fold(0, |m, &w| m | slot0_diff(w)),
+            FinalObserve::PartialState(scanned) => {
+                debug_assert_eq!(self.state.len(), scanned.len(), "observation mask width");
+                self.state
+                    .iter()
+                    .zip(scanned)
+                    .filter(|(_, &seen)| seen)
+                    .fold(0, |m, (&w, _)| m | slot0_diff(w))
+            }
+        };
+        mask & self.active
+    }
+}
+
 /// Where each fault of a list stands at the end of a sequence applied
 /// without a scan-out, produced by [`SeqFaultSim::end_states`]: detected at
 /// a primary output, or the faulty flip-flop state.
@@ -193,14 +346,13 @@ impl EndStates {
 /// Parallel-fault sequential fault simulator with reusable buffers.
 ///
 /// Evaluates over the netlist's [`CompiledCircuit`]: every cycle of each
-/// 63-fault chunk is one full compiled pass under the chunk's injected
-/// overrides, into a net value array reused across cycles and chunks.
+/// 63-fault word is one full compiled pass under the word's injected
+/// overrides, into a net value array reused across cycles and words.
 #[derive(Debug)]
 pub struct SeqFaultSim<'a> {
     nl: &'a Netlist,
-    cc: &'a CompiledCircuit,
     vals: Vec<W3>,
-    ov: Overrides<'a>,
+    word: Word<'a>,
     counted: bool,
 }
 
@@ -213,9 +365,8 @@ impl<'a> SeqFaultSim<'a> {
         let cc = nl.compiled();
         SeqFaultSim {
             nl,
-            cc,
             vals: vec![W3::ALL_X; cc.num_nets()],
-            ov: Overrides::new(cc),
+            word: Word::new(cc),
             counted: true,
         }
     }
@@ -256,11 +407,7 @@ impl<'a> SeqFaultSim<'a> {
         universe: &FaultUniverse,
         observe_final_state: bool,
     ) -> Vec<bool> {
-        let observe = if observe_final_state {
-            FinalObserve::FullState
-        } else {
-            FinalObserve::None
-        };
+        let observe = FinalObserve::scan_out(observe_final_state);
         self.detect_observed(init, seq, faults, universe, observe)
     }
 
@@ -277,15 +424,14 @@ impl<'a> SeqFaultSim<'a> {
     ) -> Vec<bool> {
         self.count_invocation();
         let mut detected = vec![false; faults.len()];
-        let mut state = Vec::with_capacity(init.len());
-        for (chunk_idx, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {
-            let base = chunk_idx * FAULTS_PER_PASS;
-            broadcast_into(init, &mut state);
-            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, observe);
-            for (k, _) in chunk.iter().enumerate() {
-                if caught & (1u64 << (k + 1)) != 0 {
-                    detected[base + k] = true;
-                }
+        for (chunk, detected) in faults
+            .chunks(FAULTS_PER_PASS)
+            .zip(detected.chunks_mut(FAULTS_PER_PASS))
+        {
+            self.word.set_faults(chunk, universe);
+            self.word.load(init);
+            for k in slots(self.run_observed(seq, observe)) {
+                detected[k] = true;
             }
         }
         detected
@@ -293,8 +439,8 @@ impl<'a> SeqFaultSim<'a> {
 
     /// Whether `seq` detects *every* fault in `faults` — equivalent to
     /// `detect(..).iter().all(|&d| d)` but exits on the first 63-fault
-    /// chunk that finishes with an undetected member, skipping the
-    /// remaining chunks entirely. This is the accept/reject predicate of
+    /// word that finishes with an undetected member, skipping the
+    /// remaining words entirely. This is the accept/reject predicate of
     /// vector omission, where most rejections lose a fault early.
     pub fn detects_all(
         &mut self,
@@ -305,20 +451,12 @@ impl<'a> SeqFaultSim<'a> {
         observe_final_state: bool,
     ) -> bool {
         self.count_invocation();
-        let observe = if observe_final_state {
-            FinalObserve::FullState
-        } else {
-            FinalObserve::None
-        };
-        let mut state = Vec::with_capacity(init.len());
-        for chunk in faults.chunks(FAULTS_PER_PASS) {
-            broadcast_into(init, &mut state);
-            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, observe);
-            if caught != active_mask(chunk.len()) {
-                return false;
-            }
-        }
-        true
+        let observe = FinalObserve::scan_out(observe_final_state);
+        faults.chunks(FAULTS_PER_PASS).all(|chunk| {
+            self.word.set_faults(chunk, universe);
+            self.word.load(init);
+            self.run_observed(seq, observe) == self.word.active
+        })
     }
 
     /// Records where each of `faults` stands at the end of `seq` applied
@@ -335,16 +473,16 @@ impl<'a> SeqFaultSim<'a> {
     ) -> EndStates {
         self.count_invocation();
         let mut rec = EndStates::new(init.len());
-        let mut state = Vec::with_capacity(init.len());
         for chunk in faults.chunks(FAULTS_PER_PASS) {
-            broadcast_into(init, &mut state);
-            let caught = self.simulate_chunk(&mut state, seq, chunk, universe, FinalObserve::None);
+            self.word.set_faults(chunk, universe);
+            self.word.load(init);
+            let caught = self.run(seq, |_, _, _| {});
             // A word stops early only once every fault in it is detected;
             // any other word ran every cycle and holds the end state.
-            let ran_every_cycle = caught != active_mask(chunk.len());
+            let ran_every_cycle = caught != self.word.active;
             if ran_every_cycle && rec.good.is_none() {
                 let mut good = Vec::with_capacity(rec.ff_words);
-                pack_slot(&state, 0, &mut good);
+                pack_slot(&self.word.state, 0, &mut good);
                 rec.good = Some(good);
             }
             for (k, &fid) in chunk.iter().enumerate() {
@@ -355,7 +493,7 @@ impl<'a> SeqFaultSim<'a> {
                     let len = rec.faulty.len() + rec.ff_words;
                     rec.faulty.resize(len, W3::ALL_X);
                 } else {
-                    pack_slot(&state, k + 1, &mut rec.faulty);
+                    pack_slot(&self.word.state, k + 1, &mut rec.faulty);
                 }
             }
         }
@@ -392,68 +530,25 @@ impl<'a> SeqFaultSim<'a> {
             .copied()
             .filter(|&k| !rec.po_detected(k))
             .collect();
-        let mut state = vec![W3::ALL_X; rec.num_ffs];
+        if open.is_empty() {
+            return true;
+        }
+        let good = rec
+            .good
+            .as_deref()
+            .expect("a fault left open at the end ran in a word that ran every cycle");
+        let good: State = (0..rec.num_ffs).map(|f| good[f / 64].get(f % 64)).collect();
         let mut chunk = Vec::with_capacity(FAULTS_PER_PASS);
-        for word in open.chunks(FAULTS_PER_PASS) {
-            let good = rec
-                .good
-                .as_deref()
-                .expect("a fault left open at the end ran in a word that ran every cycle");
-            for (f, w) in state.iter_mut().enumerate() {
-                *w = W3::broadcast(good[f / 64].get(f % 64));
-            }
+        open.chunks(FAULTS_PER_PASS).all(|word| {
             chunk.clear();
+            chunk.extend(word.iter().map(|&pos| rec.faults[pos]));
+            self.word.set_faults(&chunk, universe);
+            self.word.load(&good);
             for (k, &pos) in word.iter().enumerate() {
-                unpack_slot(rec.faulty(pos), k + 1, &mut state);
-                chunk.push(rec.faults[pos]);
+                unpack_slot(rec.faulty(pos), k + 1, &mut self.word.state);
             }
-            let caught = self.simulate_chunk(
-                &mut state,
-                suffix,
-                &chunk,
-                universe,
-                FinalObserve::FullState,
-            );
-            if caught != active_mask(chunk.len()) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Simulates one chunk of up to [`FAULTS_PER_PASS`] faults over `seq`
-    /// from the per-slot flip-flop values in `state`, and returns the
-    /// caught-slot mask (bit `k+1` set ⇒ `chunk[k]` detected). Exits early
-    /// once every active slot is caught; otherwise `state` ends holding the
-    /// state after the last cycle, which `observe` then inspects.
-    fn simulate_chunk(
-        &mut self,
-        state: &mut [W3],
-        seq: &Sequence,
-        chunk: &[FaultId],
-        universe: &FaultUniverse,
-        observe: FinalObserve<'_>,
-    ) -> u64 {
-        let active = active_mask(chunk.len());
-        self.ov.clear();
-        for (k, &fid) in chunk.iter().enumerate() {
-            self.ov.add(universe.fault(fid), 1u64 << (k + 1));
-        }
-        let mut caught = 0u64;
-        for t in 0..seq.len() {
-            self.eval_cycle(seq, t, state);
-            caught |= self.po_diff_mask() & active;
-            self.capture(state);
-            if caught == active {
-                return caught;
-            }
-        }
-        match observe {
-            FinalObserve::None => {}
-            FinalObserve::FullState => caught |= state_diff_mask(state) & active,
-            FinalObserve::PartialState(mask) => caught |= masked_state_diff(state, mask) & active,
-        }
-        caught
+            self.run_observed(suffix, FinalObserve::FullState) == self.word.active
+        })
     }
 
     /// Fault-simulates `seq` from `init` and returns the full detection
@@ -497,78 +592,220 @@ impl<'a> SeqFaultSim<'a> {
         self.count_invocation();
         let mut truncated = 0u64;
         let mut profiles = vec![DetectionProfile::default(); faults.len()];
-        for (chunk_idx, chunk) in faults.chunks(FAULTS_PER_PASS).enumerate() {
-            let base = chunk_idx * FAULTS_PER_PASS;
-            let active = active_mask(chunk.len());
-            self.ov.clear();
-            for (k, &fid) in chunk.iter().enumerate() {
-                self.ov.add(universe.fault(fid), 1u64 << (k + 1));
-            }
+        for (chunk, profiles) in faults
+            .chunks(FAULTS_PER_PASS)
+            .zip(profiles.chunks_mut(FAULTS_PER_PASS))
+        {
+            self.word.set_faults(chunk, universe);
+            self.word.load(init);
             let mut po_done = 0u64;
-            let mut state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
-            for t in 0..seq.len() {
-                self.eval_cycle(seq, t, &state);
-                let po_mask = self.po_diff_mask() & active & !po_done;
-                if po_mask != 0 {
-                    for k in 0..chunk.len() {
-                        if po_mask & (1u64 << (k + 1)) != 0 {
-                            profiles[base + k].po_detect = Some(t as u32);
-                        }
-                    }
-                    po_done |= po_mask;
+            self.run(seq, |t, fresh, word| {
+                for k in slots(fresh) {
+                    profiles[k].po_detect = Some(t as u32);
                 }
-                self.capture(&mut state);
-                let sd = state_diff_mask(&state) & active & !po_done;
-                if sd != 0 {
-                    for k in 0..chunk.len() {
-                        if sd & (1u64 << (k + 1)) != 0 {
-                            if t / 64 < max_state_words {
-                                profiles[base + k].set_state_diff(t);
-                            } else {
-                                truncated += 1;
-                            }
-                        }
+                po_done |= fresh;
+                for k in slots(word.observe(FinalObserve::FullState) & !po_done) {
+                    if t / 64 < max_state_words {
+                        profiles[k].set_state_diff(t);
+                    } else {
+                        truncated += 1;
                     }
                 }
-                if po_done == active {
-                    break;
-                }
-            }
+            });
         }
         (profiles, truncated)
     }
 
-    /// Seeds cycle `t` of `seq` over the current machine states and
-    /// evaluates it under the chunk's overrides.
-    fn eval_cycle(&mut self, seq: &Sequence, t: usize, state: &[W3]) {
-        let vec = seq.vector(t);
-        debug_assert_eq!(vec.len(), self.nl.num_pis(), "input width mismatch");
-        seed_sources(self.cc, &mut self.vals, vec, state);
-        CompiledSim::new(self.cc).eval_with(&mut self.vals, &self.ov);
-    }
-
-    fn po_diff_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        for (k, &po) in self.cc.pos().iter().enumerate() {
-            let w = self
-                .ov
-                .apply_po_pin(PoId::from_index(k), self.vals[po.index()]);
-            match w.get(0) {
-                V3::One => mask |= w.zero,
-                V3::Zero => mask |= w.one,
-                V3::X => {}
+    /// The one cycle loop: runs `seq` on the loaded word. After each
+    /// cycle's capture, `hook(t, fresh, word)` sees the slots a primary
+    /// output detected first in cycle `t` and the word holding the state
+    /// captured at its end. Returns the slots a primary output detected,
+    /// and stops early once that is every active slot.
+    fn run(&mut self, seq: &Sequence, mut hook: impl FnMut(usize, u64, &Word<'a>)) -> u64 {
+        let mut caught = 0u64;
+        for t in 0..seq.len() {
+            let fresh = self.word.eval(&mut self.vals, seq.vector(t)) & !caught;
+            caught |= fresh;
+            self.word.capture(&self.vals);
+            hook(t, fresh, &self.word);
+            if caught == self.word.active {
+                break;
             }
         }
-        mask
+        caught
     }
 
-    fn capture(&mut self, state: &mut [W3]) {
-        for (f, &d) in self.cc.ff_ds().iter().enumerate() {
-            let w = self
-                .ov
-                .apply_ff_pin(FfId::from_index(f), self.vals[d.index()]);
-            state[f] = w;
+    /// [`SeqFaultSim::run`], then `observe` on the end state of a word that
+    /// ran every cycle: the slots the test detects.
+    fn run_observed(&mut self, seq: &Sequence, observe: FinalObserve<'_>) -> u64 {
+        let caught = self.run(seq, |_, _, _| {});
+        if caught == self.word.active {
+            caught
+        } else {
+            caught | self.word.observe(observe)
         }
+    }
+}
+
+/// Incremental parallel-fault sequential simulator: keeps every faulty
+/// machine's state across appended vectors, so that candidate vectors can
+/// be scored and a sequence extended one vector at a time — the `T_0`
+/// generators and the dynamic-compaction baseline run on it.
+///
+/// Primary outputs are observed on every applied vector;
+/// [`IncrementalSim::scan_observe`] models a scan-out.
+#[derive(Debug)]
+pub struct IncrementalSim<'a> {
+    nl: &'a Netlist,
+    words: Vec<Word<'a>>,
+    /// Per word, the slots detected so far.
+    detected: Vec<u64>,
+    vals: Vec<W3>,
+    /// Every word's state and detections at the last checkpoint.
+    saved_states: Vec<W3>,
+    saved_detected: Vec<u64>,
+}
+
+/// Marks the slots of `mask` in `detected` and returns how many are new.
+fn credit(detected: &mut u64, mask: u64) -> usize {
+    let fresh = mask & !*detected;
+    *detected |= fresh;
+    fresh.count_ones() as usize
+}
+
+impl<'a> IncrementalSim<'a> {
+    /// Packs `targets` into words of up to 63 faulty machines, every
+    /// machine in the unknown initial state.
+    pub fn new(nl: &'a Netlist, universe: &FaultUniverse, targets: &[FaultId]) -> Self {
+        let cc = nl.compiled();
+        let words: Vec<Word<'a>> = targets
+            .chunks(FAULTS_PER_PASS)
+            .map(|chunk| {
+                let mut word = Word::new(cc);
+                word.set_faults(chunk, universe);
+                word
+            })
+            .collect();
+        let mut sim = IncrementalSim {
+            nl,
+            detected: vec![0; words.len()],
+            words,
+            vals: vec![W3::ALL_X; cc.num_nets()],
+            saved_states: Vec::new(),
+            saved_detected: Vec::new(),
+        };
+        sim.checkpoint();
+        sim
+    }
+
+    /// Overwrites every machine's flip-flop state with `state`, modeling a
+    /// scan-in (all machines receive the same scanned value; stuck-at
+    /// effects re-apply at the next evaluation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one value per flip-flop.
+    pub fn load_state(&mut self, state: &[V3]) {
+        assert_eq!(state.len(), self.nl.num_ffs(), "state width mismatch");
+        for word in &mut self.words {
+            word.load(state);
+        }
+    }
+
+    /// Observes the current flip-flop state of every machine (modeling a
+    /// scan-out) and returns the number of newly detected faults.
+    pub fn scan_observe(&mut self) -> usize {
+        let mut newly = 0usize;
+        for (word, detected) in self.words.iter().zip(&mut self.detected) {
+            newly += credit(detected, word.observe(FinalObserve::FullState));
+        }
+        newly
+    }
+
+    /// Total faults detected so far.
+    pub fn total_detected(&self) -> usize {
+        self.detected.iter().map(|d| d.count_ones() as usize).sum()
+    }
+
+    /// Whether every tracked fault has been detected.
+    pub fn all_detected(&self) -> bool {
+        self.words
+            .iter()
+            .zip(&self.detected)
+            .all(|(word, &detected)| detected == word.active)
+    }
+
+    /// Applies `vector` to every machine, committing states; returns the
+    /// number of faults a primary output newly detects.
+    pub fn apply(&mut self, vector: &[V3]) -> usize {
+        let mut newly = 0usize;
+        for (word, detected) in self.words.iter_mut().zip(&mut self.detected) {
+            let po = word.eval(&mut self.vals, vector);
+            word.capture(&self.vals);
+            newly += credit(detected, po);
+        }
+        newly
+    }
+
+    /// Records every machine's state and the detections so far;
+    /// [`IncrementalSim::rollback`] returns to them.
+    pub fn checkpoint(&mut self) {
+        self.saved_states.clear();
+        for word in &self.words {
+            self.saved_states.extend_from_slice(&word.state);
+        }
+        self.saved_detected.clone_from(&self.detected);
+    }
+
+    /// Restores the states and detections of the last
+    /// [`IncrementalSim::checkpoint`] (the unknown initial state with
+    /// nothing detected when none was taken).
+    pub fn rollback(&mut self) {
+        let width = self.nl.num_ffs().max(1);
+        for (word, state) in self.words.iter_mut().zip(self.saved_states.chunks(width)) {
+            word.state.copy_from_slice(state);
+        }
+        self.detected.clone_from(&self.saved_detected);
+    }
+
+    /// The score of `vector` (see [`IncrementalSim::score_batch`]).
+    /// Evaluation rewrites every net from the seeded inputs, so any scratch
+    /// `vals` of `num_nets` width gives the same score.
+    fn score_in(&self, vals: &mut [W3], vector: &[V3], sample: usize) -> (usize, usize) {
+        let mut detections = 0usize;
+        let mut activity = 0usize;
+        let live = self
+            .words
+            .iter()
+            .zip(&self.detected)
+            .filter(|(word, &detected)| detected != word.active);
+        for (word, &detected) in live.take(sample) {
+            detections += (word.eval(vals, vector) & !detected).count_ones() as usize;
+            activity += (word.next_state_diff(vals) & !detected).count_ones() as usize;
+        }
+        (detections, activity)
+    }
+
+    /// Scores every candidate in `cands` without committing: `(new
+    /// detections, state activity)` over the first `sample` words with an
+    /// undetected fault, where activity counts the undetected faulty
+    /// machines whose next state differs from the good one. Candidates are
+    /// sharded across `sim.threads` workers, each with its own net scratch;
+    /// scoring is read-only, so the result is identical at any thread
+    /// count.
+    pub fn score_batch(
+        &self,
+        cands: &[Vec<V3>],
+        sample: usize,
+        sim: SimConfig,
+    ) -> Vec<(usize, usize)> {
+        claim_map(
+            sim,
+            cands.len(),
+            "tgen.score.claim",
+            || vec![W3::ALL_X; self.nl.num_nets()],
+            |vals, k| self.score_in(vals, &cands[k], sample),
+        )
     }
 }
 
@@ -581,12 +818,6 @@ pub(crate) fn seed_sources(cc: &CompiledCircuit, vals: &mut [W3], vector: &[V3],
     for (f, &q) in cc.ff_qs().iter().enumerate() {
         vals[q.index()] = state[f];
     }
-}
-
-/// Sets every slot of every flip-flop to its value in `init`.
-fn broadcast_into(init: &State, state: &mut Vec<W3>) {
-    state.clear();
-    state.extend(init.iter().map(|&v| W3::broadcast(v)));
 }
 
 /// Appends slot `slot` of a per-flip-flop state to `out`, packed 64
@@ -612,45 +843,6 @@ fn unpack_slot(packed: &[W3], slot: usize, state: &mut [W3]) {
         v.zero = v.zero & !bit | (w.zero >> b & 1) << slot;
         v.one = v.one & !bit | (w.one >> b & 1) << slot;
     }
-}
-
-/// Active-slot mask for a chunk of `len` faulty machines (slots 1..=len;
-/// slot 0 is the good machine).
-#[inline]
-fn active_mask(len: usize) -> u64 {
-    debug_assert!((1..=FAULTS_PER_PASS).contains(&len));
-    ((1u64 << len) - 1) << 1
-}
-
-/// Mask of slots whose state differs observably from slot 0 (good state
-/// binary, faulty state binary and opposite, for at least one flip-flop).
-fn state_diff_mask(state: &[W3]) -> u64 {
-    let mut mask = 0u64;
-    for w in state {
-        match w.get(0) {
-            V3::One => mask |= w.zero,
-            V3::Zero => mask |= w.one,
-            V3::X => {}
-        }
-    }
-    mask
-}
-
-/// [`state_diff_mask`] restricted to the flip-flops marked in `observed`.
-fn masked_state_diff(state: &[W3], observed: &[bool]) -> u64 {
-    debug_assert_eq!(state.len(), observed.len(), "observation mask width");
-    let mut mask = 0u64;
-    for (w, &obs) in state.iter().zip(observed) {
-        if !obs {
-            continue;
-        }
-        match w.get(0) {
-            V3::One => mask |= w.zero,
-            V3::Zero => mask |= w.one,
-            V3::X => {}
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -742,6 +934,12 @@ mod tests {
         assert_eq!(no_scan, vec![false]);
         let with_scan = fsim.detect(&vec![V3::Zero], &seq, &[target], &u, true);
         assert_eq!(with_scan, vec![true]);
+        // A partial scan-out observes only the flip-flops on the chain.
+        for scanned in [false, true] {
+            let observe = FinalObserve::PartialState(&[scanned]);
+            let det = fsim.detect_observed(&vec![V3::Zero], &seq, &[target], &u, observe);
+            assert_eq!(det, vec![scanned]);
+        }
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!   fault simulation over the full-scan view, with an event-driven
 //!   propagation core;
 //! - [`fsim_seq`] — parallel-fault sequential fault simulation (good machine
-//!   in slot 0, up to 63 faulty machines per pass) producing the *detection
+//!   in slot 0, up to 63 faulty machines per word) producing the *detection
 //!   profiles* (earliest primary-output detection time, per-cycle state
-//!   difference sets) that Phase 1 of the paper consumes, and the
+//!   difference sets) that Phase 1 of the paper consumes, the
 //!   [`EndStates`] records that let Phase 4 check `T_i T_j` by simulating
-//!   `T_j` alone;
+//!   `T_j` alone, and the [`IncrementalSim`] that extends a sequence one
+//!   vector at a time;
 //! - [`parallel`] — [`ParallelFsim`], a multi-threaded front end that
 //!   shards faults (or tests, with cross-partition fault dropping through
 //!   a shared atomic bitmap) across scoped workers behind a [`SimConfig`],
@@ -61,7 +62,9 @@ pub mod vectors;
 pub use comb::CombSim;
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use fsim_comb::{CombFaultSim, CombTest};
-pub use fsim_seq::{DetectionProfile, EndStates, FinalObserve, SeqFaultSim, SeqSim};
+pub use fsim_seq::{
+    DetectionProfile, EndStates, FinalObserve, IncrementalSim, SeqFaultSim, SeqSim,
+};
 pub use kernel::{CompiledSim, Overrides};
 pub use logic::{V3, W3};
 pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig};

@@ -513,11 +513,7 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
         observe_final_state: bool,
     ) -> Vec<bool> {
-        let observe = if observe_final_state {
-            FinalObserve::FullState
-        } else {
-            FinalObserve::None
-        };
+        let observe = FinalObserve::scan_out(observe_final_state);
         self.detect_observed(init, seq, faults, universe, observe)
     }
 
@@ -649,8 +645,8 @@ impl<'a> ParallelFsim<'a> {
     }
 
     /// Union detection over many scan tests — each run `(scan-in state,
-    /// sequence)` is simulated with scan-out observation and the detected
-    /// sets are unioned. Runs are claimed from the work queue; faults
+    /// sequence)` is simulated with the final observation `observe` and the
+    /// detected sets are unioned. Runs are claimed from the work queue; faults
     /// already detected by *any* partition are dropped everywhere through
     /// the shared atomic bitmap.
     ///
@@ -662,7 +658,7 @@ impl<'a> ParallelFsim<'a> {
         runs: &[(&State, &Sequence)],
         faults: &[FaultId],
         universe: &FaultUniverse,
-        observe_final_state: bool,
+        observe: FinalObserve<'_>,
     ) -> Vec<bool> {
         stats::add_invocation();
         self.test_sharded(
@@ -672,7 +668,7 @@ impl<'a> ParallelFsim<'a> {
             || SeqFaultSim::uncounted(self.nl),
             |sim, i, ids| {
                 let (init, seq) = runs[i];
-                sim.detect(init, seq, ids, universe, observe_final_state)
+                sim.detect_observed(init, seq, ids, universe, observe)
             },
         )
     }
@@ -876,7 +872,7 @@ mod tests {
                     par.detects_all_from(&rec, &seq, &which, &u);
                 }),
                 ("detect_union", &|| {
-                    par.detect_union(&runs, &faults, &u, true);
+                    par.detect_union(&runs, &faults, &u, FinalObserve::FullState);
                 }),
             ];
             for (name, call) in calls {

@@ -23,8 +23,8 @@
 use atspeed_circuit::{NetId, Netlist};
 
 use crate::fault::{Fault, FaultSite};
-use crate::fsim_seq::seed_sources;
-use crate::kernel::{CompiledSim, Overrides};
+use crate::fsim_seq::{seed_sources, slots, FinalObserve, Word, FAULTS_PER_PASS};
+use crate::kernel::CompiledSim;
 use crate::logic::{V3, W3};
 use crate::vectors::{Sequence, State};
 
@@ -69,15 +69,14 @@ pub fn all_transition_faults(nl: &Netlist) -> Vec<TransitionFault> {
 
 /// Parallel-fault transition-delay fault simulator for scan tests.
 ///
-/// Runs over the compiled kernel: each cycle takes one full pass of the
-/// fault-free machine and one of the faulty machines under that cycle's
-/// armed faults.
+/// Runs over the compiled kernel: each cycle takes one fault-free pass,
+/// which decides the faults armed in that cycle, and one pass of the word
+/// carrying them.
 #[derive(Debug)]
 pub struct TransitionFaultSim<'a> {
     nl: &'a Netlist,
-    good: Vec<W3>,
-    faulty: Vec<W3>,
-    ov: Overrides<'a>,
+    vals: Vec<W3>,
+    word: Word<'a>,
 }
 
 impl<'a> TransitionFaultSim<'a> {
@@ -86,9 +85,8 @@ impl<'a> TransitionFaultSim<'a> {
         let cc = nl.compiled();
         TransitionFaultSim {
             nl,
-            good: vec![W3::ALL_X; cc.num_nets()],
-            faulty: vec![W3::ALL_X; cc.num_nets()],
-            ov: Overrides::new(cc),
+            vals: vec![W3::ALL_X; cc.num_nets()],
+            word: Word::new(cc),
         }
     }
 
@@ -107,13 +105,12 @@ impl<'a> TransitionFaultSim<'a> {
         if seq.len() < 2 {
             return detected;
         }
-        for (chunk_idx, chunk) in faults.chunks(63).enumerate() {
-            let base = chunk_idx * 63;
-            let caught = self.detect_chunk(si, seq, chunk);
-            for (k, _) in chunk.iter().enumerate() {
-                if caught & (1u64 << (k + 1)) != 0 {
-                    detected[base + k] = true;
-                }
+        for (chunk, detected) in faults
+            .chunks(FAULTS_PER_PASS)
+            .zip(detected.chunks_mut(FAULTS_PER_PASS))
+        {
+            for k in slots(self.detect_chunk(si, seq, chunk)) {
+                detected[k] = true;
             }
         }
         detected
@@ -145,102 +142,50 @@ impl<'a> TransitionFaultSim<'a> {
         total
     }
 
+    /// Runs one word of up to 63 transition faults, fault `k` in slot
+    /// `k + 1`, and returns the caught-slot mask. Every cycle the word
+    /// carries the stuck-at faults armed in that cycle; its state carries
+    /// earlier corruption forward (a late transition corrupts the captured
+    /// value permanently).
     fn detect_chunk(&mut self, si: &State, seq: &Sequence, chunk: &[TransitionFault]) -> u64 {
-        let nl = self.nl;
-        let cc = nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let active: u64 = if chunk.len() == 63 {
-            !1u64
-        } else {
-            ((1u64 << chunk.len()) - 1) << 1
-        };
-        let mut caught = 0u64;
-
-        // Good-machine previous-cycle values decide, per fault, in which
-        // cycles the stuck-at effect is armed. We simulate cycle by cycle:
-        // first fault-free (to learn transitions), then with the armed
-        // subset injected.
-        let mut good_state: Vec<W3> = si.iter().map(|&v| W3::broadcast(v)).collect();
-        let mut faulty_state: Vec<W3> = good_state.clone();
-        let mut prev_good: Vec<V3> = vec![V3::X; nl.num_nets()];
+        let cc = self.nl.compiled();
+        let word = &mut self.word;
+        word.load(si);
+        word.active = ((1u64 << chunk.len()) - 1) << 1;
+        // The good value at each fault's net in the previous cycle; X
+        // before the first cycle, so nothing is armed in cycle 0.
+        let mut before = vec![V3::X; chunk.len()];
         // Machines whose fault has been armed at least once: only their
         // divergence is a real fault effect (un-armed machines track the
         // good machine exactly, since no injection ever touches them).
         let mut infected = 0u64;
-
+        let mut caught = 0u64;
         for t in 0..seq.len() {
-            let vec = seq.vector(t);
-            // Fault-free evaluation of cycle t (slot 0 view).
-            seed_sources(cc, &mut self.good, vec, &good_state);
-            sim.eval(&mut self.good);
-
-            // Arm faults whose site transitions in the fault direction
-            // between t-1 and t (launch at t-1, capture at t).
-            self.ov.clear();
-            let mut armed = 0u64;
-            if t >= 1 {
-                for (k, f) in chunk.iter().enumerate() {
-                    let before = prev_good[f.net.index()];
-                    let now = self.good[f.net.index()].get(0);
-                    let launches = match (before, now) {
-                        (V3::Zero, V3::One) => f.rising,
-                        (V3::One, V3::Zero) => !f.rising,
-                        _ => false,
-                    };
-                    if launches {
-                        let mask = 1u64 << (k + 1);
-                        armed |= mask;
-                        self.ov.add(f.as_stuck_at(), mask);
-                    }
-                }
-            }
-
+            let vector = seq.vector(t);
+            // The fault-free pass of cycle t, seeded from the word's state:
+            // slot 0 is the good machine. A fault is armed when its net
+            // transitions in the fault direction between t-1 and t (launch
+            // at t-1, capture at t).
+            seed_sources(cc, &mut self.vals, vector, &word.state);
+            CompiledSim::new(cc).eval(&mut self.vals);
+            let good = &self.vals;
+            let armed = word.inject(chunk.iter().enumerate().filter_map(|(k, f)| {
+                let now = good[f.net.index()].get(0);
+                let launches = match (std::mem::replace(&mut before[k], now), now) {
+                    (V3::Zero, V3::One) => f.rising,
+                    (V3::One, V3::Zero) => !f.rising,
+                    _ => false,
+                };
+                launches.then(|| (k, f.as_stuck_at()))
+            }));
             infected |= armed;
-
-            // Faulty evaluation of cycle t with armed faults injected;
-            // previously latched corruption keeps propagating through the
-            // per-slot flip-flop state.
-            seed_sources(cc, &mut self.faulty, vec, &faulty_state);
-            sim.eval_with(&mut self.faulty, &self.ov);
-
-            // Observe primary outputs.
-            let mut diff = 0u64;
-            for &po in cc.pos() {
-                let w = self.faulty[po.index()];
-                match self.good[po.index()].get(0) {
-                    V3::One => diff |= w.zero,
-                    V3::Zero => diff |= w.one,
-                    V3::X => {}
-                }
-            }
-            caught |= diff & infected & active;
-
-            // Capture both machines; the faulty machine carries latched
-            // fault effects forward (a late transition corrupts the
-            // captured value permanently).
-            for (f, &d) in cc.ff_ds().iter().enumerate() {
-                good_state[f] = self.good[d.index()];
-                faulty_state[f] = self.faulty[d.index()];
-            }
-
+            caught |= word.eval(&mut self.vals, vector) & infected;
+            word.capture(&self.vals);
             // Scan-out observation at the last cycle.
             if t + 1 == seq.len() {
-                let mut sd = 0u64;
-                for (f, w) in faulty_state.iter().enumerate() {
-                    let good = good_state[f];
-                    match good.get(0) {
-                        V3::One => sd |= w.zero,
-                        V3::Zero => sd |= w.one,
-                        V3::X => {}
-                    }
-                }
-                caught |= sd & infected & active;
+                caught |= word.observe(FinalObserve::FullState) & infected;
             }
-
-            for net in nl.net_ids() {
-                prev_good[net.index()] = self.good[net.index()].get(0);
-            }
-            if caught == active {
+            if caught == word.active {
                 break;
             }
         }
@@ -337,6 +282,100 @@ mod tests {
         let first = sim.count_detected_by_set(&[t1], &faults);
         assert!(both >= first);
         assert!(both <= faults.len());
+    }
+
+    /// Every transition fault simulated alone, cycle by cycle, on the
+    /// reference walker from random scan-ins and sequences with X values:
+    /// the good and the faulty machine each keep their own state, and the
+    /// faulty one receives the stuck-at only in the cycles right after a
+    /// launching transition of the good value. Once armed, a binary
+    /// difference at a primary output in any cycle, or in the state after
+    /// the last cycle, detects the fault.
+    #[test]
+    fn detect_matches_per_fault_walker() {
+        use crate::comb::CombSim;
+        use atspeed_circuit::synth::{generate, SynthSpec};
+        let known_diff =
+            |a: W3, b: W3| a.get(0).is_known() && b.get(0).is_known() && a.get(0) != b.get(0);
+        let synth = generate(&SynthSpec::new("tr-ref", 5, 3, 8, 160, 11)).unwrap();
+        let mut x = 0x7a5e_d1a7u64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let v3 = |r: u64| match r % 5 {
+            0 => V3::X,
+            n => V3::from_bool(n & 1 == 1),
+        };
+        let mut detections = 0;
+        for nl in [s27(), synth] {
+            let faults = all_transition_faults(&nl);
+            let mut sim = TransitionFaultSim::new(&nl);
+            let mut walker = CombSim::new(&nl);
+            for _ in 0..8 {
+                let len = 2 + (rnd() % 12) as usize;
+                let si: State = (0..nl.num_ffs()).map(|_| v3(rnd())).collect();
+                let seq: Sequence = (0..len)
+                    .map(|_| (0..nl.num_pis()).map(|_| v3(rnd())).collect())
+                    .collect();
+                let det = sim.detect(&si, &seq, &faults);
+                for (k, f) in faults.iter().enumerate() {
+                    let stuck = [(f.as_stuck_at(), !0u64)];
+                    let mut good = vec![W3::ALL_X; nl.num_nets()];
+                    let mut bad = good.clone();
+                    let mut good_state: Vec<W3> = si.iter().map(|&v| W3::broadcast(v)).collect();
+                    let mut bad_state = good_state.clone();
+                    let mut before = V3::X;
+                    let (mut infected, mut caught) = (false, false);
+                    for t in 0..seq.len() {
+                        for (vals, state) in [(&mut good, &good_state), (&mut bad, &bad_state)] {
+                            for (i, &pi) in nl.pis().iter().enumerate() {
+                                vals[pi.index()] = W3::broadcast(seq.vector(t)[i]);
+                            }
+                            for (ff, &w) in nl.ffs().iter().zip(state) {
+                                vals[ff.q().index()] = w;
+                            }
+                        }
+                        walker.eval(&mut good);
+                        let now = good[f.net.index()].get(0);
+                        let armed = t >= 1
+                            && match (before, now) {
+                                (V3::Zero, V3::One) => f.rising,
+                                (V3::One, V3::Zero) => !f.rising,
+                                _ => false,
+                            };
+                        before = now;
+                        infected |= armed;
+                        walker.eval_with(&mut bad, if armed { &stuck[..] } else { &[] });
+                        caught |= infected
+                            && nl
+                                .pos()
+                                .iter()
+                                .any(|&po| known_diff(good[po.index()], bad[po.index()]));
+                        for (s, ff) in nl.ffs().iter().enumerate() {
+                            good_state[s] = good[ff.d().index()];
+                            bad_state[s] = bad[ff.d().index()];
+                        }
+                    }
+                    caught |= infected
+                        && good_state
+                            .iter()
+                            .zip(&bad_state)
+                            .any(|(&g, &b)| known_diff(g, b));
+                    assert_eq!(
+                        det[k],
+                        caught,
+                        "{} on {}, test ({si:?}, {seq:?})",
+                        f.describe(&nl),
+                        nl.name()
+                    );
+                    detections += usize::from(caught);
+                }
+            }
+        }
+        assert!(detections > 0, "the stimuli must detect something");
     }
 
     #[test]

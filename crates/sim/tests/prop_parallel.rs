@@ -10,7 +10,8 @@ use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    stats, CombFaultSim, CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3,
+    stats, CombFaultSim, CombTest, FinalObserve, ParallelFsim, SeqFaultSim, Sequence, SimConfig,
+    State, V3,
 };
 use proptest::prelude::*;
 
@@ -142,10 +143,10 @@ proptest! {
         let runs: Vec<(&State, &Sequence)> =
             runs_owned.iter().map(|(s, q)| (s, q)).collect();
         let serial_union =
-            ParallelFsim::new(&nl, SimConfig::default()).detect_union(&runs, &faults, &u, true);
+            ParallelFsim::new(&nl, SimConfig::default()).detect_union(&runs, &faults, &u, FinalObserve::FullState);
         prop_assert_eq!(
             serial_union,
-            par.detect_union(&runs, &faults, &u, true)
+            par.detect_union(&runs, &faults, &u, FinalObserve::FullState)
         );
     }
 }

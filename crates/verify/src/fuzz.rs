@@ -20,7 +20,11 @@
 //!    sequence ([`SeqFaultSim::end_states`], then
 //!    [`SeqFaultSim::detects_all_from`]) against whole-sequence detection,
 //!    at a random split, serially and at each requested thread count;
-//! 5. **omission** — the Phase-2 vector-omission sweep at one thread
+//! 5. **incremental** — the vector-at-a-time [`IncrementalSim`] that the
+//!    `T_0` generators and the dynamic-compaction baseline run on against
+//!    the batch detection profiles ([`SeqFaultSim::profiles`]) from the
+//!    same start state, including a rollback to a checkpoint;
+//! 6. **omission** — the Phase-2 vector-omission sweep at one thread
 //!    against the same sweep with its profiles fault-sharded at each
 //!    requested thread count
 //!    ([`check_omission_differential`](atspeed_atpg::compact::check_omission_differential)).
@@ -36,8 +40,8 @@ use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, Overrides, ParallelFsim, SeqFaultSim,
-    Sequence, SimConfig, State, V3, W3,
+    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, IncrementalSim, Overrides, ParallelFsim,
+    SeqFaultSim, Sequence, SimConfig, State, V3, W3,
 };
 
 /// Salt so stimuli derivation is independent of how many random draws the
@@ -99,8 +103,9 @@ impl Case {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
-    /// `seq-detect`, `resume`, `omission`, or `synth` when generation
-    /// itself errors). It is written into the repro bundle's `case.txt`.
+    /// `seq-detect`, `resume`, `incremental`, `omission`, or `synth` when
+    /// generation itself errors). It is written into the repro bundle's
+    /// `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
     pub detail: String,
@@ -306,6 +311,61 @@ pub(crate) fn check_resume(
     Ok(checks)
 }
 
+/// Incremental vs batch sequential simulation from the same start state:
+/// after `load_state(init)`, each `apply` newly detects exactly the faults
+/// whose profile puts their primary-output detection in that cycle, and
+/// applying the vector again after a `rollback` to a checkpoint taken just
+/// before it detects as many; `scan_observe` after the last vector then
+/// detects exactly the faults no primary output caught whose state differs
+/// at the end.
+pub(crate) fn check_incremental(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    faults: &[FaultId],
+) -> Result<usize, Divergence> {
+    let profiles = SeqFaultSim::new(nl).profiles(init, seq, faults, u);
+    let diverged = |detail: String| Divergence {
+        check: "incremental",
+        detail,
+    };
+    let mut inc = IncrementalSim::new(nl, u, faults);
+    inc.load_state(init);
+    for t in 0..seq.len() {
+        let want = profiles
+            .iter()
+            .filter(|p| p.po_detect == Some(t as u32))
+            .count();
+        inc.checkpoint();
+        let got = inc.apply(seq.vector(t));
+        if got != want {
+            return Err(diverged(format!(
+                "cycle {t}: apply detected {got}, the profiles {want}"
+            )));
+        }
+        inc.rollback();
+        let again = inc.apply(seq.vector(t));
+        if again != got {
+            return Err(diverged(format!(
+                "cycle {t}: apply detected {got}, and {again} after a rollback"
+            )));
+        }
+    }
+    let last = seq.len().checked_sub(1);
+    let want = profiles
+        .iter()
+        .filter(|p| p.po_detect.is_none() && last.is_some_and(|t| p.state_diff_at(t)))
+        .count();
+    let got = inc.scan_observe();
+    if got != want {
+        return Err(diverged(format!(
+            "scan_observe detected {got}, the profiles {want}"
+        )));
+    }
+    Ok(1)
+}
+
 /// Runs every differential check of one case at the given thread counts.
 ///
 /// # Errors
@@ -383,6 +443,7 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
 
     let split = (next() as usize) % (seq.len() + 1);
     report.checks += check_resume(&nl, &u, &init, &seq, &faults, &seq_serial, split, threads)?;
+    report.checks += check_incremental(&nl, &u, &init, &seq, &faults)?;
 
     // Vector omission: one thread vs fault-sharded profiles at each thread
     // count, on the faults this sequence actually detects.
@@ -662,10 +723,30 @@ mod tests {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
         assert!(
-            rep.checks >= 10,
-            "logic(4) + comb(2) + seq(1) + resume(2) + omission(1): {rep:?}"
+            rep.checks >= 11,
+            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(1): {rep:?}"
         );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);
+    }
+
+    /// The incremental check on a circuit whose collapsed faults fill three
+    /// words (a fuzz case samples at most 63), over a sequence long enough
+    /// for detections to spread across cycles.
+    #[test]
+    fn incremental_check_spans_several_words() {
+        let spec = SynthSpec::new("inc", 6, 4, 8, 160, 2001);
+        let nl = generate(&spec).unwrap();
+        let u = FaultUniverse::full(&nl);
+        let faults = u.representatives().to_vec();
+        assert!(faults.len() > 2 * 63, "needs three words");
+        let case = Case {
+            spec,
+            data_seed: 7,
+            seq_len: 24,
+            fault_cap: faults.len(),
+        };
+        let (init, seq) = case_stimuli(&case, &nl);
+        assert_eq!(check_incremental(&nl, &u, &init, &seq, &faults), Ok(1));
     }
 }

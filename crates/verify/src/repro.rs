@@ -25,7 +25,7 @@ use atspeed_sim::{
     try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
 };
 
-use crate::fuzz::{case_stimuli, check_resume, Case, Divergence};
+use crate::fuzz::{case_stimuli, check_incremental, check_resume, Case, Divergence};
 
 /// Why a bundle failed to dump or load.
 #[derive(Debug)]
@@ -222,8 +222,8 @@ pub struct ReplayReport {
 /// Re-runs the serial-vs-parallel differentials on a loaded bundle: the
 /// sequential detection comparison at each thread count, the resume check
 /// at every split of the sequence (the bundle does not record the split a
-/// fuzz case drew), then the vector omission differential on the detected
-/// faults.
+/// fuzz case drew), the incremental-simulator check, then the vector
+/// omission differential on the detected faults.
 ///
 /// # Errors
 ///
@@ -263,6 +263,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
             threads,
         )?;
     }
+    check_incremental(nl, &u, &bundle.init, &bundle.seq, &faults)?;
     let targets: Vec<FaultId> = faults
         .iter()
         .zip(&serial)
