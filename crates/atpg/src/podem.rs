@@ -8,16 +8,29 @@
 //! complete: with an unbounded backtrack budget, exhausting the search space
 //! proves a fault combinationally untestable.
 //!
-//! The forward simulation here runs on single-pattern `V3` values: PODEM
-//! implies one candidate assignment at a time, so there is no pattern
-//! dimension for a 64-slot word to fill.
+//! PODEM implies one candidate assignment at a time, so there is no
+//! pattern dimension to fill. Instead the good and the faulty machine
+//! share one dual-rail [`W3`] word per net, slot 0 good and slot 1 faulty,
+//! and one gate evaluation serves both.
+//!
+//! Each search step pays only for what it changes. A call starts with one
+//! full pass; after that, implication is event-driven: only the ops
+//! downstream of the inputs a decision, flip or backtrack changed are
+//! re-evaluated, level by level. The two machines can differ only on the
+//! fault's fanout cone, which is built once per call, so the D-frontier
+//! search, the X-path check and the observation check walk the cone
+//! instead of the circuit.
 
-use atspeed_circuit::{CompiledCircuit, Driver, NetId, Netlist};
+use atspeed_circuit::{CompiledCircuit, Driver, GateId, NetId, Netlist};
 use atspeed_sim::fault::{Fault, FaultSite};
-use atspeed_sim::{CombTest, V3};
+use atspeed_sim::{CombTest, V3, W3};
 use atspeed_trace::{Counter, Histogram};
 
 use crate::scoap::Scoap;
+
+/// The word slots of the two machines: slot 0 good, slot 1 faulty.
+const BOTH: u64 = 0b11;
+const FAULTY: u64 = 0b10;
 
 /// Configuration for [`Podem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +62,8 @@ pub enum PodemOutcome {
 /// PODEM test generator with reusable scratch state.
 ///
 /// All value propagation (implication, D-frontier scan, X-path check) runs
-/// over the flat [`CompiledCircuit`] schedule and CSR pin spans; the netlist
-/// is only consulted for driver lookups during backtrace.
+/// over the flat [`CompiledCircuit`] program and CSR pin spans; the netlist
+/// is only consulted for driver lookups during backtrace and cone set-up.
 #[derive(Debug)]
 pub struct Podem<'a> {
     nl: &'a Netlist,
@@ -59,15 +72,63 @@ pub struct Podem<'a> {
     /// Assignable inputs: primary inputs, then flip-flop Q nets.
     cinputs: Vec<NetId>,
     assignment: Vec<V3>,
-    good: Vec<V3>,
-    faulty: Vec<V3>,
-    /// Nets observed for error: primary outputs and flip-flop D nets.
-    observables: Vec<NetId>,
+    /// Assignable inputs changed since the last implication.
+    changed: Vec<usize>,
+    /// Both machines' value per net (slots 0 and 1; the others stay X).
+    vals: Vec<W3>,
+    /// How the current fault forces the faulty machine.
+    inject: Inject,
+    /// The current fault's fanout cone.
+    cone: Cone,
+    /// Ops awaiting re-evaluation, one bucket per program level.
+    buckets: Vec<Vec<u32>>,
+    queued: Vec<bool>,
+    /// Pin scratch for one gate evaluation, as wide as the widest gate.
+    gins: Vec<W3>,
+    /// X-path reachability; only the current cone's nets are meaningful.
+    reach: Vec<bool>,
     /// SCOAP measures guiding the backtrace input choices.
     scoap: Scoap,
     /// Per-fault search metrics, resolved once from the global registry so
     /// the per-fault hot path never takes the registry lock.
     metrics: PodemMetrics,
+}
+
+/// Where the faulty machine departs from the good one.
+#[derive(Debug, Clone, Copy)]
+struct Inject {
+    stuck: bool,
+    /// A stem fault's net: its value is the stuck value.
+    stem: Option<NetId>,
+    /// A gate-pin fault's op and pin: that pin reads the stuck value.
+    pin: Option<(usize, usize)>,
+}
+
+/// The nets a fault can make differ, and what lives on them.
+///
+/// For a stem fault it is the site net and its transitive fanout; for a
+/// gate-pin fault, the faulted gate's output and its fanout. Observation-pin
+/// faults have an empty cone: their faulty machine equals the good one.
+/// The cone is closed under fanout, so no gate outside it reads a net on
+/// which the machines differ.
+#[derive(Debug)]
+struct Cone {
+    /// Per net: inside the cone.
+    member: Vec<bool>,
+    /// The cone's nets, in discovery order (what `member` marks).
+    nets: Vec<NetId>,
+    /// The gates driving cone nets, in `schedule()` order.
+    gates: Vec<GateId>,
+    /// Their ops, in program order.
+    ops: Vec<u32>,
+    /// The cone's observed nets (primary outputs and flip-flop D nets).
+    observed: Vec<NetId>,
+}
+
+/// The lowest and highest levels holding queued ops.
+struct Pending {
+    lo: usize,
+    hi: usize,
 }
 
 /// Handles into the global metrics registry for PODEM search telemetry.
@@ -99,17 +160,31 @@ impl<'a> Podem<'a> {
         let cc = nl.compiled();
         let mut cinputs: Vec<NetId> = cc.pis().to_vec();
         cinputs.extend(cc.ff_qs().iter().copied());
-        let mut observables: Vec<NetId> = cc.pos().to_vec();
-        observables.extend(cc.ff_ds().iter().copied());
+        let widest = cc.ops().map(|(_, _, ins)| ins.len()).max().unwrap_or(0);
         Podem {
             nl,
             cc,
             cfg,
             assignment: vec![V3::X; cinputs.len()],
             cinputs,
-            good: vec![V3::X; cc.num_nets()],
-            faulty: vec![V3::X; cc.num_nets()],
-            observables,
+            changed: Vec::new(),
+            vals: vec![W3::ALL_X; cc.num_nets()],
+            inject: Inject {
+                stuck: false,
+                stem: None,
+                pin: None,
+            },
+            cone: Cone {
+                member: vec![false; cc.num_nets()],
+                nets: Vec::new(),
+                gates: Vec::new(),
+                ops: Vec::new(),
+                observed: Vec::new(),
+            },
+            buckets: vec![Vec::new(); cc.max_level() as usize + 1],
+            queued: vec![false; cc.num_gates()],
+            gins: vec![W3::ALL_X; widest],
+            reach: vec![false; cc.num_nets()],
             scoap: Scoap::compute_with(cc),
             metrics: PodemMetrics::resolve(),
         }
@@ -150,7 +225,9 @@ impl<'a> Podem<'a> {
         max_depth_out: &mut usize,
     ) -> PodemOutcome {
         self.assignment.fill(V3::X);
-        self.simulate(fault);
+        self.changed.clear();
+        self.build_cone(fault);
+        self.full_pass();
 
         // Decision: (input index, value, flipped-already).
         let mut decisions: Vec<(usize, bool, bool)> = Vec::new();
@@ -166,8 +243,8 @@ impl<'a> Podem<'a> {
                 Some((input, value)) => {
                     decisions.push((input, value, false));
                     *max_depth_out = (*max_depth_out).max(decisions.len());
-                    self.assignment[input] = V3::from_bool(value);
-                    self.simulate(fault);
+                    self.assign(input, V3::from_bool(value));
+                    self.imply();
                 }
                 None => {
                     let mut verdict = None;
@@ -178,7 +255,7 @@ impl<'a> Podem<'a> {
                                 break;
                             }
                             Some((input, _, true)) => {
-                                self.assignment[input] = V3::X;
+                                self.assign(input, V3::X);
                             }
                             Some((input, value, false)) => {
                                 backtracks += 1;
@@ -189,8 +266,8 @@ impl<'a> Podem<'a> {
                                     break;
                                 }
                                 decisions.push((input, !value, true));
-                                self.assignment[input] = V3::from_bool(!value);
-                                self.simulate(fault);
+                                self.assign(input, V3::from_bool(!value));
+                                self.imply();
                                 break;
                             }
                         }
@@ -216,45 +293,167 @@ impl<'a> Podem<'a> {
         }
     }
 
-    fn simulate(&mut self, fault: Fault) {
+    /// Records the fault's forcing and marks its fanout cone, clearing only
+    /// what the previous fault marked.
+    fn build_cone(&mut self, fault: Fault) {
         let cc = self.cc;
-        for (i, &net) in self.cinputs.iter().enumerate() {
-            self.good[net.index()] = self.assignment[i];
-            self.faulty[net.index()] = self.assignment[i];
-        }
-        if let FaultSite::Stem(net) = fault.site {
-            if !cc.gate_driven(net) {
-                self.faulty[net.index()] = V3::from_bool(fault.stuck);
-            }
-        }
-        let pin_fault = match fault.site {
-            FaultSite::GatePin(g, p) => Some((cc.op_of(g), usize::from(p))),
-            _ => None,
+        self.inject = Inject {
+            stuck: fault.stuck,
+            stem: None,
+            pin: None,
         };
-        let mut gins: [V3; 16] = [V3::X; 16];
-        let mut fins: [V3; 16] = [V3::X; 16];
-        // The program order: level by level, so any order within a level
-        // gives the same values.
-        for (op, (kind, out, ins)) in cc.ops().enumerate() {
-            let n = ins.len();
-            debug_assert!(n <= 16, "gate fanin exceeds scratch size");
-            for (p, &inet) in ins.iter().enumerate() {
-                gins[p] = self.good[inet.index()];
-                fins[p] = if pin_fault == Some((op, p)) {
-                    V3::from_bool(fault.stuck)
-                } else {
-                    self.faulty[inet.index()]
-                };
+        let cone = &mut self.cone;
+        for net in cone.nets.drain(..) {
+            cone.member[net.index()] = false;
+        }
+        cone.gates.clear();
+        cone.ops.clear();
+        cone.observed.clear();
+        let seed = match fault.site {
+            FaultSite::Stem(net) => {
+                self.inject.stem = Some(net);
+                net
             }
-            self.good[out.index()] = V3::eval_gate(kind, &gins[..n]);
-            let mut fout = V3::eval_gate(kind, &fins[..n]);
-            if let FaultSite::Stem(net) = fault.site {
-                if net == out {
-                    fout = V3::from_bool(fault.stuck);
+            FaultSite::GatePin(g, p) => {
+                self.inject.pin = Some((cc.op_of(g), usize::from(p)));
+                cc.output(g)
+            }
+            FaultSite::FfPin(_) | FaultSite::PoPin(_) => return,
+        };
+        cone.member[seed.index()] = true;
+        cone.nets.push(seed);
+        let mut next = 0;
+        while let Some(&net) = cone.nets.get(next) {
+            next += 1;
+            for &g in cc.fanout_gates(net) {
+                let out = cc.output(g);
+                if !cone.member[out.index()] {
+                    cone.member[out.index()] = true;
+                    cone.nets.push(out);
                 }
             }
-            self.faulty[out.index()] = fout;
         }
+        for &net in &cone.nets {
+            if let Driver::Gate(g) = self.nl.driver(net) {
+                cone.gates.push(g);
+                cone.ops.push(cc.op_of(g) as u32);
+            }
+            if cc.observed(net) {
+                cone.observed.push(net);
+            }
+        }
+        cone.gates.sort_unstable_by_key(|&g| (cc.gate_level(g), g));
+        cone.ops.sort_unstable();
+    }
+
+    fn assign(&mut self, input: usize, value: V3) {
+        self.assignment[input] = value;
+        self.changed.push(input);
+    }
+
+    /// Evaluates both machines over the whole program from the current
+    /// assignment.
+    fn full_pass(&mut self) {
+        for i in 0..self.cinputs.len() {
+            self.set_input(i);
+        }
+        for op in 0..self.cc.num_gates() {
+            self.eval_op(op);
+        }
+    }
+
+    /// Brings both machines up to date with the inputs changed since the
+    /// last implication, re-evaluating only the ops downstream of them.
+    fn imply(&mut self) {
+        let mut pending = Pending {
+            lo: usize::MAX,
+            hi: 0,
+        };
+        for k in 0..self.changed.len() {
+            let input = self.changed[k];
+            if self.set_input(input) {
+                self.schedule_fanout(self.cinputs[input], &mut pending);
+            }
+        }
+        self.changed.clear();
+        let mut level = pending.lo;
+        while level <= pending.hi {
+            while let Some(op) = self.buckets[level].pop() {
+                let op = op as usize;
+                self.queued[op] = false;
+                if self.eval_op(op) {
+                    self.schedule_fanout(self.cc.op_output(op), &mut pending);
+                }
+            }
+            level += 1;
+        }
+        if cfg!(debug_assertions) {
+            let vals = self.vals.clone();
+            self.full_pass();
+            assert!(
+                vals == self.vals,
+                "event-driven implication differs from a full pass"
+            );
+        }
+    }
+
+    /// Queues the ops reading `net`. They sit at higher levels than its
+    /// driver, so the bucket being drained never receives an op.
+    fn schedule_fanout(&mut self, net: NetId, pending: &mut Pending) {
+        let cc = self.cc;
+        for &g in cc.fanout_gates(net) {
+            let op = cc.op_of(g);
+            if !self.queued[op] {
+                self.queued[op] = true;
+                let level = cc.gate_level(g) as usize;
+                self.buckets[level].push(op as u32);
+                pending.lo = pending.lo.min(level);
+                pending.hi = pending.hi.max(level);
+            }
+        }
+    }
+
+    /// Copies assignable input `input` into both machines; returns whether
+    /// its value changed.
+    fn set_input(&mut self, input: usize) -> bool {
+        let net = self.cinputs[input];
+        let mut w = match self.assignment[input].to_bool() {
+            Some(b) => W3::ALL_X.force(b, BOTH),
+            None => W3::ALL_X,
+        };
+        if self.inject.stem == Some(net) {
+            w = w.force(self.inject.stuck, FAULTY);
+        }
+        let changed = self.vals[net.index()] != w;
+        self.vals[net.index()] = w;
+        changed
+    }
+
+    /// Evaluates op `op` in both machines at once; returns whether its
+    /// output changed.
+    fn eval_op(&mut self, op: usize) -> bool {
+        let cc = self.cc;
+        let out = cc.op_output(op);
+        let ins = cc.op_inputs(op);
+        for (p, &inet) in ins.iter().enumerate() {
+            self.gins[p] = self.vals[inet.index()];
+        }
+        if let Some((pin_op, pin)) = self.inject.pin {
+            if pin_op == op {
+                self.gins[pin] = self.gins[pin].force(self.inject.stuck, FAULTY);
+            }
+        }
+        let mut w = W3::eval_gate(cc.op_kind(op), &self.gins[..ins.len()]);
+        if self.inject.stem == Some(out) {
+            w = w.force(self.inject.stuck, FAULTY);
+        }
+        let changed = self.vals[out.index()] != w;
+        self.vals[out.index()] = w;
+        changed
+    }
+
+    fn good(&self, net: NetId) -> V3 {
+        self.vals[net.index()].get(0)
     }
 
     fn error_observed(&self, fault: Fault) -> bool {
@@ -262,21 +461,21 @@ impl<'a> Podem<'a> {
             // Observation-pin faults are detected as soon as the observed
             // net carries the complement of the stuck value.
             FaultSite::FfPin(_) | FaultSite::PoPin(_) => {
-                self.good[self.site_net(fault).index()] == V3::from_bool(!fault.stuck)
+                self.good(self.site_net(fault)) == V3::from_bool(!fault.stuck)
             }
-            _ => self.observables.iter().any(|&o| {
-                let g = self.good[o.index()];
-                let f = self.faulty[o.index()];
-                g.is_known() && f.is_known() && g != f
-            }),
+            _ => self
+                .cone
+                .observed
+                .iter()
+                .any(|&o| differs(self.vals[o.index()])),
         }
     }
 
     /// Picks the next objective `(net, value)`, or `None` to backtrack.
-    fn objective(&self, fault: Fault) -> Option<(NetId, bool)> {
+    fn objective(&mut self, fault: Fault) -> Option<(NetId, bool)> {
         let site = self.site_net(fault);
         let want = !fault.stuck;
-        match self.good[site.index()] {
+        match self.good(site) {
             V3::X => return Some((site, want)),
             v if v == V3::from_bool(fault.stuck) => return None,
             _ => {}
@@ -293,33 +492,34 @@ impl<'a> Podem<'a> {
     /// Finds a D-frontier gate with an X input and an X-path to an
     /// observable, and returns the objective that feeds it a
     /// non-controlling value.
-    fn d_frontier_objective(&self, fault: Fault) -> Option<(NetId, bool)> {
+    ///
+    /// Only cone gates can read a net on which the machines differ, so
+    /// walking the cone in `schedule()` order finds the same first gate as
+    /// walking the whole schedule.
+    fn d_frontier_objective(&mut self, fault: Fault) -> Option<(NetId, bool)> {
+        self.xpath_reach();
         let cc = self.cc;
-        let xpath = self.xpath_reach();
-        for &gid in cc.schedule() {
+        for &gid in &self.cone.gates {
             let out = cc.output(gid);
-            let og = self.good[out.index()];
-            let of = self.faulty[out.index()];
             // Output already resolved in both machines: not frontier.
-            if og.is_known() && of.is_known() {
+            if !is_x(self.vals[out.index()]) {
                 continue;
             }
-            if !xpath[out.index()] {
+            if !self.reach[out.index()] {
                 continue;
             }
             let mut has_error_input = false;
             let mut x_input: Option<NetId> = None;
             for (p, &inet) in cc.inputs(gid).iter().enumerate() {
-                let g = self.good[inet.index()];
-                let mut f = self.faulty[inet.index()];
+                let mut w = self.vals[inet.index()];
                 if let FaultSite::GatePin(fg, fp) = fault.site {
-                    if fg == gid && fp == p as u8 {
-                        f = V3::from_bool(fault.stuck);
+                    if fg == gid && usize::from(fp) == p {
+                        w = w.force(fault.stuck, FAULTY);
                     }
                 }
-                if g.is_known() && f.is_known() && g != f {
+                if differs(w) {
                     has_error_input = true;
-                } else if g == V3::X && x_input.is_none() {
+                } else if w.get(0) == V3::X && x_input.is_none() {
                     x_input = Some(inet);
                 }
             }
@@ -338,30 +538,38 @@ impl<'a> Podem<'a> {
         None
     }
 
-    /// Nets from which an observable is reachable through composite-X nets.
-    fn xpath_reach(&self) -> Vec<bool> {
-        let cc = self.cc;
-        let mut reach = vec![false; cc.num_nets()];
-        let is_x = |net: NetId| {
-            !(self.good[net.index()].is_known() && self.faulty[net.index()].is_known())
-        };
-        for &o in &self.observables {
-            if is_x(o) {
+    /// Marks the cone nets from which an observable is reachable through
+    /// composite-X nets. A path from a cone net stays in the cone, so one
+    /// reverse sweep of the cone's ops decides every cone net; marks left
+    /// on the inputs feeding the cone are never read.
+    fn xpath_reach(&mut self) {
+        let Podem {
+            cc,
+            vals,
+            cone,
+            reach,
+            ..
+        } = self;
+        for &net in &cone.nets {
+            reach[net.index()] = false;
+        }
+        for &o in &cone.observed {
+            if is_x(vals[o.index()]) {
                 reach[o.index()] = true;
             }
         }
-        // Single reverse-topological sweep (ops in reverse level order).
-        for (_, out, ins) in cc.ops().rev() {
-            if !reach[out.index()] || !is_x(out) {
+        // Reverse program order is reverse level order.
+        for &op in cone.ops.iter().rev() {
+            let out = cc.op_output(op as usize);
+            if !reach[out.index()] || !is_x(vals[out.index()]) {
                 continue;
             }
-            for &inet in ins {
-                if is_x(inet) {
+            for &inet in cc.op_inputs(op as usize) {
+                if is_x(vals[inet.index()]) {
                     reach[inet.index()] = true;
                 }
             }
         }
-        reach
     }
 
     /// Walks an objective back to an unassigned input; `None` on dead end.
@@ -389,7 +597,7 @@ impl<'a> Podem<'a> {
                             let mut chosen: Option<NetId> = None;
                             let mut parity = false;
                             for &inet in self.cc.inputs(gid) {
-                                match self.good[inet.index()] {
+                                match self.good(inet) {
                                     V3::X => {
                                         let cost =
                                             |n: NetId| self.scoap.cc0(n).min(self.scoap.cc1(n));
@@ -428,7 +636,7 @@ impl<'a> Podem<'a> {
                             // hardest first so infeasible goals fail fast.
                             let mut chosen: Option<NetId> = None;
                             for &inet in self.cc.inputs(gid) {
-                                if self.good[inet.index()] != V3::X {
+                                if self.good(inet) != V3::X {
                                     continue;
                                 }
                                 let cost = self.scoap.cc(inet, target);
@@ -463,6 +671,16 @@ impl<'a> Podem<'a> {
             self.assignment[..n_pi].to_vec(),
         )
     }
+}
+
+/// Whether a net is composite X: X in the good or the faulty machine.
+fn is_x(w: W3) -> bool {
+    w.known() & BOTH != BOTH
+}
+
+/// Whether the machines carry opposite binary values on a net.
+fn differs(w: W3) -> bool {
+    ((w.zero & (w.one >> 1)) | (w.one & (w.zero >> 1))) & 1 != 0
 }
 
 #[cfg(test)]
@@ -614,5 +832,85 @@ mod tests {
             "testable {tested}/{}",
             u.num_collapsed()
         );
+    }
+
+    #[test]
+    fn wide_gates_get_tests() {
+        // A 17-input and a 256-input AND, past the old 16-pin scratch.
+        let names: Vec<String> = (0..atspeed_circuit::MAX_FANIN)
+            .map(|i| format!("i{i}"))
+            .collect();
+        let pins: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut b = NetlistBuilder::new("wide");
+        for n in &pins {
+            b.input(n);
+        }
+        b.gate(GateKind::And, "w17", &pins[..17]);
+        b.gate(GateKind::And, "w256", &pins);
+        b.output("w17");
+        b.output("w256");
+        let nl = b.finish().unwrap();
+        let u = FaultUniverse::full(&nl);
+        let mut podem = Podem::new(&nl, PodemConfig::default());
+        for (net, width) in [("w17", 17), ("w256", 256)] {
+            let fault = Fault {
+                site: FaultSite::Stem(nl.find_net(net).unwrap()),
+                stuck: false,
+            };
+            let fid = u.all_ids().find(|&id| u.fault(id) == fault).unwrap();
+            match podem.generate(fault) {
+                PodemOutcome::Test(t) => {
+                    assert!(t.inputs[..width].iter().all(|&v| v == V3::One), "{net}");
+                    assert!(verify_test(&nl, fid, &t), "{net}");
+                }
+                other => panic!("{net} stuck-at-0 should be testable, got {other:?}"),
+            }
+        }
+    }
+
+    /// Pins the search itself, not just its verdicts: a change to which
+    /// decisions PODEM makes moves one of these totals. Backtracks and
+    /// maximum decision depths are summed over faults; specified bits are
+    /// the non-X bits of the tests found.
+    #[test]
+    fn search_totals_are_pinned() {
+        use atspeed_circuit::catalog;
+        // (circuit, faults, tests, untestable, aborted, backtracks,
+        //  sum of max depth, specified bits)
+        let expected = [
+            ("s298", 538, 479, 50, 9, 8_712, 4_893, 4_488),
+            ("b03", 740, 721, 11, 8, 3_640, 9_097, 8_793),
+            ("b06", 258, 216, 42, 0, 905, 1_297, 1_060),
+        ];
+        for (name, faults, tests, untestable, aborted, backtracks, depth, bits) in expected {
+            let nl = catalog::by_name(name).unwrap().instantiate();
+            let u = FaultUniverse::full(&nl);
+            let mut podem = Podem::new(&nl, PodemConfig::default());
+            let mut got = (0usize, 0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
+            for &fid in u.representatives() {
+                let (mut bt, mut max_depth) = (0usize, 0usize);
+                match podem.search(u.fault(fid), &mut bt, &mut max_depth) {
+                    PodemOutcome::Test(t) => {
+                        got.1 += 1;
+                        got.6 += t
+                            .state
+                            .iter()
+                            .chain(&t.inputs)
+                            .filter(|v| v.is_known())
+                            .count();
+                    }
+                    PodemOutcome::Untestable => got.2 += 1,
+                    PodemOutcome::Aborted => got.3 += 1,
+                }
+                got.0 += 1;
+                got.4 += bt;
+                got.5 += max_depth;
+            }
+            assert_eq!(
+                got,
+                (faults, tests, untestable, aborted, backtracks, depth, bits),
+                "{name}: (faults, tests, untestable, aborted, backtracks, depth, bits)"
+            );
+        }
     }
 }

@@ -151,20 +151,28 @@ pub fn try_run_circuit_opts(
         None
     };
 
+    // Each baseline gets a span named after its phase, so a trace
+    // attributes their time instead of leaving it as `circuit` self time.
     atspeed_sim::stats::set_phase("baseline4");
-    let b4 = baseline4(&nl, &universe, &comb, &targets);
+    let b4 = {
+        let _sp = atspeed_trace::span("baseline4");
+        baseline4(&nl, &universe, &comb, &targets)
+    };
     let n_sv = nl.num_ffs();
     atspeed_sim::stats::set_phase("baseline-dynamic");
-    let dynamic = dynamic_schedule(
-        &nl,
-        &universe,
-        &comb,
-        &targets,
-        &DynamicConfig {
-            seed: TABLE_SEED,
-            ..DynamicConfig::default()
-        },
-    );
+    let dynamic = {
+        let _sp = atspeed_trace::span("baseline-dynamic");
+        dynamic_schedule(
+            &nl,
+            &universe,
+            &comb,
+            &targets,
+            &DynamicConfig {
+                seed: TABLE_SEED,
+                ..DynamicConfig::default()
+            },
+        )
+    };
 
     atspeed_trace::info!("bench.runner", "circuit done";
         circuit = info.name,

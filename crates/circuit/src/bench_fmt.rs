@@ -296,4 +296,23 @@ mod tests {
         assert_eq!(nl.num_pis(), 1);
         assert_eq!(nl.num_gates(), 1);
     }
+
+    /// A pin index is a `u8`, so a gate past 256 inputs is a structured
+    /// error, not a panic.
+    #[test]
+    fn fanin_is_capped_at_256() {
+        let wide_and = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("i{i}")).collect();
+            let mut text: String = names.iter().map(|x| format!("INPUT({x})\n")).collect();
+            text.push_str(&format!("OUTPUT(y)\ny = AND({})\n", names.join(", ")));
+            text
+        };
+        let nl = parse("w256", &wide_and(crate::MAX_FANIN)).unwrap();
+        assert_eq!(nl.gates()[0].inputs().len(), 256);
+        let err = parse("w257", &wide_and(crate::MAX_FANIN + 1)).unwrap_err();
+        assert!(
+            matches!(err, CircuitError::BadFanin { ref net, got: 257 } if net == "y"),
+            "{err:?}"
+        );
+    }
 }

@@ -3,10 +3,14 @@
 use std::fmt;
 use std::str::FromStr;
 
+/// The widest gate a netlist accepts. A pin index is a `u8` in gate-pin
+/// sinks and gate-pin fault sites, so a gate has at most 256 pins.
+pub const MAX_FANIN: usize = 256;
+
 /// The kind of a combinational logic gate.
 ///
-/// All kinds except [`GateKind::Not`] and [`GateKind::Buf`] accept two or
-/// more inputs; `Not` and `Buf` accept exactly one.
+/// All kinds except [`GateKind::Not`] and [`GateKind::Buf`] accept two to
+/// [`MAX_FANIN`] inputs; `Not` and `Buf` accept exactly one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// Logical conjunction.
@@ -47,7 +51,7 @@ impl GateKind {
             GateKind::Not | GateKind::Buf => n == 1,
             // Single-input AND/OR/... occasionally appear in benchmark
             // netlists and behave as buffers; accept them.
-            _ => n >= 1,
+            _ => (1..=MAX_FANIN).contains(&n),
         }
     }
 
@@ -186,6 +190,8 @@ mod tests {
         assert!(!GateKind::Not.accepts_fanin(2));
         assert!(GateKind::And.accepts_fanin(4));
         assert!(!GateKind::And.accepts_fanin(0));
+        assert!(GateKind::Xor.accepts_fanin(MAX_FANIN));
+        assert!(!GateKind::Xor.accepts_fanin(MAX_FANIN + 1));
     }
 
     #[test]

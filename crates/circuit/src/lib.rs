@@ -52,6 +52,6 @@ pub mod synth;
 
 pub use compiled::CompiledCircuit;
 pub use error::CircuitError;
-pub use gate::GateKind;
+pub use gate::{GateKind, MAX_FANIN};
 pub use id::{FfId, GateId, NetId, PoId};
 pub use netlist::{Driver, Ff, Gate, Netlist, NetlistBuilder, Sink};

@@ -489,7 +489,7 @@ impl NetlistBuilder {
                     input.index(),
                     Sink::GatePin(
                         GateId::from_index(gi),
-                        u8::try_from(pin).expect("gate fanin exceeds 255"),
+                        u8::try_from(pin).expect("fanin checked against MAX_FANIN"),
                     ),
                     &mut cursor,
                 );

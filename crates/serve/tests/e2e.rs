@@ -210,6 +210,42 @@ fn bad_jobs_are_error_replies_not_crashes() {
     server.wait();
 }
 
+/// A gate past the fanin cap used to panic the parser outside the job's
+/// `catch_unwind`, killing the worker: that submission got "server shutting
+/// down" and, with one worker, every later job waited forever. Now it is an
+/// error reply and the lone worker goes on to compute s27.
+#[test]
+fn over_wide_gate_is_an_error_reply_and_the_worker_survives() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let names: Vec<String> = (0..atspeed_circuit::MAX_FANIN)
+        .map(|i| format!("i{i}"))
+        .collect();
+    let mut wide: String = names.iter().map(|n| format!("INPUT({n})\n")).collect();
+    wide.push_str(&format!(
+        "OUTPUT(y)\nq = DFF(y)\ny = AND({}, q)\n",
+        names.join(", ")
+    ));
+    match client.submit("wide", &wide, &quick_config()) {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.contains("netlist rejected"), "{msg}");
+            assert!(msg.contains("invalid fanin 257"), "{msg}");
+        }
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    let ok = client.submit("s27", &s27_bench(), &quick_config()).unwrap();
+    assert_eq!(ok.header.cache, CacheOutcome::Miss);
+    let stats = client.stats().unwrap();
+    assert!(stats.contains("workers = 1"), "{stats}");
+    assert!(stats.contains("jobs_failed = 1"), "{stats}");
+    client.shutdown().unwrap();
+    server.wait();
+}
+
 #[test]
 fn malformed_frames_get_explicit_protocol_errors() {
     let server = start();

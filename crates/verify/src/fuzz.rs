@@ -27,7 +27,11 @@
 //! 6. **omission** — the Phase-2 vector-omission sweep at one thread
 //!    against the same sweep with its profiles fault-sharded at each
 //!    requested thread count
-//!    ([`check_omission_differential`](atspeed_atpg::compact::check_omission_differential)).
+//!    ([`check_omission_differential`]);
+//! 7. **atpg** — PODEM against fault simulation and against the SAT engine
+//!    on the fault sample: every test [`Podem`] finds detects its fault
+//!    under [`CombFaultSim`], and wherever neither aborts, [`Podem`] and
+//!    [`SatAtpg`] agree on testable versus untestable.
 //!
 //! Any disagreement surfaces as a [`Divergence`]; [`run_fuzz`] then shrinks
 //! the case ([`crate::shrink`]) and dumps a reproduction bundle
@@ -36,6 +40,7 @@
 use std::path::PathBuf;
 
 use atspeed_atpg::compact::{check_omission_differential, OmissionConfig};
+use atspeed_atpg::{Podem, PodemConfig, PodemOutcome, SatAtpg, SatAtpgConfig, SatAtpgOutcome};
 use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
@@ -103,9 +108,9 @@ impl Case {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
-    /// `seq-detect`, `resume`, `incremental`, `omission`, or `synth` when
-    /// generation itself errors). It is written into the repro bundle's
-    /// `case.txt`.
+    /// `seq-detect`, `resume`, `incremental`, `omission`, `atpg`, or
+    /// `synth` when generation itself errors). It is written into the
+    /// repro bundle's `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
     pub detail: String,
@@ -366,6 +371,53 @@ pub(crate) fn check_incremental(
     Ok(1)
 }
 
+/// PODEM against its independent references: each test it finds must
+/// detect its fault under [`CombFaultSim`], and wherever neither engine
+/// aborts, PODEM and [`SatAtpg`] must agree on testable versus untestable.
+pub(crate) fn check_atpg(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    faults: &[FaultId],
+) -> Result<usize, Divergence> {
+    let mut podem = Podem::new(nl, PodemConfig::default());
+    let sat = SatAtpg::new(nl, SatAtpgConfig::default());
+    let mut csim = CombFaultSim::new(nl);
+    let diverged = |detail: String| Divergence {
+        check: "atpg",
+        detail,
+    };
+    for &fid in faults {
+        let fault = u.fault(fid);
+        let podem_testable = match podem.generate(fault) {
+            PodemOutcome::Test(t) => {
+                if csim.detect_block(std::slice::from_ref(&t), &[fid], u)[0] & 1 == 0 {
+                    return Err(diverged(format!(
+                        "PODEM's test for {} does not detect it",
+                        fault.describe(nl)
+                    )));
+                }
+                Some(true)
+            }
+            PodemOutcome::Untestable => Some(false),
+            PodemOutcome::Aborted => None,
+        };
+        let sat_testable = match sat.generate(fault) {
+            SatAtpgOutcome::Test(_) => Some(true),
+            SatAtpgOutcome::Untestable => Some(false),
+            SatAtpgOutcome::Aborted => None,
+        };
+        if let (Some(p), Some(s)) = (podem_testable, sat_testable) {
+            if p != s {
+                return Err(diverged(format!(
+                    "{}: PODEM testable={p}, SAT testable={s}",
+                    fault.describe(nl)
+                )));
+            }
+        }
+    }
+    Ok(1)
+}
+
 /// Runs every differential check of one case at the given thread counts.
 ///
 /// # Errors
@@ -469,6 +521,8 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
         })?;
         report.checks += 1;
     }
+
+    report.checks += check_atpg(&nl, &u, &faults)?;
 
     Ok(report)
 }
@@ -584,11 +638,12 @@ pub struct MalformedOutcome {
 
 /// Feeds `iters` deterministically mutated inputs into the two parsing
 /// surfaces a served request reaches — `.bench` netlist parsing
-/// ([`bench_fmt::parse`]) and the stimuli wire codec
-/// ([`crate::repro::decode_stimuli`]) — and asserts, by returning at all,
-/// that no mutation panics, aborts, or wedges a parser. Every malformed
-/// input must surface as an `Err`; benign mutations that still parse are
-/// counted, not failed.
+/// ([`bench_fmt::parse`](atspeed_circuit::bench_fmt::parse)) and the
+/// stimuli wire codec ([`crate::repro::decode_stimuli`]) — and asserts,
+/// by returning at all, that no mutation panics, aborts, or wedges a
+/// parser. Every malformed input must surface as an `Err`; benign
+/// mutations that still parse are counted, not failed. One `.bench` case
+/// in four widens a gate past [`atspeed_circuit::MAX_FANIN`] inputs.
 ///
 /// This is the client-cannot-crash-the-server guarantee at the payload
 /// layer; the serve crate's own tests cover the framing layer.
@@ -637,10 +692,31 @@ pub fn run_malformed_fuzz(seed: u64, iters: usize) -> MalformedOutcome {
         String::from_utf8_lossy(&bytes).into_owned()
     };
 
+    // Widen one gate past the fanin cap by repeating its first input.
+    let widen = |text: &str, next: &mut dyn FnMut() -> u64| -> String {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let gates: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains(" = ") && !lines[i].contains("DFF"))
+            .collect();
+        if let Some(&i) = gates.get((next() as usize) % gates.len().max(1)) {
+            let line = &mut lines[i];
+            if let (Some(open), Some(close)) = (line.find('('), line.rfind(')')) {
+                let first = line[open + 1..close].split(',').next().unwrap_or("").trim();
+                let extra = format!(", {first}").repeat(atspeed_circuit::MAX_FANIN);
+                line.insert_str(close, &extra);
+            }
+        }
+        lines.join("\n")
+    };
+
     let mut out = MalformedOutcome::default();
     for i in 0..iters {
         let (parsed, decoded) = if i % 2 == 0 {
-            let text = mutate(&bench, &mut next);
+            let text = if i % 8 == 0 {
+                widen(&bench, &mut next)
+            } else {
+                mutate(&bench, &mut next)
+            };
             (
                 atspeed_circuit::bench_fmt::parse("malformed", &text).is_ok(),
                 crate::repro::decode_stimuli(&vectors, nl.num_ffs(), nl.num_pis()).is_ok(),
@@ -723,8 +799,8 @@ mod tests {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
         assert!(
-            rep.checks >= 11,
-            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(1): {rep:?}"
+            rep.checks >= 12,
+            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(1) + atpg(1): {rep:?}"
         );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);

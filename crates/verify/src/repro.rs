@@ -25,7 +25,7 @@ use atspeed_sim::{
     try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
 };
 
-use crate::fuzz::{case_stimuli, check_incremental, check_resume, Case, Divergence};
+use crate::fuzz::{case_stimuli, check_atpg, check_incremental, check_resume, Case, Divergence};
 
 /// Why a bundle failed to dump or load.
 #[derive(Debug)]
@@ -222,8 +222,8 @@ pub struct ReplayReport {
 /// Re-runs the serial-vs-parallel differentials on a loaded bundle: the
 /// sequential detection comparison at each thread count, the resume check
 /// at every split of the sequence (the bundle does not record the split a
-/// fuzz case drew), the incremental-simulator check, then the vector
-/// omission differential on the detected faults.
+/// fuzz case drew), the incremental-simulator check, the vector omission
+/// differential on the detected faults, then the PODEM check.
 ///
 /// # Errors
 ///
@@ -286,6 +286,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
             detail: d.to_string(),
         })?;
     }
+    check_atpg(nl, &u, &faults)?;
     Ok(ReplayReport {
         faults: faults.len(),
         detected: targets.len(),

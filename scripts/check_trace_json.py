@@ -3,23 +3,27 @@
 
 Usage:
 
-    check_trace_json.py TRACE.json
+    check_trace_json.py TRACE.json [--require NAME]...
 
 Asserts the file parses, contains a non-empty `traceEvents` array, every
 event carries the expected fields, and B/E events balance per thread (a
-stack-discipline replay, so nesting is also validated).
+stack-discipline replay, so nesting is also validated). Each `--require
+NAME` also asserts that at least one span is named NAME.
 """
 
+import argparse
 import json
 import sys
 from collections import defaultdict
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} TRACE.json")
-    path = sys.argv[1]
-    with open(path, encoding="utf-8") as f:
+    parser = argparse.ArgumentParser(description="Sanity-check a Chrome trace.")
+    parser.add_argument("trace", metavar="TRACE.json")
+    parser.add_argument("--require", metavar="NAME", action="append", default=[],
+                        help="a span name that must occur (repeatable)")
+    args = parser.parse_args()
+    with open(args.trace, encoding="utf-8") as f:
         trace = json.load(f)
 
     events = trace.get("traceEvents")
@@ -42,6 +46,10 @@ def main():
     unbalanced = {tid: s for tid, s in stacks.items() if s}
     if unbalanced:
         sys.exit(f"error: unclosed spans: {unbalanced}")
+    names = {e["name"] for e in events if e["ph"] == "B"}
+    missing = [n for n in args.require if n not in names]
+    if missing:
+        sys.exit(f"error: no span named {', '.join(missing)}")
 
     tids = {e["tid"] for e in events}
     print(f"OK: {len(events)} events across {len(tids)} thread tracks, "

@@ -138,3 +138,40 @@ fn pipeline_with_random_t0_reaches_complete_coverage_on_s27() {
     // scan-based tau_seq built from it.
     assert!(r.t0_detected <= r.tau_seq_detected);
 }
+
+/// Gates of 17 to 256 inputs run through the whole pipeline: PODEM's pin
+/// scratch was 16 wide and indexed past its end on them.
+#[test]
+fn pipeline_runs_on_gates_up_to_the_fanin_cap() {
+    use atspeed::circuit::{GateKind, NetlistBuilder, MAX_FANIN};
+    use atspeed::sim::V3;
+    let names: Vec<String> = (0..MAX_FANIN).map(|i| format!("i{i}")).collect();
+    let mut b = NetlistBuilder::new("wide");
+    for n in &names {
+        b.input(n);
+    }
+    b.dff("q", "d");
+    let pins: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut pins17 = pins[..16].to_vec();
+    pins17.push("q");
+    b.gate(GateKind::And, "w17", &pins17);
+    b.gate(GateKind::And, "w256", &pins);
+    b.gate(GateKind::Xor, "d", &["w17", "i0"]);
+    b.output("w256");
+    b.output("d");
+    let nl = b.finish().unwrap();
+    let r = Pipeline::new(&nl)
+        .t0_source(T0Source::Random { len: 16 })
+        .seed(5)
+        .run()
+        .unwrap();
+    assert!(r.final_detected > 0);
+    // Only a test with every input at 1 detects w256 stuck-at-0, and no
+    // random fill finds one, so PODEM must have made it.
+    assert!(
+        r.comb_tests
+            .iter()
+            .any(|t| t.inputs.iter().all(|&v| v == V3::One)),
+        "no test sets all 256 inputs"
+    );
+}
