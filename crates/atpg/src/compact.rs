@@ -5,7 +5,7 @@
 //! losing the detection of any target fault. Every candidate omission is
 //! verified by fault simulation of the shortened sequence.
 //!
-//! Two techniques keep this affordable on long sequences:
+//! Three techniques keep this affordable on long sequences:
 //!
 //! - **Chunked sweeps** (delta-debugging style): large blocks are tried
 //!   before single vectors, so highly compactable sequences collapse in
@@ -18,16 +18,25 @@
 //!   late detections and faults observed solely at scan-out — need to be
 //!   re-simulated per attempt. This cuts most attempts from the full fault
 //!   set to a handful of parallel-fault groups.
+//! - **Resumed checks**: the sweep-start pass also records every cycle
+//!   boundary of the prefix ([`SweepRecord`]: the good state and the few
+//!   faults whose state differs), so an attempt that omits `[t, end)`
+//!   simulates only the vectors after the window, from boundary `t`. The
+//!   next sweep's start pass resumes the record from the lowest position
+//!   the sweep accepted, below which the sequence did not change.
 //!
-//! With `cfg.sim.threads > 1` each sweep-start profile is fault-sharded
-//! through [`ParallelFsim::profiles_bounded`]; the sweep itself stays
-//! strictly sequential, and every accept check runs on one [`SeqFaultSim`].
-//! The result is therefore identical at any thread count.
+//! With `cfg.sim.threads > 1` each sweep-start pass is fault-sharded
+//! through [`ParallelFsim::sweep_start`] and [`ParallelFsim::sweep_resume`];
+//! the sweep itself stays strictly sequential, and every accept check runs
+//! on one [`SeqFaultSim`]. The result is therefore identical at any thread
+//! count.
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::fsim_seq::DetectionProfile;
-use atspeed_sim::{ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
+use atspeed_sim::{
+    FinalObserve, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, SweepRecord,
+};
 
 /// Configuration for [`omit_vectors`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +129,7 @@ pub fn omit_vectors(
         cfg,
         &schedule,
         &mut stats,
+        Accept::Resume,
     );
 
     let m = atspeed_trace::metrics::global();
@@ -133,11 +143,13 @@ pub fn omit_vectors(
     (out, stats)
 }
 
-/// A divergence between the omission sweep at one thread and at some
-/// other thread count, found by [`check_omission_differential`].
+/// A divergence found by [`check_omission_differential`]: between the
+/// omission sweep at one thread and at some other thread count, or between
+/// the one-thread sweep and its from-scan-in reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmissionDivergence {
-    /// Thread count whose result disagreed with the one-thread reference.
+    /// Thread count whose result disagreed with the one-thread result; `1`
+    /// when the one-thread result disagreed with the reference.
     pub threads: usize,
     /// What disagreed, human-readable.
     pub detail: String,
@@ -145,20 +157,30 @@ pub struct OmissionDivergence {
 
 impl std::fmt::Display for OmissionDivergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "omission at {} threads diverged from 1 thread: {}",
-            self.threads, self.detail
-        )
+        if self.threads == 1 {
+            write!(
+                f,
+                "omission diverged from its from-scan-in reference: {}",
+                self.detail
+            )
+        } else {
+            write!(
+                f,
+                "omission at {} threads diverged from 1 thread: {}",
+                self.threads, self.detail
+            )
+        }
     }
 }
 
 impl std::error::Error for OmissionDivergence {}
 
-/// Runs [`omit_vectors`] at one thread and again at each thread count in
-/// `threads`: the compacted sequence and every stat must be bit-for-bit
-/// identical, although the sweep-start profiles of the multi-thread runs
-/// are fault-sharded across partitions.
+/// Runs [`omit_vectors`] at one thread, checks it against the reference
+/// sweep whose accept checks simulate each whole candidate from the
+/// scan-in state and whose sweep starts profile from scratch, and runs it
+/// again at each thread count in `threads`: the compacted sequence and
+/// every stat must be bit-for-bit identical, although the sweep-start
+/// passes of the multi-thread runs are fault-sharded across partitions.
 ///
 /// Returns the one-thread reference result on success. This is the
 /// omission-differential entry point of the `atspeed-verify` fuzzer.
@@ -190,6 +212,26 @@ pub fn check_omission_differential(
         observe_final_state,
         serial_cfg,
     );
+    let (scan_seq, scan_stats) = omit_from_scan_in(
+        nl,
+        universe,
+        init,
+        seq,
+        targets,
+        observe_final_state,
+        serial_cfg,
+    );
+    if scan_seq != ref_seq || scan_stats != ref_stats {
+        return Err(OmissionDivergence {
+            threads: 1,
+            detail: format!(
+                "resumed sweep keeps {} vectors with {ref_stats:?}, the reference {} with \
+                 {scan_stats:?}",
+                ref_seq.len(),
+                scan_seq.len()
+            ),
+        });
+    }
     for &t in threads {
         if t <= 1 {
             continue;
@@ -225,6 +267,37 @@ pub fn check_omission_differential(
         }
     }
     Ok((ref_seq, ref_stats))
+}
+
+/// [`omit_vectors`] with every accept check simulating the whole candidate
+/// from the scan-in state and every sweep start profiled from scratch.
+fn omit_from_scan_in(
+    nl: &Netlist,
+    universe: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    targets: &[FaultId],
+    observe_final_state: bool,
+    cfg: OmissionConfig,
+) -> (Sequence, OmissionStats) {
+    let mut stats = OmissionStats::default();
+    if seq.len() <= 1 || targets.is_empty() {
+        return (seq.clone(), stats);
+    }
+    let schedule = chunk_schedule(seq.len(), cfg);
+    let out = run_sweeps(
+        nl,
+        universe,
+        init,
+        seq,
+        targets,
+        observe_final_state,
+        cfg,
+        &schedule,
+        &mut stats,
+        Accept::FromScanIn,
+    );
+    (out, stats)
 }
 
 /// Sweep schedule: halving chunk sizes down to 2, then `max_passes`
@@ -263,29 +336,30 @@ fn positions(len: usize, chunk: usize) -> Vec<usize> {
 /// set of an attempt at position `t` is the suffix of faults whose
 /// `po_detect` key is `>= t`. A pure function of `t` and the sweep-start
 /// profile — independent of which removals the sweep later accepts — so it
-/// is built once per sweep.
+/// is built once per sweep. Faults are held as positions in the target
+/// list, which is also the fault list of the sweep record.
 struct SweepPlan {
     keys: Vec<u32>,
-    ordered: Vec<FaultId>,
+    ordered: Vec<usize>,
 }
 
 impl SweepPlan {
     fn new(targets: &[FaultId], profiles: &[DetectionProfile]) -> Self {
-        let mut keyed: Vec<(u32, FaultId)> = targets
+        let mut keyed: Vec<(u32, FaultId, usize)> = profiles
             .iter()
-            .zip(profiles.iter())
-            .map(|(&f, p)| (p.po_detect.unwrap_or(u32::MAX), f))
+            .enumerate()
+            .map(|(k, p)| (p.po_detect.unwrap_or(u32::MAX), targets[k], k))
             .collect();
         keyed.sort_unstable();
         SweepPlan {
-            keys: keyed.iter().map(|&(k, _)| k).collect(),
-            ordered: keyed.into_iter().map(|(_, f)| f).collect(),
+            keys: keyed.iter().map(|&(key, _, _)| key).collect(),
+            ordered: keyed.into_iter().map(|(_, _, k)| k).collect(),
         }
     }
 
     /// Faults that must be re-simulated for an attempt at position `t`:
     /// everything not safely detected strictly inside the untouched prefix.
-    fn check_set(&self, t: usize) -> &[FaultId] {
+    fn check_set(&self, t: usize) -> &[usize] {
         let first = self.keys.partition_point(|&k| k < t as u32);
         &self.ordered[first..]
     }
@@ -299,12 +373,16 @@ fn attempt_window(t: usize, chunk: usize, len: usize) -> (usize, bool) {
     (end, end > t && len - (end - t) >= 1)
 }
 
-fn remove_range(seq: &Sequence, start: usize, end: usize) -> Sequence {
-    seq.iter()
-        .enumerate()
-        .filter(|(i, _)| *i < start || *i >= end)
-        .map(|(_, v)| v.clone())
-        .collect()
+/// How the accept checks of a sweep simulate a candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Accept {
+    /// From the sweep record's boundary at the omitted window, over the
+    /// rest of the sequence; each sweep start resumes the previous
+    /// sweep's record from its lowest accepted position.
+    Resume,
+    /// The whole candidate from the scan-in state, with every sweep start
+    /// profiled from scratch: the reference the resumed checks must equal.
+    FromScanIn,
 }
 
 /// Runs the sweeps of `schedule` over `seq`, strictly descending through
@@ -320,10 +398,17 @@ fn run_sweeps(
     cfg: OmissionConfig,
     schedule: &[usize],
     stats: &mut OmissionStats,
+    accept: Accept,
 ) -> Sequence {
     let pfsim = ParallelFsim::new(nl, cfg.sim);
     let mut fsim = SeqFaultSim::new(nl);
+    let observe = FinalObserve::scan_out(observe_final_state);
+    let ids = |check: &[usize]| -> Vec<FaultId> { check.iter().map(|&k| targets[k]).collect() };
     let mut current = seq.clone();
+    let mut record: Option<SweepRecord> = None;
+    // The lowest position the previous sweep accepted (its length when it
+    // accepted nothing): the sequence is unchanged below it.
+    let mut low = current.len();
     for &chunk in schedule {
         if stats.attempts >= cfg.attempt_budget || current.len() <= 1 {
             break;
@@ -340,11 +425,38 @@ fn run_sweeps(
         // prefix-invariance rule; this simulation counts against the
         // attempt budget.
         stats.attempts += 1;
-        let (profiles, truncated) =
-            pfsim.profiles_bounded(init, &current, targets, universe, cfg.profile_state_words);
-        stats.truncated_profile_bits += truncated;
-        let plan = SweepPlan::new(targets, &profiles);
+        let plan = match accept {
+            Accept::Resume => {
+                let rec = match record.as_mut() {
+                    Some(rec) => {
+                        pfsim.sweep_resume(rec, &current, low, universe);
+                        rec
+                    }
+                    None => record.insert(pfsim.sweep_start(
+                        init,
+                        &current,
+                        targets,
+                        universe,
+                        cfg.profile_state_words,
+                    )),
+                };
+                stats.truncated_profile_bits += rec.truncated_bits();
+                SweepPlan::new(targets, rec.profiles())
+            }
+            Accept::FromScanIn => {
+                let (profiles, truncated) = pfsim.profiles_bounded(
+                    init,
+                    &current,
+                    targets,
+                    universe,
+                    cfg.profile_state_words,
+                );
+                stats.truncated_profile_bits += truncated;
+                SweepPlan::new(targets, &profiles)
+            }
+        };
 
+        low = current.len();
         let mut changed = false;
         for &t in &positions(current.len(), chunk) {
             if stats.attempts >= cfg.attempt_budget {
@@ -359,14 +471,36 @@ fn run_sweeps(
                 "attempts must be spent on feasible omissions only"
             );
             let check = plan.check_set(t);
-            let candidate = remove_range(&current, t, end);
             stats.attempts += 1;
+            let from_scan_in = |fsim: &mut SeqFaultSim| {
+                let mut candidate = current.clone();
+                candidate.remove_range(t, end);
+                fsim.detects_all(init, &candidate, &ids(check), universe, observe_final_state)
+            };
             let ok = check.is_empty()
-                || fsim.detects_all(init, &candidate, check, universe, observe_final_state);
+                || match (accept, record.as_ref()) {
+                    (Accept::Resume, Some(rec)) => {
+                        let ok = fsim
+                            .detects_all_resumed(rec, &current, t, end, check, universe, observe);
+                        if cfg!(debug_assertions) {
+                            // The reference check, counted apart so that
+                            // debug builds report the same work.
+                            let _quiet = atspeed_sim::stats::scoped();
+                            assert_eq!(
+                                ok,
+                                from_scan_in(&mut fsim),
+                                "resumed check at {t}..{end} disagrees with the whole candidate"
+                            );
+                        }
+                        ok
+                    }
+                    _ => from_scan_in(&mut fsim),
+                };
             if ok {
                 stats.removed += end - t;
                 stats.accepted += 1;
-                current = candidate;
+                current.remove_range(t, end);
+                low = t;
                 changed = true;
             }
         }
@@ -600,6 +734,89 @@ mod tests {
         );
     }
 
+    /// s27's representatives keep their state differences through an
+    /// 80-cycle sweep, so the record passes its cap of one state per target
+    /// and thins; the sweeps still return the sequence and every stat of
+    /// the reference whose checks simulate each whole candidate.
+    #[test]
+    fn a_sweep_past_the_record_cap_thins_it_and_keeps_results() {
+        let nl = s27();
+        let u = FaultUniverse::full(&nl);
+        let rows: Vec<String> = (0..80).map(|t| format!("{:04b}", t % 16)).collect();
+        let seq: Sequence = rows.iter().map(|r| parse_values(r)).collect();
+        let init = parse_values("000");
+        let targets: Vec<FaultId> = u.representatives().to_vec();
+        let rec = ParallelFsim::new(&nl, SimConfig::default()).sweep_start(
+            &init,
+            &seq,
+            &targets,
+            &u,
+            usize::MAX,
+        );
+        assert!(
+            rec.stride() > 1,
+            "the record must thin: stride {}",
+            rec.stride()
+        );
+        assert!(rec.recorded_states() <= targets.len());
+        for profile_state_words in [usize::MAX, 1] {
+            let cfg = OmissionConfig {
+                profile_state_words,
+                ..OmissionConfig::default()
+            };
+            let resumed = omit_vectors(&nl, &u, &init, &seq, &targets, true, cfg);
+            let reference = omit_from_scan_in(&nl, &u, &init, &seq, &targets, true, cfg);
+            assert_eq!(
+                resumed, reference,
+                "profile_state_words={profile_state_words}"
+            );
+        }
+    }
+
+    /// The sweep-start passes shard one word per partition and every accept
+    /// check runs on the calling thread: the sequence, the stats and the
+    /// gate-words are the same at 1, 2 and 4 threads, and equal the
+    /// reference's sequence and stats.
+    #[test]
+    fn results_and_work_are_identical_at_any_thread_count() {
+        use atspeed_circuit::synth::{generate, SynthSpec};
+        let nl = generate(&SynthSpec::new("omit", 6, 3, 10, 160, 5)).unwrap();
+        let u = FaultUniverse::full(&nl);
+        let seq: Sequence = crate::seq_tgen::random_t0(&nl, 40, 9)
+            .iter()
+            .cloned()
+            .collect();
+        let init: State = (0..nl.num_ffs())
+            .map(|f| V3::from_bool(f % 3 == 0))
+            .collect();
+        let targets = detected_targets(&nl, &u, &init, &seq);
+        assert!(targets.len() > 2 * 63, "{} targets", targets.len());
+        let run = |threads: usize| {
+            let cfg = OmissionConfig {
+                sim: SimConfig::with_threads(threads),
+                ..OmissionConfig::default()
+            };
+            let scope = atspeed_sim::stats::scoped();
+            let out = omit_vectors(&nl, &u, &init, &seq, &targets, true, cfg);
+            (out, scope.report().totals().gate_evals)
+        };
+        let one = run(1);
+        assert!(one.0 .1.accepted > 0, "{:?}", one.0 .1);
+        let reference = omit_from_scan_in(
+            &nl,
+            &u,
+            &init,
+            &seq,
+            &targets,
+            true,
+            OmissionConfig::default(),
+        );
+        assert_eq!(one.0, reference);
+        for threads in [2, 4] {
+            assert_eq!(run(threads), one, "threads={threads}");
+        }
+    }
+
     #[test]
     fn single_vector_sequence_is_untouched() {
         let nl = s27();
@@ -715,6 +932,7 @@ mod tests {
             cfg,
             &[seq.len() + 5],
             &mut stats,
+            Accept::Resume,
         );
         assert_eq!(stats.sweeps, 1);
         assert!(

@@ -12,7 +12,7 @@
 //! - an ISCAS-89 `.bench` [parser and writer](bench_fmt) so real benchmark
 //!   netlists can be used when available;
 //! - a deterministic [synthetic circuit generator](synth) and a
-//!   [catalog](catalog) describing the nineteen benchmark circuits used in
+//!   [catalog] describing the nineteen benchmark circuits used in
 //!   the paper's evaluation (their real netlists are distribution-restricted,
 //!   so the catalog instantiates interface-faithful synthetic stand-ins);
 //! - per-circuit [statistics](stats).

@@ -12,7 +12,7 @@
 //!
 //! The exact procedures of \[2,3\] are tied to their DFT schemes; this is a
 //! faithful substitute at the level the paper compares on — total clock
-//! cycles of the resulting schedule (Table 3, column "[2,3]").
+//! cycles of the resulting schedule (Table 3, column "\[2,3\]").
 
 use atspeed_atpg::seq_tgen::pick_best;
 use atspeed_circuit::Netlist;

@@ -14,8 +14,7 @@
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::parallel::claim_map;
-use atspeed_sim::{CombTest, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State};
+use atspeed_sim::{score_scan_ins, CombTest, ParallelFsim, Sequence, SimConfig, State};
 
 use crate::error::CoreError;
 use crate::test::ScanTest;
@@ -120,8 +119,9 @@ pub fn select_scan_test(
         Some(cap) if cap < rest.len() => &rest[..cap],
         _ => rest,
     };
-    // Candidates are scored independently, so they shard across workers;
-    // the selection below runs over the same counts either way.
+    // Every candidate applies `t0`, so the distinct scan-in states are
+    // scored together in one lane-packed simulation; the selection below
+    // runs over the same counts as one simulation per candidate would give.
     let counts = score_candidates(nl, universe, t0, candidates, sample, limit, cfg.sim);
     let mut best_unsel: Option<(usize, usize)> = None;
     let mut best_sel: Option<(usize, usize)> = None;
@@ -223,9 +223,10 @@ pub fn select_scan_test(
 }
 
 /// Scores the first `limit` candidates: how many of `sample` the test
-/// `(candidate state, t0)` detects. Candidates shard across workers (each
-/// scoring simulation is independent), so the counts — and therefore the
-/// Step 2 selection — match the serial loop exactly.
+/// `(candidate state, t0)` detects, all in one lane-packed simulation
+/// ([`score_scan_ins`]; a repeated state is scored once). The counts — and
+/// therefore the Step 2 selection — equal one simulation per candidate, at
+/// any thread count.
 fn score_candidates(
     nl: &Netlist,
     universe: &FaultUniverse,
@@ -236,19 +237,8 @@ fn score_candidates(
     sim: SimConfig,
 ) -> Vec<usize> {
     let n = limit.min(candidates.len());
-    let score = |fsim: &mut SeqFaultSim, si: &State| {
-        fsim.detect(si, t0, sample, universe, true)
-            .iter()
-            .filter(|&&d| d)
-            .count()
-    };
-    claim_map(
-        sim,
-        n,
-        "phase1.score.claim",
-        || SeqFaultSim::new(nl),
-        |fsim, j| score(fsim, &candidates[j].state),
-    )
+    let states: Vec<&State> = candidates[..n].iter().map(|c| &c.state).collect();
+    score_scan_ins(nl, &states, t0, sample, universe, sim)
 }
 
 #[cfg(test)]
@@ -256,7 +246,7 @@ mod tests {
     use super::*;
     use atspeed_atpg::random_t0;
     use atspeed_circuit::bench_fmt::s27;
-    use atspeed_sim::V3;
+    use atspeed_sim::{SeqFaultSim, V3};
 
     fn setup() -> (
         atspeed_circuit::Netlist,

@@ -15,9 +15,9 @@
 //! - **ResultHeader** — per-response (volatile) facts: cache hit or miss,
 //!   the two fingerprints, server-side wall time;
 //! - **ResultBody** — the cached, canonical rendering of the
-//!   [`PipelineResult`](atspeed_core::PipelineResult): summary stats, one
-//!   blank line, then each compacted scan test in the repro-bundle
-//!   stimuli format, separated by `--` lines. Byte-identical across cache
+//!   [`PipelineResult`] — summary stats, one blank line, then each
+//!   compacted scan test in the repro-bundle stimuli format, separated by
+//!   `--` lines. Byte-identical across cache
 //!   hits — that is the property the CI smoke job asserts with `cmp`.
 
 use std::io::{self, Read, Write};

@@ -10,7 +10,7 @@
 //! - its own span tree ([`atspeed_trace::scope`]), written per job under
 //!   `trace_dir` when configured, so one job's spans never interleave
 //!   with another's;
-//! - its own [`stats`](atspeed_sim::stats) scope, so per-job simulation
+//! - its own [`stats`] scope, so per-job simulation
 //!   reports are accurate under concurrency;
 //! - one run-history record ([`RunRecord`]) when `history` is
 //!   configured, so the `report` binary works per job.
@@ -325,15 +325,54 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { return };
-        let reply = execute_job(shared, &job.request);
+        // One `catch_unwind` around the whole job: a panic anywhere in it —
+        // parsing, the pipeline, encoding — is an Error reply, and the
+        // worker lives on to take the next job.
+        let reply = catch_unwind(AssertUnwindSafe(|| execute_job(shared, &job.request)))
+            .unwrap_or_else(|panic| {
+                shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                atspeed_trace::error!("serve", "job panicked";
+                    circuit = job.request.name, panic = msg);
+                JobReply::Failed(format!("job panicked: {msg}"))
+            });
         // The client may have hung up; a dead channel is not an error.
         let _ = job.reply.send(reply);
+    }
+}
+
+/// A cache key this job is computing. Unless the result is fulfilled
+/// through it, dropping it — on an error or while a panic unwinds —
+/// abandons the key, promoting one waiter instead of leaving every later
+/// request for the key waiting forever.
+struct InFlight<'c> {
+    cache: &'c JobCache,
+    key: &'c CacheKey,
+}
+
+impl InFlight<'_> {
+    fn fulfill(self, body: Vec<u8>) -> Arc<Vec<u8>> {
+        let body = self.cache.fulfill(self.key, body);
+        std::mem::forget(self);
+        body
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache.abandon(self.key);
     }
 }
 
 fn execute_job(shared: &Shared, request: &SubmitRequest) -> JobReply {
     let start = Instant::now();
     let job_seq = shared.jobs_started.fetch_add(1, Ordering::SeqCst);
+    #[cfg(test)]
+    tests::injected_panic(&request.name, "before-lookup");
 
     // Canonicalize: parse, re-render, fingerprint. The name participates
     // in the netlist fingerprint because it is rendered into the result
@@ -379,6 +418,12 @@ fn execute_job(shared: &Shared, request: &SubmitRequest) -> JobReply {
             }
         }
         Lookup::Compute => {
+            let flight = InFlight {
+                cache: &shared.cache,
+                key: &key,
+            };
+            #[cfg(test)]
+            tests::injected_panic(&request.name, "after-compute");
             // Per-job telemetry: a private span tree and a private
             // simulation-stats scope, so concurrent jobs don't interleave.
             let tracer = Arc::new(Tracer::new());
@@ -388,16 +433,14 @@ fn execute_job(shared: &Shared, request: &SubmitRequest) -> JobReply {
             let outcome = {
                 let _span_scope = atspeed_trace::scope(tracer.clone());
                 let stats_scope = stats::scoped();
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    Pipeline::from_config(&nl, &request.config).run()
-                }));
+                let run = Pipeline::from_config(&nl, &request.config).run();
                 (run, stats_scope.report())
             };
             let (run, report) = outcome;
             match run {
-                Ok(Ok(result)) => {
+                Ok(result) => {
                     let body = encode_result(&result, nl.num_pis()).into_bytes();
-                    let body = shared.cache.fulfill(&key, body);
+                    let body = flight.fulfill(body);
                     let wall_us = elapsed_us(start);
                     write_job_telemetry(shared, request, job_seq, wall_us, &report, &tracer);
                     atspeed_trace::info!("serve", "job computed";
@@ -408,24 +451,12 @@ fn execute_job(shared: &Shared, request: &SubmitRequest) -> JobReply {
                         body,
                     }
                 }
-                Ok(Err(e)) => {
-                    shared.cache.abandon(&key);
+                Err(e) => {
+                    drop(flight);
                     shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
                     atspeed_trace::warn!("serve", "job failed";
                         job = job_seq, circuit = request.name, error = e.to_string());
                     JobReply::Failed(format!("pipeline failed: {e}"))
-                }
-                Err(panic) => {
-                    shared.cache.abandon(&key);
-                    shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    atspeed_trace::error!("serve", "job panicked";
-                        job = job_seq, circuit = request.name, panic = msg);
-                    JobReply::Failed(format!("job panicked: {msg}"))
                 }
             }
         }
@@ -471,4 +502,68 @@ fn write_job_telemetry(
 
 fn elapsed_us(start: Instant) -> u64 {
     start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientError};
+    use atspeed_core::{PipelineConfig, T0Source};
+
+    /// Panics when the job's circuit is named `panic-<at>`: the two places
+    /// a served job may be made to panic in these tests.
+    pub(super) fn injected_panic(name: &str, at: &str) {
+        if name.strip_prefix("panic-") == Some(at) {
+            panic!("injected panic {at}");
+        }
+    }
+
+    fn quick_config() -> PipelineConfig {
+        PipelineConfig {
+            t0_source: T0Source::Random { len: 16 },
+            seed: 3,
+            ..PipelineConfig::default()
+        }
+    }
+
+    fn jobs_failed(client: &mut Client) -> u64 {
+        let stats = client.stats().unwrap();
+        stats
+            .lines()
+            .find_map(|l| l.strip_prefix("jobs_failed = "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no jobs_failed in {stats}"))
+    }
+
+    /// On a one-worker server, a job that panics before its cache lookup
+    /// or after it was told to compute gets an Error reply and counts one
+    /// failed job; the worker then answers an s27 job, and a repeat of the
+    /// panicking job is answered too (the key was not left in flight).
+    #[test]
+    fn a_panicking_job_costs_no_worker_and_leaves_no_key_in_flight() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let bench = bench_fmt::write(&bench_fmt::s27());
+        for at in ["before-lookup", "after-compute"] {
+            let name = format!("panic-{at}");
+            let failed = jobs_failed(&mut client);
+            for attempt in 0..2 {
+                match client.submit(&name, &bench, &quick_config()) {
+                    Err(ClientError::Server(msg)) => {
+                        assert!(msg.contains(&format!("injected panic {at}")), "{msg}");
+                    }
+                    other => panic!("{at} attempt {attempt}: expected an error, got {other:?}"),
+                }
+                assert_eq!(jobs_failed(&mut client), failed + 1 + attempt, "{at}");
+                let ok = client.submit("s27", &bench, &quick_config()).unwrap();
+                assert!(!ok.header.netlist_fp.is_empty());
+            }
+        }
+        client.shutdown().unwrap();
+        server.wait();
+    }
 }

@@ -1,7 +1,7 @@
 //! Sequential (cycle-accurate) simulation and parallel-fault fault
 //! simulation.
 //!
-//! Every parallel-fault sequential simulation steps one [`Word`]: the good
+//! Every parallel-fault sequential simulation steps one word: the good
 //! machine in slot 0 and up to 63 faulty machines in the remaining slots
 //! (the classic parallel-fault organization), each with its own flip-flop
 //! state, under one fault overlay. [`SeqFaultSim`] runs whole sequences on
@@ -12,6 +12,16 @@
 //! observes the flip-flop state, and [`SeqFaultSim::profiles`] records the
 //! full per-cycle state-difference sets that Phase 1 of the paper uses to
 //! choose the scan-out time unit.
+//!
+//! Two records let a check resume mid-sequence instead of simulating from
+//! the scan-in state. Both store one cycle boundary the same sparse way —
+//! the good state, plus the faults whose state differs from it — and one
+//! resume core serves both: [`EndStates`] holds the end of a test `T_i`,
+//! from which Phase 4 checks `T_i T_j` by simulating `T_j` alone
+//! ([`SeqFaultSim::detects_all_from`]); [`SweepRecord`] holds every
+//! boundary of a vector-omission sweep's starting sequence, from which an
+//! omission of `T[t, end)` is checked by simulating `T[end..]` alone
+//! ([`SeqFaultSim::detects_all_resumed`]).
 
 use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId};
 
@@ -94,6 +104,31 @@ impl DetectionProfile {
         self.state_diff[word] |= 1 << (t % 64);
     }
 
+    /// Clears the state-difference bits of cycle `t` on, dropping the
+    /// words left empty (the bitset a profile of `T[..t]` alone holds).
+    fn clear_state_diff_from(&mut self, t: usize) {
+        if let Some(w) = self.state_diff.get_mut(t / 64) {
+            *w &= (1u64 << (t % 64)) - 1;
+            self.state_diff.truncate(t / 64 + 1);
+        }
+        while self.state_diff.last() == Some(&0) {
+            self.state_diff.pop();
+        }
+    }
+
+    /// Takes `later`'s primary-output detection and ORs in its
+    /// state-difference bits: the profile of a resumed pass joined to the
+    /// one of the cycles before it.
+    fn merge_from(&mut self, later: &DetectionProfile) {
+        self.po_detect = later.po_detect;
+        if self.state_diff.len() < later.state_diff.len() {
+            self.state_diff.resize(later.state_diff.len(), 0);
+        }
+        for (w, &l) in self.state_diff.iter_mut().zip(&later.state_diff) {
+            *w |= l;
+        }
+    }
+
     /// Whether a scan-out at the end of cycle `t` observes a state
     /// difference.
     pub fn state_diff_at(&self, t: usize) -> bool {
@@ -139,7 +174,7 @@ pub enum FinalObserve<'m> {
 
 impl FinalObserve<'_> {
     /// A full scan-out when `observe_final_state` is set, else none.
-    pub(crate) fn scan_out(observe_final_state: bool) -> Self {
+    pub fn scan_out(observe_final_state: bool) -> Self {
         if observe_final_state {
             FinalObserve::FullState
         } else {
@@ -222,6 +257,13 @@ impl<'a> Word<'a> {
         self.state.extend(state.iter().map(|&v| W3::broadcast(v)));
     }
 
+    /// Loads a packed state (the [`EndStates`] layout) into every machine.
+    fn load_packed(&mut self, packed: &[W3], num_ffs: usize) {
+        self.state.clear();
+        self.state
+            .extend((0..num_ffs).map(|f| W3::broadcast(packed[f / 64].get(f % 64))));
+    }
+
     /// Evaluates one cycle into `vals` — `vector` broadcast to every slot,
     /// each slot's state, the overlay injected — and returns the active
     /// slots a primary output detects.
@@ -266,6 +308,16 @@ impl<'a> Word<'a> {
         Self::next_state(self.cc, &self.ov, vals).fold(0, |m, w| m | slot0_diff(w)) & self.active
     }
 
+    /// The active slots whose state differs from slot 0's at all: an X
+    /// against a binary value counts, so the others hold the good state
+    /// exactly.
+    fn state_differs(&self) -> u64 {
+        let spread = |bit: u64| 0u64.wrapping_sub(bit & 1);
+        self.state.iter().fold(0, |m, w| {
+            m | (w.zero ^ spread(w.zero)) | (w.one ^ spread(w.one))
+        }) & self.active
+    }
+
     /// The active slots whose state, as far as `observe` sees it, differs
     /// from slot 0's.
     pub(crate) fn observe(&self, observe: FinalObserve<'_>) -> u64 {
@@ -287,12 +339,15 @@ impl<'a> Word<'a> {
 
 /// Where each fault of a list stands at the end of a sequence applied
 /// without a scan-out, produced by [`SeqFaultSim::end_states`]: detected at
-/// a primary output, or the faulty flip-flop state.
+/// a primary output, or its faulty flip-flop state.
 /// [`SeqFaultSim::detects_all_from`] resumes simulation from it.
 ///
-/// A state is packed 64 flip-flops per [`W3`] (bit `f % 64` of word
-/// `f / 64` is flip-flop `f`) with both rails kept, so an unknown value
-/// stays unknown: `⌈FFs / 64⌉ × 16` bytes per fault.
+/// The record is sparse: the good machine's end state, plus the state of
+/// each fault left open whose state differs from it (an X against a binary
+/// value counts); every other open fault holds the good state exactly. A
+/// state is packed 64 flip-flops per [`W3`] (bit `f % 64` of word `f / 64`
+/// is flip-flop `f`) with both rails kept, so an unknown value stays
+/// unknown: `⌈FFs / 64⌉ × 16` bytes per recorded state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndStates {
     num_ffs: usize,
@@ -304,8 +359,11 @@ pub struct EndStates {
     /// The good machine's end state; `None` only when every word stopped
     /// early, and then no fault is left to resume.
     good: Option<Vec<W3>>,
-    /// `ff_words` words per fault (all X for a detected fault).
-    faulty: Vec<W3>,
+    /// The positions in `faults` of the open faults whose state differs
+    /// from the good one, ascending.
+    diff: Vec<u32>,
+    /// `ff_words` words per entry of `diff`.
+    states: Vec<W3>,
 }
 
 impl EndStates {
@@ -316,7 +374,8 @@ impl EndStates {
             faults: Vec::new(),
             po_detected: Vec::new(),
             good: None,
-            faulty: Vec::new(),
+            diff: Vec::new(),
+            states: Vec::new(),
         }
     }
 
@@ -326,20 +385,300 @@ impl EndStates {
         self.po_detected[k]
     }
 
-    fn faulty(&self, k: usize) -> &[W3] {
-        &self.faulty[k * self.ff_words..(k + 1) * self.ff_words]
-    }
-
     /// Appends the record of the faults that follow this record's in the
     /// list: the concatenation of the two fault lists' records.
     pub(crate) fn append(&mut self, other: EndStates) {
         debug_assert_eq!(self.num_ffs, other.num_ffs, "record width mismatch");
+        let offset = position(self.faults.len());
         self.faults.extend(other.faults);
         self.po_detected.extend(other.po_detected);
-        self.faulty.extend(other.faulty);
+        self.diff.extend(other.diff.iter().map(|&p| p + offset));
+        self.states.extend(other.states);
         if self.good.is_none() {
             self.good = other.good;
         }
+    }
+}
+
+/// A fault position as a record stores it.
+fn position(k: usize) -> u32 {
+    u32::try_from(k).expect("fault list longer than u32::MAX")
+}
+
+/// One recorded cycle boundary: the good state and the faults whose state
+/// differs from it, as [`EndStates`] and [`SweepRecord`] store them.
+#[derive(Debug, Clone, Copy)]
+struct Boundary<'r> {
+    ff_words: usize,
+    good: &'r [W3],
+    diff: &'r [u32],
+    states: &'r [W3],
+}
+
+impl Boundary<'_> {
+    /// The recorded state of the fault at position `pos`, if it differs
+    /// from the good one.
+    fn state_of(&self, pos: usize) -> Option<&[W3]> {
+        let i = self.diff.binary_search(&position(pos)).ok()?;
+        Some(&self.states[i * self.ff_words..(i + 1) * self.ff_words])
+    }
+}
+
+/// The start pass of a vector-omission sweep over a sequence `T` from a
+/// scan-in state, produced by
+/// [`ParallelFsim::sweep_start`](crate::ParallelFsim::sweep_start): every
+/// fault's [`DetectionProfile`], plus a record of the cycle boundaries from
+/// which [`SeqFaultSim::detects_all_resumed`] checks `T[..t] · T[end..]` by
+/// simulating only from boundary `t`.
+///
+/// Boundary `t` is the state before cycle `t`: the good state, and the
+/// state of each fault that no primary output detected before cycle `t`
+/// and whose state differs from the good one (an X against a binary value
+/// counts). States are packed as in [`EndStates`], in one flat array.
+///
+/// The record holds at most one fault state per fault in all, the size of
+/// one [`EndStates`] over the same faults. Past that it keeps every 2nd
+/// boundary, then every 4th, … (its stride), and a check at `t` resumes
+/// from the nearest kept boundary at or before `t`. The stride depends only
+/// on how many states each boundary holds, so the record — and the work of
+/// every check — is the same however the pass was sharded.
+#[derive(Debug, Clone)]
+pub struct SweepRecord {
+    num_ffs: usize,
+    ff_words: usize,
+    faults: Vec<FaultId>,
+    max_state_words: usize,
+    profiles: Vec<DetectionProfile>,
+    /// `truncated[t]`: state-difference bits of cycle `t` dropped by the
+    /// profile bound; its length is the recorded sequence's.
+    truncated: Vec<u64>,
+    /// Boundaries `k × stride` are kept, for `k × stride ≤ len`.
+    stride: usize,
+    /// `ff_words` words per kept boundary.
+    good: Vec<W3>,
+    /// `starts[k]..starts[k + 1]`: the entries of kept boundary `k`.
+    starts: Vec<usize>,
+    /// Entry positions in `faults`, ascending within a boundary.
+    diff: Vec<u32>,
+    /// `ff_words` words per entry.
+    states: Vec<W3>,
+}
+
+impl SweepRecord {
+    /// An empty record of `faults` from `init`: boundary 0 only.
+    pub(crate) fn new(init: &State, faults: &[FaultId], max_state_words: usize) -> Self {
+        let mut good = Vec::new();
+        pack_values(init, &mut good);
+        SweepRecord {
+            num_ffs: init.len(),
+            ff_words: init.len().div_ceil(64),
+            faults: faults.to_vec(),
+            max_state_words,
+            profiles: vec![DetectionProfile::default(); faults.len()],
+            truncated: Vec::new(),
+            stride: 1,
+            good,
+            starts: vec![0, 0],
+            diff: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+
+    /// Every fault's detection profile over the recorded sequence, each
+    /// state-difference bitset bounded as
+    /// [`SeqFaultSim::profiles_bounded`] bounds it.
+    pub fn profiles(&self) -> &[DetectionProfile] {
+        &self.profiles
+    }
+
+    /// The state-difference bits the profile bound dropped: the count
+    /// [`SeqFaultSim::profiles_bounded`] returns for the same sequence.
+    pub fn truncated_bits(&self) -> u64 {
+        self.truncated.iter().sum()
+    }
+
+    /// The distance between kept boundaries (1 until the record reaches its
+    /// cap).
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The fault states recorded over all kept boundaries.
+    pub fn recorded_states(&self) -> usize {
+        self.diff.len()
+    }
+
+    /// The most fault states the record keeps: one per fault.
+    fn cap(&self) -> usize {
+        self.faults.len()
+    }
+
+    /// Kept boundary `t` (a multiple of the stride).
+    fn boundary(&self, t: usize) -> Boundary<'_> {
+        debug_assert_eq!(t % self.stride, 0, "boundary {t} is not kept");
+        let k = t / self.stride;
+        let (a, b) = (self.starts[k], self.starts[k + 1]);
+        Boundary {
+            ff_words: self.ff_words,
+            good: &self.good[k * self.ff_words..(k + 1) * self.ff_words],
+            diff: &self.diff[a..b],
+            states: &self.states[a * self.ff_words..b * self.ff_words],
+        }
+    }
+
+    /// The states recorded at kept boundaries that are multiples of
+    /// `stride`.
+    fn states_at_stride(&self, stride: usize) -> usize {
+        self.starts
+            .windows(2)
+            .enumerate()
+            .filter(|(k, _)| (k * self.stride).is_multiple_of(stride))
+            .map(|(_, w)| w[1] - w[0])
+            .sum()
+    }
+
+    /// Rewinds the record to the nearest kept boundary `from` at or before
+    /// `low`, for a sequence that agrees with the recorded one before cycle
+    /// `low`. Faults a primary output detected before `from` keep their
+    /// profiles (their state-difference bits lie before it); the rest lose
+    /// everything from `from` on and are returned, by position, to be
+    /// resumed from boundary `from`.
+    pub(crate) fn rewind(&mut self, low: usize) -> (usize, Vec<usize>) {
+        let from = low.min(self.truncated.len()) / self.stride * self.stride;
+        let kept = from / self.stride + 1;
+        self.good.truncate(kept * self.ff_words);
+        self.starts.truncate(kept + 1);
+        self.diff.truncate(self.starts[kept]);
+        self.states.truncate(self.starts[kept] * self.ff_words);
+        self.truncated.truncate(from);
+        let mut open = Vec::new();
+        for (k, p) in self.profiles.iter_mut().enumerate() {
+            if p.po_detect.is_none_or(|d| d as usize >= from) {
+                p.po_detect = None;
+                p.clear_state_diff_from(from);
+                open.push(k);
+            }
+        }
+        (from, open)
+    }
+
+    /// Takes in the parts of a pass resumed from boundary `from` over a
+    /// sequence of `len` vectors, in fault order, and settles the stride
+    /// on the merged record: the smallest power of two at least every
+    /// part's whose kept boundaries hold at most one state per fault.
+    pub(crate) fn absorb(&mut self, from: usize, len: usize, parts: Vec<SweepPart>) {
+        let ffw = self.ff_words;
+        self.truncated.resize(len, 0);
+        for part in &parts {
+            for (&k, p) in part.positions.iter().zip(&part.profiles) {
+                self.profiles[k].merge_from(p);
+            }
+            for (t, &n) in part.truncated.iter().enumerate() {
+                self.truncated[from + t] += n;
+            }
+        }
+        // (boundary, position, part, entry): sorting puts each boundary's
+        // entries in position order.
+        let mut entries: Vec<(u32, u32, usize, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, part)| {
+                part.entries
+                    .iter()
+                    .enumerate()
+                    .map(move |(e, &(b, pos))| (b, pos, i, e))
+            })
+            .collect();
+        let mut stride = parts.iter().map(|p| p.stride).fold(self.stride, usize::max);
+        loop {
+            let new = entries
+                .iter()
+                .filter(|e| (e.0 as usize).is_multiple_of(stride))
+                .count();
+            if self.states_at_stride(stride) + new <= self.cap() {
+                break;
+            }
+            stride *= 2;
+        }
+        entries.retain(|e| (e.0 as usize).is_multiple_of(stride));
+        entries.sort_unstable();
+        if stride != self.stride {
+            self.thin(stride);
+        }
+        let mut next = entries.iter().peekable();
+        for b in (from + 1..=len).filter(|b| b.is_multiple_of(stride)) {
+            match parts.iter().find(|p| p.reached >= b - from) {
+                Some(p) => self
+                    .good
+                    .extend_from_slice(&p.good[(b - from - 1) * ffw..(b - from) * ffw]),
+                // No word ran this far: every fault was detected before it,
+                // so nothing resumes from here.
+                None => self.good.resize(self.good.len() + ffw, W3::ALL_X),
+            }
+            while let Some(&(_, pos, i, e)) = next.next_if(|e| e.0 as usize == b) {
+                self.diff.push(pos);
+                self.states
+                    .extend_from_slice(&parts[i].states[e * ffw..(e + 1) * ffw]);
+            }
+            self.starts.push(self.diff.len());
+        }
+    }
+
+    /// Keeps only the boundaries that are multiples of `stride`.
+    fn thin(&mut self, stride: usize) {
+        let ffw = self.ff_words;
+        let (mut good, mut starts, mut diff, mut states) =
+            (Vec::new(), vec![0], Vec::new(), Vec::new());
+        for k in 0..self.starts.len() - 1 {
+            if (k * self.stride).is_multiple_of(stride) {
+                let (a, b) = (self.starts[k], self.starts[k + 1]);
+                good.extend_from_slice(&self.good[k * ffw..(k + 1) * ffw]);
+                diff.extend_from_slice(&self.diff[a..b]);
+                states.extend_from_slice(&self.states[a * ffw..b * ffw]);
+                starts.push(diff.len());
+            }
+        }
+        (self.good, self.starts, self.diff, self.states) = (good, starts, diff, states);
+        self.stride = stride;
+    }
+}
+
+/// One shard's share of a sweep pass resumed from boundary `from`.
+#[derive(Debug)]
+pub(crate) struct SweepPart {
+    /// The shard's faults, by position in the record's fault list.
+    positions: Vec<usize>,
+    /// Their profiles from cycle `from` on.
+    profiles: Vec<DetectionProfile>,
+    /// Dropped state-difference bits per cycle from `from`.
+    truncated: Vec<u64>,
+    /// The stride this shard's own states forced.
+    stride: usize,
+    /// The boundaries `from + 1 ..= from + reached` some word of the shard
+    /// ran to, and their good states (`ff_words` words each).
+    reached: usize,
+    good: Vec<W3>,
+    /// `(boundary, position)` per recorded state, in recording order.
+    entries: Vec<(u32, u32)>,
+    /// `ff_words` words per entry.
+    states: Vec<W3>,
+}
+
+impl SweepPart {
+    /// Drops the entries at boundaries that are not multiples of `stride`.
+    fn thin(&mut self, stride: usize, ff_words: usize) {
+        let mut kept = 0;
+        for i in 0..self.entries.len() {
+            if (self.entries[i].0 as usize).is_multiple_of(stride) {
+                self.entries[kept] = self.entries[i];
+                self.states
+                    .copy_within(i * ff_words..(i + 1) * ff_words, kept * ff_words);
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+        self.states.truncate(kept * ff_words);
+        self.stride = stride;
     }
 }
 
@@ -485,16 +824,18 @@ impl<'a> SeqFaultSim<'a> {
                 pack_slot(&self.word.state, 0, &mut good);
                 rec.good = Some(good);
             }
+            let differs = if ran_every_cycle {
+                self.word.state_differs() & !caught
+            } else {
+                0
+            };
+            for k in slots(differs) {
+                rec.diff.push(position(rec.faults.len() + k));
+                pack_slot(&self.word.state, k + 1, &mut rec.states);
+            }
             for (k, &fid) in chunk.iter().enumerate() {
-                let detected = caught & (1u64 << (k + 1)) != 0;
                 rec.faults.push(fid);
-                rec.po_detected.push(detected);
-                if detected {
-                    let len = rec.faulty.len() + rec.ff_words;
-                    rec.faulty.resize(len, W3::ALL_X);
-                } else {
-                    pack_slot(&self.word.state, k + 1, &mut rec.faulty);
-                }
+                rec.po_detected.push(caught & (1u64 << (k + 1)) != 0);
             }
         }
         rec
@@ -533,22 +874,184 @@ impl<'a> SeqFaultSim<'a> {
         if open.is_empty() {
             return true;
         }
-        let good = rec
-            .good
-            .as_deref()
-            .expect("a fault left open at the end ran in a word that ran every cycle");
-        let good: State = (0..rec.num_ffs).map(|f| good[f / 64].get(f % 64)).collect();
-        let mut chunk = Vec::with_capacity(FAULTS_PER_PASS);
+        let at = Boundary {
+            ff_words: rec.ff_words,
+            good: rec
+                .good
+                .as_deref()
+                .expect("a fault left open at the end ran in a word that ran every cycle"),
+            diff: &rec.diff,
+            states: &rec.states,
+        };
+        self.resumed_all(
+            at,
+            &rec.faults,
+            &open,
+            suffix.iter(),
+            FinalObserve::FullState,
+            universe,
+        )
+    }
+
+    /// Whether the test `(init, seq[..t] · seq[end..])`, followed by
+    /// `observe`, detects every fault at the positions `which` of the
+    /// record's fault list, where `rec` is the sweep record of a sequence
+    /// that agrees with `seq` before cycle `t`. The faults a primary output
+    /// detected before cycle `t` count as detected; the rest are packed
+    /// [`FAULTS_PER_PASS`] per word from their states at the nearest kept
+    /// boundary at or before `t`, which run `seq[from..t]` and then
+    /// `seq[end..]`, and the call returns false at the first word that
+    /// ends with an undetected fault.
+    ///
+    /// Each slot evolves independently, so the verdict equals
+    /// [`SeqFaultSim::detects_all`] on the whole test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > end`, `end > seq.len()`, or a position is out of the
+    /// record's range.
+    #[allow(clippy::too_many_arguments)]
+    pub fn detects_all_resumed(
+        &mut self,
+        rec: &SweepRecord,
+        seq: &Sequence,
+        t: usize,
+        end: usize,
+        which: &[usize],
+        universe: &FaultUniverse,
+        observe: FinalObserve<'_>,
+    ) -> bool {
+        self.count_invocation();
+        assert_eq!(rec.num_ffs, self.nl.num_ffs(), "record width mismatch");
+        let open: Vec<usize> = which
+            .iter()
+            .copied()
+            .filter(|&k| rec.profiles[k].po_detect.is_none_or(|d| d as usize >= t))
+            .collect();
+        if open.is_empty() {
+            return true;
+        }
+        let from = t / rec.stride * rec.stride;
+        let v = seq.as_slice();
+        let vectors = v[from..t].iter().chain(&v[end..]);
+        self.resumed_all(
+            rec.boundary(from),
+            &rec.faults,
+            &open,
+            vectors,
+            observe,
+            universe,
+        )
+    }
+
+    /// The one resumed check: packs the faults at the positions `open` of
+    /// `faults` [`FAULTS_PER_PASS`] per word, loads each word from the
+    /// boundary `at` (the good state in every slot, then the recorded
+    /// ones), runs `vectors` and observes, and returns false at the first
+    /// word that ends with an undetected fault.
+    fn resumed_all<'v>(
+        &mut self,
+        at: Boundary<'_>,
+        faults: &[FaultId],
+        open: &[usize],
+        vectors: impl Iterator<Item = &'v Vec<V3>> + Clone,
+        observe: FinalObserve<'_>,
+        universe: &FaultUniverse,
+    ) -> bool {
+        let mut ids = Vec::with_capacity(FAULTS_PER_PASS);
         open.chunks(FAULTS_PER_PASS).all(|word| {
-            chunk.clear();
-            chunk.extend(word.iter().map(|&pos| rec.faults[pos]));
-            self.word.set_faults(&chunk, universe);
-            self.word.load(&good);
-            for (k, &pos) in word.iter().enumerate() {
-                unpack_slot(rec.faulty(pos), k + 1, &mut self.word.state);
-            }
-            self.run_observed(suffix, FinalObserve::FullState) == self.word.active
+            self.load_at(at, faults, word, &mut ids, universe);
+            self.run_observed(vectors.clone(), observe) == self.word.active
         })
+    }
+
+    /// Injects the faults at the positions `word` of `faults` and loads
+    /// each machine's state at the boundary `at`.
+    fn load_at(
+        &mut self,
+        at: Boundary<'_>,
+        faults: &[FaultId],
+        word: &[usize],
+        ids: &mut Vec<FaultId>,
+        universe: &FaultUniverse,
+    ) {
+        ids.clear();
+        ids.extend(word.iter().map(|&pos| faults[pos]));
+        self.word.set_faults(ids, universe);
+        self.word.load_packed(at.good, self.nl.num_ffs());
+        for (k, &pos) in word.iter().enumerate() {
+            if let Some(state) = at.state_of(pos) {
+                unpack_slot(state, k + 1, &mut self.word.state);
+            }
+        }
+    }
+
+    /// One shard of a sweep pass: the faults at `positions` of the record,
+    /// resumed from its kept boundary `from` over `seq[from..]`. Records
+    /// their profiles, the dropped bits, the good state at every boundary
+    /// reached, and their differing states at the boundaries that are
+    /// multiples of the stride, doubling the stride whenever the record
+    /// would pass its cap.
+    pub(crate) fn sweep_pass(
+        &mut self,
+        rec: &SweepRecord,
+        seq: &Sequence,
+        from: usize,
+        positions: &[usize],
+        universe: &FaultUniverse,
+    ) -> SweepPart {
+        let ffw = rec.ff_words;
+        let vectors = &seq.as_slice()[from..];
+        let at = rec.boundary(from);
+        let mut part = SweepPart {
+            positions: positions.to_vec(),
+            profiles: vec![DetectionProfile::default(); positions.len()],
+            truncated: vec![0; vectors.len()],
+            stride: rec.stride,
+            reached: 0,
+            good: Vec::new(),
+            entries: Vec::new(),
+            states: Vec::new(),
+        };
+        // The record's own states at the part's stride, recounted when it
+        // doubles.
+        let mut before = rec.states_at_stride(part.stride);
+        let mut ids = Vec::with_capacity(FAULTS_PER_PASS);
+        for (w, word) in positions.chunks(FAULTS_PER_PASS).enumerate() {
+            self.load_at(at, &rec.faults, word, &mut ids, universe);
+            let profiles = &mut part.profiles[w * FAULTS_PER_PASS..];
+            let (truncated, good, entries, states) = (
+                &mut part.truncated,
+                &mut part.good,
+                &mut part.entries,
+                &mut part.states,
+            );
+            let (stride, reached) = (part.stride, &mut part.reached);
+            let mut po_done = 0u64;
+            self.run(vectors, |r, fresh, word_now| {
+                let t = from + r;
+                po_done |= fresh;
+                truncated[r] +=
+                    profile_cycle(profiles, t, fresh, po_done, word_now, rec.max_state_words);
+                if *reached == r {
+                    pack_slot(&word_now.state, 0, good);
+                    *reached += 1;
+                }
+                let b = t + 1;
+                if b.is_multiple_of(stride) {
+                    for k in slots(word_now.state_differs() & !po_done) {
+                        entries.push((position(b), position(word[k])));
+                        pack_slot(&word_now.state, k + 1, states);
+                    }
+                }
+            });
+            while before + part.entries.len() > rec.cap() {
+                let doubled = part.stride * 2;
+                part.thin(doubled, ffw);
+                before = rec.states_at_stride(doubled);
+            }
+        }
+        part
     }
 
     /// Fault-simulates `seq` from `init` and returns the full detection
@@ -600,17 +1103,8 @@ impl<'a> SeqFaultSim<'a> {
             self.word.load(init);
             let mut po_done = 0u64;
             self.run(seq, |t, fresh, word| {
-                for k in slots(fresh) {
-                    profiles[k].po_detect = Some(t as u32);
-                }
                 po_done |= fresh;
-                for k in slots(word.observe(FinalObserve::FullState) & !po_done) {
-                    if t / 64 < max_state_words {
-                        profiles[k].set_state_diff(t);
-                    } else {
-                        truncated += 1;
-                    }
-                }
+                truncated += profile_cycle(profiles, t, fresh, po_done, word, max_state_words);
             });
         }
         (profiles, truncated)
@@ -621,10 +1115,14 @@ impl<'a> SeqFaultSim<'a> {
     /// output detected first in cycle `t` and the word holding the state
     /// captured at its end. Returns the slots a primary output detected,
     /// and stops early once that is every active slot.
-    fn run(&mut self, seq: &Sequence, mut hook: impl FnMut(usize, u64, &Word<'a>)) -> u64 {
+    fn run<'v>(
+        &mut self,
+        vectors: impl IntoIterator<Item = &'v Vec<V3>>,
+        mut hook: impl FnMut(usize, u64, &Word<'a>),
+    ) -> u64 {
         let mut caught = 0u64;
-        for t in 0..seq.len() {
-            let fresh = self.word.eval(&mut self.vals, seq.vector(t)) & !caught;
+        for (t, vector) in vectors.into_iter().enumerate() {
+            let fresh = self.word.eval(&mut self.vals, vector) & !caught;
             caught |= fresh;
             self.word.capture(&self.vals);
             hook(t, fresh, &self.word);
@@ -637,14 +1135,45 @@ impl<'a> SeqFaultSim<'a> {
 
     /// [`SeqFaultSim::run`], then `observe` on the end state of a word that
     /// ran every cycle: the slots the test detects.
-    fn run_observed(&mut self, seq: &Sequence, observe: FinalObserve<'_>) -> u64 {
-        let caught = self.run(seq, |_, _, _| {});
+    fn run_observed<'v>(
+        &mut self,
+        vectors: impl IntoIterator<Item = &'v Vec<V3>>,
+        observe: FinalObserve<'_>,
+    ) -> u64 {
+        let caught = self.run(vectors, |_, _, _| {});
         if caught == self.word.active {
             caught
         } else {
             caught | self.word.observe(observe)
         }
     }
+}
+
+/// Records cycle `t` of a word in its faults' profiles: the slots a primary
+/// output detected first in the cycle (`fresh`), and, for the slots no
+/// output has detected yet (outside `po_done`), whether a scan-out after
+/// the cycle would observe a difference. A bit of a cycle at or past
+/// `max_state_words × 64` is dropped; returns how many were.
+fn profile_cycle(
+    profiles: &mut [DetectionProfile],
+    t: usize,
+    fresh: u64,
+    po_done: u64,
+    word: &Word<'_>,
+    max_state_words: usize,
+) -> u64 {
+    for k in slots(fresh) {
+        profiles[k].po_detect = Some(t as u32);
+    }
+    let mut dropped = 0;
+    for k in slots(word.observe(FinalObserve::FullState) & !po_done) {
+        if t / 64 < max_state_words {
+            profiles[k].set_state_diff(t);
+        } else {
+            dropped += 1;
+        }
+    }
+    dropped
 }
 
 /// Incremental parallel-fault sequential simulator: keeps every faulty
@@ -828,6 +1357,17 @@ fn pack_slot(state: &[W3], slot: usize, out: &mut Vec<W3>) {
         for (b, v) in ffs.iter().enumerate() {
             w.zero |= (v.zero >> slot & 1) << b;
             w.one |= (v.one >> slot & 1) << b;
+        }
+        out.push(w);
+    }
+}
+
+/// Appends a scalar state to `out`, packed as [`pack_slot`] packs one.
+fn pack_values(state: &[V3], out: &mut Vec<W3>) {
+    for ffs in state.chunks(64) {
+        let mut w = W3::ALL_X;
+        for (b, &v) in ffs.iter().enumerate() {
+            w.set(b, v);
         }
         out.push(w);
     }

@@ -20,8 +20,12 @@
 //!   profiles* (earliest primary-output detection time, per-cycle state
 //!   difference sets) that Phase 1 of the paper consumes, the
 //!   [`EndStates`] records that let Phase 4 check `T_i T_j` by simulating
-//!   `T_j` alone, and the [`IncrementalSim`] that extends a sequence one
-//!   vector at a time;
+//!   `T_j` alone, the [`SweepRecord`] that lets vector omission check an
+//!   omission by simulating only the vectors after it, and the
+//!   [`IncrementalSim`] that extends a sequence one vector at a time;
+//! - [`lanes`] — Phase 1's candidate scoring: every scan-in state of a call
+//!   against one sequence in a single lane-packed simulation
+//!   ([`score_scan_ins`]);
 //! - [`parallel`] — [`ParallelFsim`], a multi-threaded front end that
 //!   shards faults (or tests, with cross-partition fault dropping through
 //!   a shared atomic bitmap) across scoped workers behind a [`SimConfig`],
@@ -53,6 +57,7 @@ pub mod fault;
 pub mod fsim_comb;
 pub mod fsim_seq;
 pub mod kernel;
+pub mod lanes;
 pub mod logic;
 pub mod parallel;
 pub mod stats;
@@ -63,9 +68,10 @@ pub use comb::CombSim;
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use fsim_comb::{CombFaultSim, CombTest};
 pub use fsim_seq::{
-    DetectionProfile, EndStates, FinalObserve, IncrementalSim, SeqFaultSim, SeqSim,
+    DetectionProfile, EndStates, FinalObserve, IncrementalSim, SeqFaultSim, SeqSim, SweepRecord,
 };
 pub use kernel::{CompiledSim, Overrides};
+pub use lanes::score_scan_ins;
 pub use logic::{V3, W3};
 pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig};
 pub use stats::{PhaseStats, SimReport};

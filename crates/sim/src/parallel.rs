@@ -6,7 +6,8 @@
 //! order. [`ParallelFsim`] uses it in two sharding shapes:
 //!
 //! - **fault sharding** (`detect_block`, `detect_matrix`, `detect`,
-//!   `detect_observed`, `profiles`, `end_states`, `detects_all_from`): the
+//!   `detect_observed`, `profiles`, `end_states`, `detects_all_from`,
+//!   `sweep_start`, `sweep_resume`): the
 //!   fault list is split into partitions and each worker runs the
 //!   single-threaded engine on the partitions it claims. Sequential calls
 //!   use the engine's own packing — one partition per
@@ -39,7 +40,9 @@ use atspeed_circuit::Netlist;
 
 use crate::fault::{FaultId, FaultUniverse};
 use crate::fsim_comb::{CombFaultSim, CombTest};
-use crate::fsim_seq::{DetectionProfile, EndStates, FinalObserve, SeqFaultSim, FAULTS_PER_PASS};
+use crate::fsim_seq::{
+    DetectionProfile, EndStates, FinalObserve, SeqFaultSim, SweepRecord, FAULTS_PER_PASS,
+};
 use crate::stats;
 use crate::vectors::{Sequence, State};
 
@@ -605,6 +608,62 @@ impl<'a> ParallelFsim<'a> {
             rec.append(part);
         }
         rec
+    }
+
+    /// The start pass of a vector-omission sweep over `seq` from `init`:
+    /// every fault's profile, state-difference bitsets bounded as
+    /// [`ParallelFsim::profiles_bounded`] bounds them, and the boundary
+    /// record that [`SeqFaultSim::detects_all_resumed`] checks omissions
+    /// from. Fault-sharded one 63-fault word per partition: each partition
+    /// records its own faults, the records merge in fault order, and the
+    /// stride is settled on the merged record, so the record and the work
+    /// are the same at any thread count.
+    pub fn sweep_start(
+        &self,
+        init: &State,
+        seq: &Sequence,
+        faults: &[FaultId],
+        universe: &FaultUniverse,
+        max_state_words: usize,
+    ) -> SweepRecord {
+        let mut rec = SweepRecord::new(init, faults, max_state_words);
+        self.sweep_resume(&mut rec, seq, 0, universe);
+        rec
+    }
+
+    /// Re-records `rec` for `seq`, a sequence that agrees with the recorded
+    /// one before cycle `low`, as [`ParallelFsim::sweep_start`] would
+    /// record it from scratch (up to the stride, which never shrinks).
+    /// The faults a primary output detected before the nearest kept
+    /// boundary at or before `low` keep their profiles; the rest resume
+    /// from that boundary over the rest of `seq`, sharded as in
+    /// [`ParallelFsim::sweep_start`]. With `low = seq.len()` on an
+    /// unchanged sequence only the vectors after the last kept boundary are
+    /// simulated (none at stride 1).
+    pub fn sweep_resume(
+        &self,
+        rec: &mut SweepRecord,
+        seq: &Sequence,
+        low: usize,
+        universe: &FaultUniverse,
+    ) {
+        assert!(low <= seq.len(), "resume point {low} past the sequence");
+        stats::add_invocation();
+        let (from, open) = rec.rewind(low);
+        let words: Vec<&[usize]> = open.chunks(FAULTS_PER_PASS).collect();
+        let parts = if self.cfg.effective_threads(words.len()) <= 1 {
+            vec![SeqFaultSim::uncounted(self.nl).sweep_pass(rec, seq, from, &open, universe)]
+        } else {
+            let rec = &*rec;
+            claim_map(
+                self.cfg,
+                words.len(),
+                "fsim.partition",
+                || SeqFaultSim::uncounted(self.nl),
+                |sim, w| sim.sweep_pass(rec, seq, from, words[w], universe),
+            )
+        };
+        rec.absorb(from, seq.len(), parts);
     }
 
     /// Parallel [`SeqFaultSim::detects_all_from`]. The faults left open

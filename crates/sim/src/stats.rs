@@ -32,7 +32,7 @@
 //!   unit (`events_skipped`), so for every propagated fault
 //!   `evals + skipped == num_gates`;
 //! - **invocations** — calls of a fault-simulation entry point (`detect*`,
-//!   `profiles*`, `end_states`). A [`ParallelFsim`](crate::ParallelFsim)
+//!   `profiles*`, `end_states`, `sweep_*`, [`score_scan_ins`](crate::score_scan_ins)). A [`ParallelFsim`](crate::ParallelFsim)
 //!   call counts once at any thread count; the engine calls it makes on
 //!   its partitions count none, so the total does not depend on the
 //!   thread count;

@@ -81,6 +81,21 @@ impl Sequence {
         self.vectors.remove(t)
     }
 
+    /// Removes the vectors at times `start..end`, shifting later vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > self.len()`.
+    pub fn remove_range(&mut self, start: usize, end: usize) {
+        self.vectors.drain(start..end);
+    }
+
+    /// The vectors in time order, as a slice (`seq.as_slice()[a..b]` is
+    /// `T[a, b - 1]` without a copy).
+    pub fn as_slice(&self) -> &[Vec<V3>] {
+        &self.vectors
+    }
+
     /// The prefix `T[0, end]` **inclusive** of time unit `end`, matching the
     /// paper's prefix tests `τ_SO,i = (SI, T_0[0, i])`.
     ///

@@ -1,7 +1,10 @@
-//! Property tests for resuming sequential fault simulation from a record
-//! ([`SeqFaultSim::end_states`] then [`SeqFaultSim::detects_all_from`]).
+//! Property tests for resuming sequential fault simulation from a record:
+//! the end of a sequence ([`SeqFaultSim::end_states`] then
+//! [`SeqFaultSim::detects_all_from`]) and every boundary of a vector
+//! omission sweep's sequence ([`ParallelFsim::sweep_start`] then
+//! [`SeqFaultSim::detects_all_resumed`]).
 //!
-//! Resuming a split sequence must give the verdicts of simulating it whole
+//! Resuming must give the verdicts of simulating the whole test
 //! ([`SeqFaultSim::detect`] with a scan-out), at any split and any thread
 //! count. `fsim_seq`'s `detect_matches_per_fault_legacy_simulation` checks
 //! `detect` itself against per-fault reference simulation.
@@ -11,7 +14,7 @@ use std::collections::BTreeSet;
 use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::{bench_fmt, GateKind, NetId, Netlist, NetlistBuilder};
 use atspeed_sim::fault::{FaultId, FaultSite, FaultUniverse};
-use atspeed_sim::{stats, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3};
+use atspeed_sim::{stats, FinalObserve, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3};
 use proptest::prelude::*;
 
 /// Circuits of up to 100 flip-flops, so records span several 64-flip-flop
@@ -118,6 +121,62 @@ proptest! {
             with_missed.push(p);
             prop_assert!(!par.detects_all_from(&par_rec, &tail, &with_missed, &u), "fault {}", p);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over every uncollapsed fault, pin faults included: the sweep record
+    /// of `seq`, sharded over 1–4 threads, resumed at a random boundary `t`
+    /// over `seq[end..]`, detects every fault `detect` finds on
+    /// `seq[..t] · seq[end..]` and none of up to 8 it misses, each alone.
+    /// Re-recording the record for that spliced sequence from `t` gives the
+    /// profiles and the dropped-bit count of a record taken from scratch
+    /// (with every state-difference bit dropped, or none).
+    #[test]
+    fn sweep_record_resumes_at_any_boundary(
+        nl in arb_netlist(),
+        seed in any::<u64>(),
+        len in 1usize..40,
+        at in any::<usize>(),
+        width in any::<usize>(),
+        mode in 0usize..8,
+    ) {
+        let (threads, drop_bits) = (1 + mode % 4, mode >= 4);
+        let u = FaultUniverse::full(&nl);
+        prop_assert!(has_pin_faults(&u));
+        let faults: Vec<FaultId> = u.all_ids().collect();
+        let mut stim = Stimuli(seed | 1);
+        let init = stim.state(&nl);
+        let seq = stim.sequence(&nl, len);
+        let t = at % len;
+        let end = t + width % (len - t + 1);
+        let spliced = slice(&seq, 0, t).concat(&slice(&seq, end, len));
+        let words = if drop_bits { 0 } else { usize::MAX };
+
+        let mut serial = SeqFaultSim::new(&nl);
+        let det = serial.detect(&init, &spliced, &faults, &u, true);
+        let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
+        let mut rec = par.sweep_start(&init, &seq, &faults, &u, words);
+        prop_assert!(rec.recorded_states() <= faults.len());
+        let hits: Vec<usize> = (0..faults.len()).filter(|&p| det[p]).collect();
+        let observe = FinalObserve::FullState;
+        prop_assert!(serial.detects_all_resumed(&rec, &seq, t, end, &hits, &u, observe));
+        for p in (0..faults.len()).filter(|&p| !det[p]).take(8) {
+            prop_assert!(
+                !serial.detects_all_resumed(&rec, &seq, t, end, &[p], &u, observe),
+                "fault {}", p
+            );
+        }
+
+        let fresh = par.sweep_start(&init, &spliced, &faults, &u, words);
+        par.sweep_resume(&mut rec, &spliced, t, &u);
+        prop_assert_eq!(rec.profiles(), fresh.profiles());
+        prop_assert_eq!(rec.truncated_bits(), fresh.truncated_bits());
+        let (profiles, dropped) = serial.profiles_bounded(&init, &spliced, &faults, &u, words);
+        prop_assert_eq!(fresh.profiles(), &profiles[..]);
+        prop_assert_eq!(fresh.truncated_bits(), dropped);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Six cooperating subsystems, all usable independently:
 //!
-//! - [`span`] — hierarchical RAII **spans**. A [`Span`] guard records a
+//! - [`span`](mod@span) — hierarchical RAII **spans**. A [`Span`] guard records a
 //!   begin event on creation and an end event on drop; guards nest
 //!   naturally (LIFO drop order), events are buffered per thread, and the
 //!   whole recording exports as a Chrome trace-event JSON file loadable in

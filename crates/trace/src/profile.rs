@@ -1,7 +1,7 @@
 //! Span-stack sampling profiler with collapsed-stack (`.folded`) output.
 //!
 //! A [`Profiler`] periodically samples each registered thread's **live span
-//! stack** — the spans currently open through [`crate::span`] — and
+//! stack** — the spans currently open through [`crate::span()`] — and
 //! aggregates the observations into folded stacks: one line per distinct
 //! stack, `thread;outer;inner <count>`, the format
 //! [speedscope](https://www.speedscope.app) and
@@ -15,7 +15,7 @@
 //! # Cost model
 //!
 //! Profiling is opt-in, like tracing. While disabled, the hook in
-//! [`crate::span`] is one relaxed atomic load and the per-span bookkeeping
+//! [`crate::span()`] is one relaxed atomic load and the per-span bookkeeping
 //! is skipped entirely. While enabled, opening or closing a span
 //! push/pops one frame behind an uncontended thread-private mutex, and a
 //! background sampler thread wakes at the configured interval (default
@@ -330,7 +330,7 @@ pub fn enabled() -> bool {
 }
 
 /// Pushes a frame onto the process-wide profiler if it is enabled;
-/// returns whether a matching [`pop`] is owed. Called by [`crate::span`],
+/// returns whether a matching [`pop`] is owed. Called by [`crate::span()`],
 /// which holds its name as a `Cow` — see [`Profiler::push`] for why the
 /// reference stays a `&Cow`.
 #[inline]

@@ -24,14 +24,20 @@
 //!    `T_0` generators and the dynamic-compaction baseline run on against
 //!    the batch detection profiles ([`SeqFaultSim::profiles`]) from the
 //!    same start state, including a rollback to a checkpoint;
-//! 6. **omission** — the Phase-2 vector-omission sweep at one thread
-//!    against the same sweep with its profiles fault-sharded at each
-//!    requested thread count
+//! 6. **omission** — the Phase-2 vector-omission sweep, whose accept
+//!    checks resume from the sweep record, against the reference sweep
+//!    whose accept checks simulate each whole candidate from the scan-in
+//!    state, and at one thread against the same sweep with its start
+//!    passes fault-sharded at each requested thread count
 //!    ([`check_omission_differential`]);
 //! 7. **atpg** — PODEM against fault simulation and against the SAT engine
 //!    on the fault sample: every test [`Podem`] finds detects its fault
 //!    under [`CombFaultSim`], and wherever neither aborts, [`Podem`] and
-//!    [`SatAtpg`] agree on testable versus untestable.
+//!    [`SatAtpg`] agree on testable versus untestable;
+//! 8. **score** — Phase 1's lane-packed candidate scoring
+//!    ([`score_scan_ins`]) of 2–9 random scan-in states, one of them
+//!    repeated, against one [`SeqFaultSim::detect`] per state, serially and
+//!    at each requested thread count.
 //!
 //! Any disagreement surfaces as a [`Divergence`]; [`run_fuzz`] then shrinks
 //! the case ([`crate::shrink`]) and dumps a reproduction bundle
@@ -45,8 +51,8 @@ use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, IncrementalSim, Overrides, ParallelFsim,
-    SeqFaultSim, Sequence, SimConfig, State, V3, W3,
+    score_scan_ins, CombFaultSim, CombSim, CombTest, CompiledSim, Fault, IncrementalSim, Overrides,
+    ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3, W3,
 };
 
 /// Salt so stimuli derivation is independent of how many random draws the
@@ -108,8 +114,8 @@ impl Case {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
-    /// `seq-detect`, `resume`, `incremental`, `omission`, `atpg`, or
-    /// `synth` when generation itself errors). It is written into the
+    /// `seq-detect`, `resume`, `incremental`, `omission`, `atpg`, `score`,
+    /// or `synth` when generation itself errors). It is written into the
     /// repro bundle's `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
@@ -371,6 +377,51 @@ pub(crate) fn check_incremental(
     Ok(1)
 }
 
+/// Lane-packed candidate scoring against per-state simulation: 2–9 random
+/// scan-in states drawn from `seed`, one of them repeated, scored on
+/// `faults` over `seq` serially and at each thread count, must get the
+/// count of faults one [`SeqFaultSim::detect`] with a scan-out detects
+/// from each state.
+pub(crate) fn check_score(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    seq: &Sequence,
+    faults: &[FaultId],
+    seed: u64,
+    threads: &[usize],
+) -> Result<usize, Divergence> {
+    let mut next = rng(seed);
+    let n = 2 + (next() % 8) as usize;
+    let mut states: Vec<State> = (0..n - 1)
+        .map(|_| (0..nl.num_ffs()).map(|_| random_v3(&mut next)).collect())
+        .collect();
+    let repeated = states[(next() as usize) % states.len()].clone();
+    states.insert((next() as usize) % (states.len() + 1), repeated);
+    let refs: Vec<&State> = states.iter().collect();
+    let mut fsim = SeqFaultSim::new(nl);
+    let want: Vec<usize> = states
+        .iter()
+        .map(|s| {
+            fsim.detect(s, seq, faults, u, true)
+                .iter()
+                .filter(|&&d| d)
+                .count()
+        })
+        .collect();
+    let mut checks = 0;
+    for &t in std::iter::once(&1).chain(threads) {
+        let got = score_scan_ins(nl, &refs, seq, faults, u, SimConfig::with_threads(t));
+        if got != want {
+            return Err(Divergence {
+                check: "score",
+                detail: format!("threads {t}: lanes scored {got:?}, per-state detection {want:?}"),
+            });
+        }
+        checks += 1;
+    }
+    Ok(checks)
+}
+
 /// PODEM against its independent references: each test it finds must
 /// detect its fault under [`CombFaultSim`], and wherever neither engine
 /// aborts, PODEM and [`SatAtpg`] must agree on testable versus untestable.
@@ -519,10 +570,11 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
             check: "omission",
             detail: d.to_string(),
         })?;
-        report.checks += 1;
+        report.checks += 2;
     }
 
     report.checks += check_atpg(&nl, &u, &faults)?;
+    report.checks += check_score(&nl, &u, &seq, &faults, next(), threads)?;
 
     Ok(report)
 }
@@ -799,8 +851,9 @@ mod tests {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
         assert!(
-            rep.checks >= 12,
-            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(1) + atpg(1): {rep:?}"
+            rep.checks >= 15,
+            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(2) + atpg(1) \
+             + score(2): {rep:?}"
         );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);

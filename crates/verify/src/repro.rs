@@ -25,7 +25,9 @@ use atspeed_sim::{
     try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
 };
 
-use crate::fuzz::{case_stimuli, check_atpg, check_incremental, check_resume, Case, Divergence};
+use crate::fuzz::{
+    case_stimuli, check_atpg, check_incremental, check_resume, check_score, Case, Divergence,
+};
 
 /// Why a bundle failed to dump or load.
 #[derive(Debug)]
@@ -207,6 +209,10 @@ pub fn load_repro(dir: &Path) -> Result<ReproBundle, ReproError> {
     Ok(ReproBundle { netlist, init, seq })
 }
 
+/// The seed of the scan-in states [`replay`] scores (a bundle records no
+/// draw of its own).
+const REPLAY_SCORE_SEED: u64 = 0x5c0e;
+
 /// What [`replay`] exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayReport {
@@ -223,7 +229,9 @@ pub struct ReplayReport {
 /// sequential detection comparison at each thread count, the resume check
 /// at every split of the sequence (the bundle does not record the split a
 /// fuzz case drew), the incremental-simulator check, the vector omission
-/// differential on the detected faults, then the PODEM check.
+/// differential on the detected faults, the PODEM check, then the
+/// candidate-scoring check on random scan-in states drawn from a fixed
+/// seed.
 ///
 /// # Errors
 ///
@@ -287,6 +295,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
         })?;
     }
     check_atpg(nl, &u, &faults)?;
+    check_score(nl, &u, &bundle.seq, &faults, REPLAY_SCORE_SEED, threads)?;
     Ok(ReplayReport {
         faults: faults.len(),
         detected: targets.len(),
