@@ -18,7 +18,7 @@
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, ParallelFsim, SimConfig, V3};
+use atspeed_sim::{CombFaultSim, CombTest, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,10 +38,6 @@ pub struct CombTsetConfig {
     pub podem: PodemConfig,
     /// Whether to run reverse-order compaction at the end.
     pub reverse_compact: bool,
-    /// Threading for the fault-simulation stages (random phase, reverse
-    /// compaction, final coverage count). The default single thread
-    /// reproduces the serial flow bit-for-bit.
-    pub sim: SimConfig,
 }
 
 impl Default for CombTsetConfig {
@@ -52,7 +48,6 @@ impl Default for CombTsetConfig {
             random_max_blocks: 200,
             podem: PodemConfig::default(),
             reverse_compact: true,
-            sim: SimConfig::default(),
         }
     }
 }
@@ -104,7 +99,7 @@ pub fn generate(
         return Err(AtpgError::EmptyFaultList);
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sim = ParallelFsim::new(nl, cfg.sim);
+    let mut sim = CombFaultSim::new(nl);
     let mut tests: Vec<CombTest> = Vec::new();
     let mut alive: Vec<FaultId> = reps.clone();
 
@@ -188,7 +183,7 @@ pub fn generate(
     // Phase 3: reverse-order compaction.
     if cfg.reverse_compact && !tests.is_empty() {
         let _sp = atspeed_trace::span("comb.reverse-compact");
-        tests = reverse_order_compact(&sim, tests, &reps, universe);
+        tests = reverse_order_compact(&mut sim, tests, &reps, universe);
     }
 
     let detected = sim
@@ -206,12 +201,8 @@ pub fn generate(
 
 /// Reverse-order fault-simulation compaction: keep a test only if it
 /// detects a fault no later-ordered kept test detects.
-///
-/// Each single-test simulation is fault-sharded; the keep/discard decision
-/// over the (order-independent) per-fault masks is sequential, so the kept
-/// set is identical at any thread count.
 fn reverse_order_compact(
-    sim: &ParallelFsim<'_>,
+    sim: &mut CombFaultSim<'_>,
     tests: Vec<CombTest>,
     reps: &[FaultId],
     universe: &FaultUniverse,
@@ -351,7 +342,6 @@ mod tests {
     #[test]
     fn sat_atpg_also_reaches_complete_coverage() {
         use crate::sat_atpg::{SatAtpg, SatAtpgConfig, SatAtpgOutcome};
-        use atspeed_sim::CombFaultSim;
         let nl = s27();
         let u = FaultUniverse::full(&nl);
         let sat = SatAtpg::new(&nl, SatAtpgConfig::default());

@@ -105,7 +105,10 @@ fn parse_args() -> Result<Args, String> {
             "--attempts" => args.attempts = num("--attempts", &mut it)?,
             "--mem-words" => args.mem_words = num("--mem-words", &mut it)?,
             "--max-rss-mb" => args.max_rss_mb = Some(num("--max-rss-mb", &mut it)? as u64),
-            "--sim-threads" => args.sim_threads = Some(num("--sim-threads", &mut it)?),
+            "--sim-threads" => {
+                let v = it.next().ok_or("--sim-threads needs a number")?;
+                args.sim_threads = Some(SimConfig::parse_threads("--sim-threads", &v)?);
+            }
             "--help" | "-h" => {
                 return Err(
                     "usage: stress [--gates N] [--ffs N] [--faults N] [--t0-len N] [--seed N] \

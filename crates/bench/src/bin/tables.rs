@@ -93,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
             "--no-parallel" => args.parallel = false,
             "--sim-threads" => {
                 let v = it.next().ok_or("--sim-threads needs a count")?;
-                args.sim_threads = Some(v.parse().map_err(|_| format!("bad thread count `{v}`"))?);
+                args.sim_threads = Some(SimConfig::parse_threads("--sim-threads", &v)?);
             }
             "--help" | "-h" => {
                 return Err(

@@ -12,10 +12,10 @@
 //! Default mode fuzzes `--iters` deterministic cases (derived from
 //! `--seed`) through every differential check in
 //! [`atspeed_verify::fuzz`]: legacy vs compiled logic values, serial vs
-//! parallel detection (combinational, matrix, and sequential), and vector
-//! omission at one thread vs several, each at every thread count in
-//! `--threads` (default `2,3`). A diverging case is minimized and dumped
-//! as a reproduction bundle under `--out-dir`
+//! fault-sharded detection (the combinational matrix and sequential), and
+//! vector omission at one thread vs several, each at every thread count in
+//! `--threads` (default `2,3`, each at most 256). A diverging case is
+//! minimized and dumped as a reproduction bundle under `--out-dir`
 //! (default `target/verify-repros`); the exit code is nonzero if any case
 //! diverged.
 //!
@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use atspeed_bench::telemetry::TelemetryArgs;
+use atspeed_sim::SimConfig;
 use atspeed_verify::{load_repro, replay, run_fuzz, run_malformed_fuzz, FuzzConfig};
 
 struct Args {
@@ -70,8 +71,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a comma-separated list")?;
-                let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                args.fuzz.threads = parsed.map_err(|_| format!("bad thread list `{v}`"))?;
+                args.fuzz.threads = v
+                    .split(',')
+                    .map(|t| SimConfig::parse_threads("--threads", t))
+                    .collect::<Result<_, _>>()?;
                 if args.fuzz.threads.is_empty() {
                     return Err("--threads needs at least one count".to_owned());
                 }

@@ -17,7 +17,7 @@
 use atspeed_atpg::seq_tgen::pick_best;
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombTest, IncrementalSim, SimConfig, V3};
+use atspeed_sim::{CombTest, IncrementalSim, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,9 +35,6 @@ pub struct DynamicConfig {
     pub sample_groups: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Threading for candidate scoring; the schedule is identical at any
-    /// thread count (scoring is read-only, selection sequential).
-    pub sim: SimConfig,
 }
 
 impl Default for DynamicConfig {
@@ -48,7 +45,6 @@ impl Default for DynamicConfig {
             max_stale_scans: 3,
             sample_groups: 8,
             seed: 4,
-            sim: SimConfig::default(),
         }
     }
 }
@@ -106,7 +102,7 @@ pub fn dynamic_schedule(
                 }
             })
             .collect();
-        let scores = inc.score_batch(&cands, cfg.sample_groups, cfg.sim);
+        let scores = inc.score_batch(&cands, cfg.sample_groups);
         let det_est = scores.iter().map(|&(d, _)| d).max().unwrap_or(0);
         let chosen = pick_best(cands, &scores);
         if det_est > 0 || gap < cfg.max_gap {

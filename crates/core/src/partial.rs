@@ -16,7 +16,7 @@
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{FinalObserve, ParallelFsim, Sequence, SimConfig, State, V3};
+use atspeed_sim::{FinalObserve, SeqFaultSim, Sequence, State, V3};
 
 use crate::test::TestSet;
 
@@ -104,7 +104,7 @@ impl PartialScan {
             .zip(&set.tests)
             .map(|(si, t)| (si, &t.seq))
             .collect();
-        ParallelFsim::new(nl, SimConfig::default()).detect_union(
+        SeqFaultSim::new(nl).detect_union(
             &runs,
             faults,
             universe,

@@ -249,7 +249,6 @@ impl<'a> Pipeline<'a> {
                 comb_cfg.seed = comb_cfg
                     .seed
                     .wrapping_add(cfg.seed.wrapping_mul(0x9e37_79b9));
-                comb_cfg.sim = cfg.sim;
                 let set = comb_tset::generate(nl, &universe, &comb_cfg)?;
                 (set.tests, set.untestable)
             }
@@ -270,7 +269,6 @@ impl<'a> Pipeline<'a> {
                 &DirectedConfig {
                     max_len,
                     seed: cfg.seed.wrapping_add(11),
-                    sim: cfg.sim,
                     ..DirectedConfig::default()
                 },
             ),
@@ -565,6 +563,48 @@ mod tests {
         // circuit this small.
         assert_eq!(tight.final_detected, free.final_detected);
         assert_eq!(tight.compacted_set, free.compacted_set);
+    }
+
+    /// Threads split only a call's fault list into the serial engine's own
+    /// passes, and the greedy loops run on the calling thread, so
+    /// combinational ATPG, `T_0` generation and Phases 1–2 do the same
+    /// work at any thread count (Phase 4's waves may run past a failing
+    /// word), and every result is identical.
+    #[test]
+    fn unsharded_phases_do_the_same_work_at_any_thread_count() {
+        let nl = generate(&SynthSpec::new("tau", 6, 3, 10, 160, 5)).unwrap();
+        let faults = FaultUniverse::full(&nl).num_collapsed();
+        assert!(
+            faults > 2 * 63,
+            "{faults} faults fill fewer than three words"
+        );
+        let run = |threads: usize| {
+            let scope = stats::scoped();
+            let cfg = PipelineConfig {
+                t0_source: T0Source::Directed { max_len: 128 },
+                sim: SimConfig::with_threads(threads),
+                ..PipelineConfig::default()
+            };
+            let r = Pipeline::from_config(&nl, &cfg).run().unwrap();
+            let work: Vec<(String, u64, u64)> = scope
+                .report()
+                .phases
+                .into_iter()
+                .filter(|(phase, _)| ["comb-gen", "t0-gen", "phase1-2"].contains(&phase.as_str()))
+                .map(|(phase, s)| (phase, s.gate_evals, s.fsim_invocations))
+                .collect();
+            (r.initial_set, r.compacted_set, work)
+        };
+        let (initial, compacted, work) = run(1);
+        assert_eq!(work.len(), 3, "{work:?}");
+        for threads in [2, 4] {
+            let got = run(threads);
+            assert_eq!(got.2, work, "work at {threads} threads");
+            assert!(
+                got.0 == initial && got.1 == compacted,
+                "results differ at {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,7 @@ use std::fmt;
 
 use atspeed_circuit::Netlist;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{
-    CombTest, FinalObserve, ParallelFsim, SeqFaultSim, Sequence, SimConfig, State, V3,
-};
+use atspeed_sim::{CombTest, FinalObserve, SeqFaultSim, Sequence, State, V3};
 
 /// A scan-based test `τ = (SI, T)`: a scan-in state followed by a
 /// primary-input sequence applied at speed. The expected scan-out vector
@@ -140,24 +138,10 @@ impl TestSet {
     }
 
     /// Which of `faults` the whole set detects (union over tests, with
-    /// fault dropping across tests), single-threaded.
+    /// fault dropping across tests; [`SeqFaultSim::detect_union`]).
     pub fn detects(&self, nl: &Netlist, universe: &FaultUniverse, faults: &[FaultId]) -> Vec<bool> {
-        self.detects_with(nl, universe, faults, SimConfig::default())
-    }
-
-    /// Like [`TestSet::detects`], with tests sharded across `sim.threads`
-    /// workers that drop faults through a shared detection bitmap. The
-    /// union over tests is order-independent, so the detected set is
-    /// identical at any thread count.
-    pub fn detects_with(
-        &self,
-        nl: &Netlist,
-        universe: &FaultUniverse,
-        faults: &[FaultId],
-        sim: SimConfig,
-    ) -> Vec<bool> {
         let runs: Vec<(&State, &Sequence)> = self.tests.iter().map(|t| (&t.si, &t.seq)).collect();
-        ParallelFsim::new(nl, sim).detect_union(&runs, faults, universe, FinalObserve::FullState)
+        SeqFaultSim::new(nl).detect_union(&runs, faults, universe, FinalObserve::FullState)
     }
 
     /// Count of detected faults among `faults`.

@@ -30,6 +30,14 @@ struct Args {
     telemetry: TelemetryArgs,
 }
 
+/// A thread count given to `flag`: 1 to [`atspeed_sim::MAX_THREADS`].
+fn thread_count(flag: &str, v: &str) -> Result<usize, String> {
+    match SimConfig::parse_threads(flag, v)? {
+        0 => Err(format!("bad {flag} `{v}` (expected at least 1)")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         serve: ServeConfig {
@@ -49,19 +57,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a count")?;
-                args.serve.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|&w: &usize| w > 0)
-                    .ok_or(format!("bad worker count `{v}`"))?;
+                args.serve.workers = thread_count("--workers", &v)?;
             }
             "--job-threads" => {
                 let v = it.next().ok_or("--job-threads needs a count")?;
-                args.serve.job_sim.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &usize| t > 0)
-                    .ok_or(format!("bad thread count `{v}`"))?;
+                args.serve.job_sim.threads = thread_count("--job-threads", &v)?;
             }
             "--cache-bytes" => {
                 let v = it.next().ok_or("--cache-bytes needs a byte count")?;

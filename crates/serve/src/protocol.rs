@@ -23,7 +23,7 @@
 use std::io::{self, Read, Write};
 
 use atspeed_core::{PipelineConfig, PipelineResult, T0Source};
-use atspeed_sim::SimConfig;
+use atspeed_sim::{SimConfig, MAX_THREADS};
 use atspeed_verify::encode_stimuli;
 
 /// Frame magic; rejects HTTP requests and random port scans immediately.
@@ -331,8 +331,10 @@ impl SubmitRequest {
                 "max_failed_pairs" => req.config.memory.max_failed_pairs = parse_usize(value)?,
                 "threads" => {
                     let t = parse_usize(value)?;
-                    if t == 0 || t > 256 {
-                        return Err(bad(format!("bad threads `{value}` (expected 1..=256)")));
+                    if t == 0 || t > MAX_THREADS {
+                        return Err(bad(format!(
+                            "bad threads `{value}` (expected 1..={MAX_THREADS})"
+                        )));
                     }
                     req.config.sim.threads = t;
                 }
@@ -609,6 +611,7 @@ mod tests {
             "typo_key = 1\n\nINPUT(a)\n",
             "seed = banana\n\nINPUT(a)\n",
             "threads = 0\n\nINPUT(a)\n",
+            "threads = 257\n\nINPUT(a)\n",
             "threads = 9999\n\nINPUT(a)\n",
             "engine = widefused\n\nINPUT(a)\n",
             "engine = scalar\n\nINPUT(a)\n",

@@ -28,7 +28,6 @@ use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId};
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::kernel::{CompiledSim, Overrides};
 use crate::logic::{V3, W3};
-use crate::parallel::{claim_map, SimConfig};
 use crate::vectors::{Sequence, State};
 
 /// Fault-free trace of a sequence: per-cycle primary-output values and the
@@ -762,6 +761,50 @@ impl<'a> SeqFaultSim<'a> {
         observe: FinalObserve<'_>,
     ) -> Vec<bool> {
         self.count_invocation();
+        self.detect_words(init, seq, faults, universe, observe)
+    }
+
+    /// Union detection over many scan tests: each run `(scan-in state,
+    /// sequence)`, in order, is simulated with the final observation
+    /// `observe` on the faults no earlier run detected, in list order, and
+    /// the detected sets are unioned. One invocation per call; the faults
+    /// each run detects count as dropped.
+    pub fn detect_union(
+        &mut self,
+        runs: &[(&State, &Sequence)],
+        faults: &[FaultId],
+        universe: &FaultUniverse,
+        observe: FinalObserve<'_>,
+    ) -> Vec<bool> {
+        self.count_invocation();
+        let mut detected = vec![false; faults.len()];
+        let mut alive: Vec<usize> = (0..faults.len()).collect();
+        for &(init, seq) in runs {
+            if alive.is_empty() {
+                break;
+            }
+            let ids: Vec<FaultId> = alive.iter().map(|&k| faults[k]).collect();
+            let hits = self.detect_words(init, seq, &ids, universe, observe);
+            for (&k, &hit) in alive.iter().zip(&hits) {
+                detected[k] = hit;
+            }
+            let before = alive.len();
+            alive.retain(|&k| !detected[k]);
+            crate::stats::add_dropped((before - alive.len()) as u64);
+        }
+        detected
+    }
+
+    /// [`SeqFaultSim::detect_observed`] without counting an invocation:
+    /// one pass per 63-fault word of `faults`.
+    fn detect_words(
+        &mut self,
+        init: &State,
+        seq: &Sequence,
+        faults: &[FaultId],
+        universe: &FaultUniverse,
+        observe: FinalObserve<'_>,
+    ) -> Vec<bool> {
         let mut detected = vec![false; faults.len()];
         for (chunk, detected) in faults
             .chunks(FAULTS_PER_PASS)
@@ -1297,44 +1340,34 @@ impl<'a> IncrementalSim<'a> {
         self.detected.clone_from(&self.saved_detected);
     }
 
-    /// The score of `vector` (see [`IncrementalSim::score_batch`]).
-    /// Evaluation rewrites every net from the seeded inputs, so any scratch
-    /// `vals` of `num_nets` width gives the same score.
-    fn score_in(&self, vals: &mut [W3], vector: &[V3], sample: usize) -> (usize, usize) {
-        let mut detections = 0usize;
-        let mut activity = 0usize;
-        let live = self
-            .words
-            .iter()
-            .zip(&self.detected)
-            .filter(|(word, &detected)| detected != word.active);
-        for (word, &detected) in live.take(sample) {
-            detections += (word.eval(vals, vector) & !detected).count_ones() as usize;
-            activity += (word.next_state_diff(vals) & !detected).count_ones() as usize;
-        }
-        (detections, activity)
-    }
-
     /// Scores every candidate in `cands` without committing: `(new
     /// detections, state activity)` over the first `sample` words with an
     /// undetected fault, where activity counts the undetected faulty
-    /// machines whose next state differs from the good one. Candidates are
-    /// sharded across `sim.threads` workers, each with its own net scratch;
-    /// scoring is read-only, so the result is identical at any thread
-    /// count.
-    pub fn score_batch(
-        &self,
-        cands: &[Vec<V3>],
-        sample: usize,
-        sim: SimConfig,
-    ) -> Vec<(usize, usize)> {
-        claim_map(
-            sim,
-            cands.len(),
-            "tgen.score.claim",
-            || vec![W3::ALL_X; self.nl.num_nets()],
-            |vals, k| self.score_in(vals, &cands[k], sample),
-        )
+    /// machines whose next state differs from the good one. Evaluation
+    /// rewrites every net from the seeded inputs, so the candidates share
+    /// one net scratch and the states stay as they were.
+    pub fn score_batch(&mut self, cands: &[Vec<V3>], sample: usize) -> Vec<(usize, usize)> {
+        let IncrementalSim {
+            words,
+            detected,
+            vals,
+            ..
+        } = self;
+        cands
+            .iter()
+            .map(|vector| {
+                let live = words
+                    .iter()
+                    .zip(detected.iter())
+                    .filter(|(word, &detected)| detected != word.active);
+                let mut score = (0, 0);
+                for (word, &detected) in live.take(sample) {
+                    score.0 += (word.eval(vals, vector) & !detected).count_ones() as usize;
+                    score.1 += (word.next_state_diff(vals) & !detected).count_ones() as usize;
+                }
+                score
+            })
+            .collect()
     }
 }
 

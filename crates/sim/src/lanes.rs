@@ -20,7 +20,6 @@
 //! or excited; its dormant slots then start from the good state.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use atspeed_circuit::{CompiledCircuit, FfId, NetId, Netlist, PoId};
 
@@ -28,7 +27,6 @@ use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::fsim_seq::{seed_sources, SeqFaultSim};
 use crate::kernel::{CompiledSim, Overrides};
 use crate::logic::{V3, W3};
-use crate::parallel::{claim_map, SimConfig};
 use crate::stats;
 use crate::vectors::{Sequence, State};
 
@@ -40,10 +38,7 @@ use crate::vectors::{Sequence, State};
 /// nothing to share, and the state is scored by one
 /// [`SeqFaultSim::detect`]. Otherwise the distinct states run in lanes, 64
 /// states per group: each cycle simulates one good word per group, then
-/// the fault words with an undetected slot that is live or excited. At
-/// more than one thread those words are claimed by `sim.threads` workers
-/// each cycle (under the span `phase1.score.claim`); the counts and the
-/// gate-words are the same at any thread count.
+/// the fault words with an undetected slot that is live or excited.
 ///
 /// # Panics
 ///
@@ -54,7 +49,6 @@ pub fn score_scan_ins(
     seq: &Sequence,
     faults: &[FaultId],
     universe: &FaultUniverse,
-    sim: SimConfig,
 ) -> Vec<usize> {
     let mut distinct: Vec<&State> = Vec::new();
     let mut first: HashMap<&State, usize> = HashMap::new();
@@ -76,7 +70,7 @@ pub fn score_scan_ins(
         stats::add_invocation();
         distinct
             .chunks(64)
-            .flat_map(|group| Lanes::new(nl, group, faults, universe).run(seq, sim))
+            .flat_map(|group| Lanes::new(nl, group, faults, universe).run(seq))
             .collect()
     };
     of.iter().map(|&d| counts[d]).collect()
@@ -100,47 +94,11 @@ struct Lanes<'a> {
     detected: Vec<u64>,
     /// Per fault word: the slots of real states in lanes holding a fault.
     valid: Vec<u64>,
-}
-
-/// What a fault word's cycle produced: the slots a primary output
-/// detected and the live slots after capture.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    detected: u64,
-    live: u64,
-}
-
-/// A worker's scratch: a net value array and an overlay, with the word the
-/// overlay holds.
-struct Scratch<'a> {
+    /// The fault words' net values, and their overlay with the word it
+    /// holds.
     vals: Vec<W3>,
     ov: Overrides<'a>,
     loaded: Option<usize>,
-}
-
-impl<'a> Scratch<'a> {
-    fn new(cc: &'a CompiledCircuit) -> Self {
-        Scratch {
-            vals: vec![W3::ALL_X; cc.num_nets()],
-            ov: Overrides::new(cc),
-            loaded: None,
-        }
-    }
-}
-
-/// A scratch lent by a pool for one claim loop, returned when dropped, so
-/// the per-cycle claim loops allocate nothing after the first.
-struct Lent<'p, 'a> {
-    scratch: Option<Scratch<'a>>,
-    pool: &'p Mutex<Vec<Scratch<'a>>>,
-}
-
-impl Drop for Lent<'_, '_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(s);
-        }
-    }
 }
 
 impl<'a> Lanes<'a> {
@@ -186,6 +144,9 @@ impl<'a> Lanes<'a> {
             detected: vec![0; words],
             valid,
             good_state,
+            vals: vec![W3::ALL_X; cc.num_nets()],
+            ov: Overrides::new(cc),
+            loaded: None,
         }
     }
 
@@ -221,23 +182,17 @@ impl<'a> Lanes<'a> {
 
     /// Runs one cycle of fault word `i` from `state` (its own state on the
     /// live slots, the good state elsewhere), writing the captured state
-    /// back into `state`.
-    fn step(
-        &self,
-        sc: &mut Scratch<'a>,
-        i: usize,
-        vector: &[V3],
-        good: &[W3],
-        state: &mut [W3],
-    ) -> Step {
+    /// back into `state` and the word's new detections and live slots into
+    /// the lanes.
+    fn step(&mut self, i: usize, vector: &[V3], good: &[W3], state: &mut [W3]) {
         let cc = self.cc;
-        if sc.loaded != Some(i) {
-            sc.ov.clear();
+        if self.loaded != Some(i) {
+            self.ov.clear();
             for (l, k) in self.word_faults(i).enumerate() {
-                sc.ov
+                self.ov
                     .add(self.faults[k], low_bits(self.width) << (l * self.width));
             }
-            sc.loaded = Some(i);
+            self.loaded = Some(i);
         }
         let live = self.live[i];
         for (s, &g) in state.iter_mut().zip(&self.good_state) {
@@ -246,108 +201,60 @@ impl<'a> Lanes<'a> {
                 one: s.one & live | g.one & !live,
             };
         }
-        seed_sources(cc, &mut sc.vals, vector, state);
-        CompiledSim::new(cc).eval_with(&mut sc.vals, &sc.ov);
+        seed_sources(cc, &mut self.vals, vector, state);
+        CompiledSim::new(cc).eval_with(&mut self.vals, &self.ov);
         let open = self.valid[i] & !self.detected[i];
         let mut detected = 0u64;
         for (k, &po) in cc.pos().iter().enumerate() {
-            let faulty = sc.ov.apply_po_pin(PoId::from_index(k), sc.vals[po.index()]);
+            let faulty = self
+                .ov
+                .apply_po_pin(PoId::from_index(k), self.vals[po.index()]);
             detected |= faulty.diff_known(good[po.index()]);
         }
         let mut differs = 0u64;
         for (f, &d) in cc.ff_ds().iter().enumerate() {
-            let next = sc.ov.apply_ff_pin(FfId::from_index(f), sc.vals[d.index()]);
+            let next = self
+                .ov
+                .apply_ff_pin(FfId::from_index(f), self.vals[d.index()]);
             let g = good[d.index()];
             differs |= (next.zero ^ g.zero) | (next.one ^ g.one);
             state[f] = next;
         }
         let detected = detected & open;
-        Step {
-            detected,
-            live: differs & open & !detected,
-        }
+        self.detected[i] |= detected;
+        self.live[i] = differs & open & !detected;
     }
 
     /// Simulates `seq` and returns, per state of the group, how many faults
     /// are detected.
-    ///
-    /// At more than one thread, each cycle's claims are the cycle's active
-    /// fault words plus the next cycle's good word, which needs only the
-    /// state this cycle's good word captured: the same passes as at one
-    /// thread, in another order.
-    fn run(mut self, seq: &Sequence, sim: SimConfig) -> Vec<usize> {
+    fn run(mut self, seq: &Sequence) -> Vec<usize> {
         let cc = self.cc;
         let ffs = cc.ff_qs().len();
         let words = self.live.len();
         let vectors = seq.as_slice();
-        let parallel = sim.effective_threads(words + 1) > 1;
         let good_pass = |vals: &mut [W3], vector: &[V3], state: &[W3]| {
             seed_sources(cc, vals, vector, state);
             CompiledSim::new(cc).eval(vals);
         };
         // Per fault word, its slots' states (meaningful on live slots).
         let mut states = vec![W3::ALL_X; words * ffs];
-        let pool = Mutex::new(Vec::new());
-        let mut inline = Scratch::new(cc);
         let mut good = vec![W3::ALL_X; cc.num_nets()];
-        let mut next_good = Mutex::new(vec![W3::ALL_X; cc.num_nets()]);
+        let mut next_good = vec![W3::ALL_X; cc.num_nets()];
         if let Some(first) = vectors.first() {
             good_pass(&mut good, first, &self.good_state);
         }
-        let mut active: Vec<usize> = Vec::with_capacity(words);
         for (t, vector) in vectors.iter().enumerate() {
-            active.clear();
-            active.extend((0..words).filter(|&i| self.active(i, &good) != 0));
-            let next_state: Vec<W3> = cc.ff_ds().iter().map(|d| good[d.index()]).collect();
-            let next = vectors.get(t + 1);
-            if parallel {
-                let lead = usize::from(next.is_some());
-                let (lanes, states_now) = (&self, &states);
-                let steps = claim_map(
-                    sim,
-                    lead + active.len(),
-                    "phase1.score.claim",
-                    || Lent {
-                        scratch: Some(
-                            pool.lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .pop()
-                                .unwrap_or_else(|| Scratch::new(cc)),
-                        ),
-                        pool: &pool,
-                    },
-                    |lent, a| {
-                        if a < lead {
-                            let mut vals = next_good.lock().unwrap_or_else(|e| e.into_inner());
-                            good_pass(&mut vals, next.expect("lead claim"), &next_state);
-                            return None;
-                        }
-                        let i = active[a - lead];
-                        let mut state = states_now[i * ffs..(i + 1) * ffs].to_vec();
-                        let sc = lent.scratch.as_mut().expect("lent until dropped");
-                        let step = lanes.step(sc, i, vector, &good, &mut state);
-                        Some((i, step, state))
-                    },
-                );
-                for (i, step, state) in steps.into_iter().flatten() {
-                    states[i * ffs..(i + 1) * ffs].copy_from_slice(&state);
-                    self.commit(i, step);
-                }
-            } else {
-                for &i in &active {
+            for i in 0..words {
+                if self.active(i, &good) != 0 {
                     let state = &mut states[i * ffs..(i + 1) * ffs];
-                    let step = self.step(&mut inline, i, vector, &good, state);
-                    self.commit(i, step);
-                }
-                if let Some(v) = next {
-                    let vals = next_good.get_mut().unwrap_or_else(|e| e.into_inner());
-                    good_pass(vals, v, &next_state);
+                    self.step(i, vector, &good, state);
                 }
             }
-            std::mem::swap(
-                &mut good,
-                next_good.get_mut().unwrap_or_else(|e| e.into_inner()),
-            );
+            let next_state: Vec<W3> = cc.ff_ds().iter().map(|d| good[d.index()]).collect();
+            if let Some(v) = vectors.get(t + 1) {
+                good_pass(&mut next_good, v, &next_state);
+            }
+            std::mem::swap(&mut good, &mut next_good);
             self.good_state = next_state;
         }
         // The scan-out: a live slot whose state is binary-opposite to the
@@ -373,11 +280,6 @@ impl<'a> Lanes<'a> {
             }
         }
         counts
-    }
-
-    fn commit(&mut self, i: usize, step: Step) {
-        self.detected[i] |= step.detected;
-        self.live[i] = step.live;
     }
 }
 
@@ -456,7 +358,7 @@ mod tests {
             let pool = states(&nl, n, n as u64 * 977);
             let refs: Vec<&State> = pool.iter().collect();
             assert_eq!(
-                score_scan_ins(&nl, &refs, &seq, &faults, &u, SimConfig::default()),
+                score_scan_ins(&nl, &refs, &seq, &faults, &u),
                 reference(&nl, &refs, &seq, &faults, &u),
                 "{n} states"
             );
@@ -478,7 +380,7 @@ mod tests {
             parse_values("0x1"),
         );
         let refs = [&a, &b, &a, &c, &b, &a];
-        let counts = score_scan_ins(&nl, &refs, &seq, &faults, &u, SimConfig::default());
+        let counts = score_scan_ins(&nl, &refs, &seq, &faults, &u);
         assert_eq!(counts[0], counts[2]);
         assert_eq!(counts[0], counts[5]);
         assert_eq!(counts[1], counts[4]);
@@ -499,7 +401,7 @@ mod tests {
         let si = parse_values("010");
         let work = |refs: &[&State]| {
             let scope = stats::scoped();
-            let counts = score_scan_ins(&nl, refs, &seq, &faults, &u, SimConfig::default());
+            let counts = score_scan_ins(&nl, refs, &seq, &faults, &u);
             (counts, scope.report().totals().gate_evals)
         };
         let (one, one_work) = work(&[&si]);
@@ -511,39 +413,5 @@ mod tests {
         assert_eq!(three, vec![one[0]; 3]);
         assert_eq!(one_work, detect_work);
         assert_eq!(three_work, detect_work);
-    }
-
-    /// Counts and gate-words are the same at 1, 2 and 4 threads.
-    #[test]
-    fn scores_and_work_are_identical_at_any_thread_count() {
-        let nl = generate(&SynthSpec::new("lanes-t", 5, 3, 9, 150, 7)).unwrap();
-        let u = FaultUniverse::full(&nl);
-        let faults = u.representatives().to_vec();
-        let seq: Sequence = (0..16)
-            .map(|t| {
-                (0..5)
-                    .map(|i| V3::from_bool((t * 5 + i * 3) % 7 < 3))
-                    .collect()
-            })
-            .collect();
-        let pool = states(&nl, 20, 5);
-        let refs: Vec<&State> = pool.iter().collect();
-        let run = |threads: usize| {
-            let scope = stats::scoped();
-            let counts = score_scan_ins(
-                &nl,
-                &refs,
-                &seq,
-                &faults,
-                &u,
-                SimConfig::with_threads(threads),
-            );
-            (counts, scope.report().totals().gate_evals)
-        };
-        let one = run(1);
-        assert_eq!(one.0, reference(&nl, &refs, &seq, &faults, &u));
-        for threads in [2, 4] {
-            assert_eq!(run(threads), one, "threads={threads}");
-        }
     }
 }

@@ -27,10 +27,9 @@
 //!   against one sequence in a single lane-packed simulation
 //!   ([`score_scan_ins`]);
 //! - [`parallel`] — [`ParallelFsim`], a multi-threaded front end that
-//!   shards faults (or tests, with cross-partition fault dropping through
-//!   a shared atomic bitmap) across scoped workers behind a [`SimConfig`],
-//!   and [`parallel::claim_map`], the one claim loop every worker pool in
-//!   the workspace runs on; `threads = 1` reproduces the serial engines
+//!   splits a call's fault list into partitions (one 63-fault word each
+//!   for sequential calls) and runs them on scoped workers behind a
+//!   [`SimConfig`]; `threads = 1` reproduces the serial engines
 //!   bit-for-bit;
 //! - [`stats`] — per-phase instrumentation counters (gate evaluations,
 //!   fault-sim invocations, faults dropped, wall time per partition)
@@ -73,7 +72,7 @@ pub use fsim_seq::{
 pub use kernel::{CompiledSim, Overrides};
 pub use lanes::score_scan_ins;
 pub use logic::{V3, W3};
-pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig};
+pub use parallel::{MatrixMismatch, ParallelFsim, SimConfig, MAX_THREADS};
 pub use stats::{PhaseStats, SimReport};
 pub use transition::{TransitionFault, TransitionFaultSim};
 pub use vectors::{try_parse_values, ParseError, Sequence, State};

@@ -1,32 +1,21 @@
-//! Multi-threaded fault simulation: [`ParallelFsim`] shards work across
-//! scoped worker threads with no external dependencies.
+//! Multi-threaded fault simulation: [`ParallelFsim`] splits a call's
+//! fault list across scoped worker threads with no external dependencies.
 //!
-//! Every worker pool in the workspace is one loop, [`claim_map`]: workers
-//! claim work items from an atomic counter, and results come back in item
-//! order. [`ParallelFsim`] uses it in two sharding shapes:
-//!
-//! - **fault sharding** (`detect_block`, `detect_matrix`, `detect`,
-//!   `detect_observed`, `profiles`, `end_states`, `detects_all_from`,
-//!   `sweep_start`, `sweep_resume`): the
-//!   fault list is split into partitions and each worker runs the
-//!   single-threaded engine on the partitions it claims. Sequential calls
-//!   use the engine's own packing — one partition per
-//!   [`FAULTS_PER_PASS`]-fault word, in caller order — so they simulate
-//!   exactly the passes the serial engine does, at any thread count
-//!   (`detects_all_from`, which stops at the first word that loses a
-//!   fault, runs its words in waves of `threads`, so it may finish the
-//!   wave past that word). Combinational calls deal the faults, sorted by
-//!   fault-site level, into `threads × 4` partitions, so each partition
-//!   receives a spread of cone sizes. A per-(test, fault) outcome never
-//!   depends on which other faults share a pass, so results are scattered
-//!   back by original index and are *identical* to the single-threaded
-//!   engines';
-//! - **test sharding with cross-partition dropping** (`detect_all`,
-//!   `detect_union`): tests are claimed from the queue and faults are
-//!   shared through one atomic detection bitmap, so a worker stops
-//!   simulating a fault the moment any partition has detected it. Detection
-//!   is a monotone union over tests, so the final detected set is
-//!   independent of interleaving — again identical to the serial engines.
+//! Threads split one thing: the fault list of one call, into fault
+//! partitions. Workers claim partitions from an atomic counter and run the
+//! single-threaded engine on each (`claim_map`, the simulation's one worker
+//! pool); the per-fault results are scattered back by original index.
+//! Sequential calls (`detect`, `detect_observed`, `profiles`, `end_states`,
+//! `detects_all_from`, `sweep_start`, `sweep_resume`) use the engine's own
+//! packing — one partition per [`FAULTS_PER_PASS`]-fault word, in caller
+//! order — so they simulate exactly the passes the serial engine does, at
+//! any thread count (`detects_all_from`, which stops at the first word that
+//! loses a fault, runs its words in waves of `threads`, so it may finish
+//! the wave past that word). `detect_matrix`, the one combinational call,
+//! deals the faults, sorted by fault-site level, into `threads × 4`
+//! partitions, so each partition receives a spread of cone sizes. A
+//! per-(test, fault) outcome never depends on which other faults share a
+//! pass, so the results are *identical* to the single-threaded engines'.
 //!
 //! `threads = 1` (the [`SimConfig`] default) dispatches straight to the
 //! single-threaded engines, reproducing their behavior bit-for-bit.
@@ -45,6 +34,13 @@ use crate::fsim_seq::{
 };
 use crate::stats;
 use crate::vectors::{Sequence, State};
+
+/// The most worker threads a count read from outside the program may
+/// ask for: `SIM_THREADS`, the binaries' thread flags and the server's
+/// `threads` key. [`SimConfig::effective_threads`] caps a count only by
+/// the work items, and a worker that fails to spawn panics, so a larger
+/// count is rejected where it is read ([`SimConfig::parse_threads`]).
+pub const MAX_THREADS: usize = 256;
 
 /// Threading configuration for the simulation substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,16 +69,36 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the unparsable value.
+    /// Returns a description of the unparsable value, or of a count above
+    /// [`MAX_THREADS`].
     pub fn try_from_env() -> Result<Self, String> {
         let threads = match std::env::var("SIM_THREADS") {
-            Ok(s) => s
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad SIM_THREADS `{s}` (expected a thread count)"))?,
+            Ok(s) => SimConfig::parse_threads("SIM_THREADS", &s)?,
             Err(_) => 1,
         };
         Ok(SimConfig::with_threads(threads))
+    }
+
+    /// Parses a thread count read from outside the program: a decimal
+    /// number no larger than [`MAX_THREADS`] (`0` passes; it means one
+    /// thread per core). `name`, the flag or variable it came from, heads
+    /// the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming `name` and `value` when `value` is not
+    /// a number or exceeds [`MAX_THREADS`].
+    pub fn parse_threads(name: &str, value: &str) -> Result<usize, String> {
+        let threads: usize = value
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad {name} `{value}` (expected a thread count)"))?;
+        if threads > MAX_THREADS {
+            return Err(format!(
+                "bad {name} `{value}` (expected at most {MAX_THREADS} threads)"
+            ));
+        }
+        Ok(threads)
     }
 
     /// Reads `SIM_THREADS` like [`SimConfig::try_from_env`], but an
@@ -116,26 +132,20 @@ impl SimConfig {
     }
 }
 
-/// Runs `work(&mut state, i)` for every `i in 0..n` and returns the
-/// results in index order.
+/// Runs `work(&mut state, i)` for every partition `i in 0..n` and returns
+/// the results in index order.
 ///
 /// With more than one effective thread (`cfg.effective_threads(n)`), that
 /// many scoped workers claim indices from an atomic counter. Each worker
 /// builds its state once with `init` — so a claim allocates no engine
 /// scratch — and joins the caller's stats handle and span scope, so its
-/// counts and spans land where the caller's would. Each claim runs under a
-/// span named `span` and is recorded as one partition
+/// counts and spans land where the caller's would. Each claim runs under
+/// the span `fsim.partition` and is recorded as one partition
 /// ([`stats::record_partition`]). At one thread the calling thread maps in
 /// order with a single state and records neither.
 ///
 /// A panic in `work` is re-raised on the calling thread.
-pub fn claim_map<S, R, I, W>(
-    cfg: SimConfig,
-    n: usize,
-    span: &'static str,
-    init: I,
-    work: W,
-) -> Vec<R>
+fn claim_map<S, R, I, W>(cfg: SimConfig, n: usize, init: I, work: W) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
@@ -166,7 +176,7 @@ where
                         if i >= n {
                             break done;
                         }
-                        let _sp = atspeed_trace::span(span);
+                        let _sp = atspeed_trace::span("fsim.partition");
                         let started = Instant::now();
                         done.push((i, work(&mut state, i)));
                         stats::record_partition(started.elapsed());
@@ -186,45 +196,12 @@ where
         .collect()
 }
 
-/// A monotone shared detection bitmap (one bit per fault index).
-///
-/// Relaxed ordering is sound here: bits only ever turn on, and a worker
-/// that misses a freshly set bit merely re-simulates a fault and arrives
-/// at the same detection — never a different result.
-struct SharedDetectMap {
-    words: Vec<AtomicU64>,
-}
-
-impl SharedDetectMap {
-    fn new(len: usize) -> Self {
-        SharedDetectMap {
-            words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    #[inline]
-    fn is_set(&self, i: usize) -> bool {
-        self.words[i / 64].load(Ordering::Relaxed) & (1u64 << (i % 64)) != 0
-    }
-
-    /// Sets bit `i`; returns whether this call newly set it.
-    #[inline]
-    fn set(&self, i: usize) -> bool {
-        let prev = self.words[i / 64].fetch_or(1u64 << (i % 64), Ordering::Relaxed);
-        prev & (1u64 << (i % 64)) == 0
-    }
-
-    fn snapshot(&self, len: usize) -> Vec<bool> {
-        (0..len).map(|i| self.is_set(i)).collect()
-    }
-}
-
 /// An internal inconsistency between two detection views of the same
 /// (tests, faults) pair, found by [`ParallelFsim::check_matrix_consistency`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatrixMismatch {
-    /// The row-union of `detect_matrix` disagrees with the `detect_all`
-    /// bitmap for one fault.
+    /// The row-union of `detect_matrix` disagrees with the serial
+    /// [`CombFaultSim::detect_all`] bitmap for one fault.
     UnionDisagrees {
         /// Index of the fault in the caller's fault list.
         fault_index: usize,
@@ -285,13 +262,14 @@ impl<'a> ParallelFsim<'a> {
         self.cfg
     }
 
-    /// Partitions for a combinational fault-sharded call: the faults,
-    /// sorted by fault-site level, dealt round-robin into `threads × 4`
-    /// partitions (capped by the fault count). The deal spreads shallow
-    /// (large-cone, expensive) and deep (cheap) faults evenly, and ~4
-    /// claims per worker let the claim queue rebalance stragglers. A
-    /// partition costs one good-machine pass per 64-test block, small next
-    /// to per-fault cone propagation.
+    /// Partitions for [`ParallelFsim::detect_matrix`]: the faults, sorted
+    /// by fault-site level, dealt round-robin into `threads × 4` partitions
+    /// (capped by the fault count). The deal spreads shallow (large-cone,
+    /// expensive) and deep (cheap) faults evenly, and ~4 claims per worker
+    /// let the claim queue rebalance stragglers. Every partition repeats
+    /// the good-machine pass of each 64-test block, which pays off only
+    /// when a call propagates many faults through many blocks — Phase 3's
+    /// whole-matrix call, and no per-test call.
     fn comb_partitions(&self, faults: &[FaultId], universe: &FaultUniverse) -> Vec<Vec<usize>> {
         let units = (self.cfg.effective_threads(faults.len()) * 4).min(faults.len());
         let mut order: Vec<usize> = (0..faults.len()).collect();
@@ -336,7 +314,7 @@ impl<'a> ParallelFsim<'a> {
         if parts.len() <= 1 {
             return work(&mut engine(), faults);
         }
-        let results = claim_map(self.cfg, parts.len(), "fsim.partition", engine, |sim, p| {
+        let results = claim_map(self.cfg, parts.len(), engine, |sim, p| {
             let ids: Vec<FaultId> = parts[p].iter().map(|&k| faults[k]).collect();
             work(sim, &ids)
         });
@@ -349,100 +327,6 @@ impl<'a> ParallelFsim<'a> {
             }
         }
         out
-    }
-
-    /// Test-sharded call with cross-partition fault dropping: work item `i`
-    /// (a 64-test block, or one scan test) is simulated by `detect` against
-    /// the faults no item has detected yet, and the shared bitmap drops a
-    /// fault everywhere once any worker detects it. At one thread the items
-    /// run in order, each against the faults still alive.
-    fn test_sharded<S>(
-        &self,
-        items: usize,
-        faults: &[FaultId],
-        span: &'static str,
-        engine: impl Fn() -> S + Sync,
-        detect: impl Fn(&mut S, usize, &[FaultId]) -> Vec<bool> + Sync,
-    ) -> Vec<bool> {
-        let shared = SharedDetectMap::new(faults.len());
-        let init = || (engine(), Vec::new(), Vec::new());
-        claim_map(
-            self.cfg,
-            items,
-            span,
-            init,
-            |(sim, alive_idx, alive_ids), i| {
-                alive_idx.clear();
-                alive_ids.clear();
-                for (k, &fid) in faults.iter().enumerate() {
-                    if !shared.is_set(k) {
-                        alive_idx.push(k);
-                        alive_ids.push(fid);
-                    }
-                }
-                if alive_ids.is_empty() {
-                    return;
-                }
-                let mut dropped = 0u64;
-                for (&k, d) in alive_idx.iter().zip(detect(sim, i, alive_ids)) {
-                    if d && shared.set(k) {
-                        dropped += 1;
-                    }
-                }
-                stats::add_dropped(dropped);
-            },
-        );
-        shared.snapshot(faults.len())
-    }
-
-    /// Parallel [`CombFaultSim::detect_block`]: per-fault detection masks
-    /// for one block of up to 64 tests, fault-sharded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tests` is empty or longer than 64 (as the serial engine
-    /// does).
-    pub fn detect_block(
-        &self,
-        tests: &[CombTest],
-        faults: &[FaultId],
-        universe: &FaultUniverse,
-    ) -> Vec<u64> {
-        stats::add_invocation();
-        self.fault_sharded(
-            faults,
-            || self.comb_partitions(faults, universe),
-            || CombFaultSim::uncounted(self.nl),
-            |sim, ids| sim.detect_block(tests, ids, universe),
-        )
-    }
-
-    /// Parallel [`CombFaultSim::detect_all`]: which faults some test
-    /// detects, test-sharded over 64-test blocks with cross-partition
-    /// fault dropping through a shared atomic bitmap.
-    pub fn detect_all(
-        &self,
-        tests: &[CombTest],
-        faults: &[FaultId],
-        universe: &FaultUniverse,
-    ) -> Vec<bool> {
-        stats::add_invocation();
-        let blocks: Vec<&[CombTest]> = tests.chunks(64).collect();
-        if self.cfg.effective_threads(blocks.len()) <= 1 {
-            return CombFaultSim::uncounted(self.nl).detect_all(tests, faults, universe);
-        }
-        self.test_sharded(
-            blocks.len(),
-            faults,
-            "fsim.detect_all.claim",
-            || CombFaultSim::uncounted(self.nl),
-            |sim, b, ids| {
-                sim.detect_block(blocks[b], ids, universe)
-                    .into_iter()
-                    .map(|mask| mask != 0)
-                    .collect()
-            },
-        )
     }
 
     /// Parallel [`CombFaultSim::detect_matrix`]: the full per-fault,
@@ -464,11 +348,12 @@ impl<'a> ParallelFsim<'a> {
 
     /// Cross-checks the two combinational detection views against each
     /// other: the full no-dropping [`ParallelFsim::detect_matrix`]
-    /// (fault-sharded) row-unioned per fault must equal the
-    /// [`ParallelFsim::detect_all`] bitmap (test-sharded with dropping),
-    /// and no matrix row may set bits beyond the test count.
+    /// (fault-sharded) row-unioned per fault must equal the serial
+    /// [`CombFaultSim::detect_all`] bitmap (each fault dropped at its first
+    /// detecting block), and no matrix row may set bits beyond the test
+    /// count.
     ///
-    /// The two paths shard along different axes and only one of them drops
+    /// Only one of the two paths is sharded and only the other drops
     /// faults, so agreement here is a real differential check, not a
     /// tautology. Used by the `atspeed-verify` fuzzer.
     ///
@@ -482,7 +367,7 @@ impl<'a> ParallelFsim<'a> {
         universe: &FaultUniverse,
     ) -> Result<(), MatrixMismatch> {
         let matrix = self.detect_matrix(tests, faults, universe);
-        let bitmap = self.detect_all(tests, faults, universe);
+        let bitmap = CombFaultSim::new(self.nl).detect_all(tests, faults, universe);
         let full_words = tests.len() / 64;
         let tail_mask = match tests.len() % 64 {
             0 => 0u64,
@@ -598,7 +483,6 @@ impl<'a> ParallelFsim<'a> {
         let mut parts = claim_map(
             self.cfg,
             words.len(),
-            "fsim.partition",
             || SeqFaultSim::uncounted(self.nl),
             |sim, w| sim.end_states(init, seq, words[w], universe),
         )
@@ -658,7 +542,6 @@ impl<'a> ParallelFsim<'a> {
             claim_map(
                 self.cfg,
                 words.len(),
-                "fsim.partition",
                 || SeqFaultSim::uncounted(self.nl),
                 |sim, w| sim.sweep_pass(rec, seq, from, words[w], universe),
             )
@@ -694,42 +577,12 @@ impl<'a> ParallelFsim<'a> {
             claim_map(
                 self.cfg,
                 wave.len(),
-                "fsim.partition",
                 || SeqFaultSim::uncounted(self.nl),
                 |sim, w| sim.detects_all_from(rec, suffix, wave[w], universe),
             )
             .into_iter()
             .all(|ok| ok)
         })
-    }
-
-    /// Union detection over many scan tests — each run `(scan-in state,
-    /// sequence)` is simulated with the final observation `observe` and the
-    /// detected sets are unioned. Runs are claimed from the work queue; faults
-    /// already detected by *any* partition are dropped everywhere through
-    /// the shared atomic bitmap.
-    ///
-    /// Serial equivalent (and the one-thread path): iterating the runs in
-    /// order and dropping detected faults from the alive list. The union is
-    /// order-independent, so both report the same detected set.
-    pub fn detect_union(
-        &self,
-        runs: &[(&State, &Sequence)],
-        faults: &[FaultId],
-        universe: &FaultUniverse,
-        observe: FinalObserve<'_>,
-    ) -> Vec<bool> {
-        stats::add_invocation();
-        self.test_sharded(
-            runs.len(),
-            faults,
-            "fsim.detect_union.claim",
-            || SeqFaultSim::uncounted(self.nl),
-            |sim, i, ids| {
-                let (init, seq) = runs[i];
-                sim.detect_observed(init, seq, ids, universe, observe)
-            },
-        )
     }
 }
 
@@ -783,23 +636,29 @@ mod tests {
         assert_eq!(cfg, SimConfig::with_threads(4));
         assert_eq!(SimConfig::from_env(), cfg);
 
-        set(Some("many"));
-        let err = SimConfig::try_from_env().expect_err("bad thread counts are rejected");
-        assert!(err.contains("SIM_THREADS") && err.contains("many"), "{err}");
-        // The lenient wrapper falls back to serial.
-        assert_eq!(SimConfig::from_env(), SimConfig::default());
+        for bad in ["many", "257"] {
+            set(Some(bad));
+            let err = SimConfig::try_from_env().expect_err("bad thread counts are rejected");
+            assert!(err.contains("SIM_THREADS") && err.contains(bad), "{err}");
+            // The lenient wrapper falls back to serial.
+            assert_eq!(SimConfig::from_env(), SimConfig::default());
+        }
 
         set(saved.as_deref());
     }
 
     #[test]
-    fn shared_map_sets_once() {
-        let m = SharedDetectMap::new(130);
-        assert!(!m.is_set(129));
-        assert!(m.set(129));
-        assert!(!m.set(129));
-        assert!(m.is_set(129));
-        assert_eq!(m.snapshot(130).iter().filter(|&&b| b).count(), 1);
+    fn thread_counts_from_outside_are_bounded() {
+        assert_eq!(SimConfig::parse_threads("--sim-threads", "0"), Ok(0));
+        assert_eq!(SimConfig::parse_threads("--sim-threads", " 4 "), Ok(4));
+        assert_eq!(
+            SimConfig::parse_threads("--sim-threads", "256"),
+            Ok(MAX_THREADS)
+        );
+        for bad in ["257", "18446744073709551615", "-1", "four", ""] {
+            let err = SimConfig::parse_threads("--workers", bad).expect_err(bad);
+            assert!(err.contains("--workers") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]
@@ -811,15 +670,6 @@ mod tests {
 
         let mut serial = CombFaultSim::new(&nl);
         let par = ParallelFsim::new(&nl, SimConfig::with_threads(4));
-
-        assert_eq!(
-            serial.detect_block(&tests[..64], &faults, &u),
-            par.detect_block(&tests[..64], &faults, &u)
-        );
-        assert_eq!(
-            serial.detect_all(&tests, &faults, &u),
-            par.detect_all(&tests, &faults, &u)
-        );
         assert_eq!(
             serial.detect_matrix(&tests, &faults, &u),
             par.detect_matrix(&tests, &faults, &u)
@@ -888,8 +738,8 @@ mod tests {
 
     #[test]
     fn each_call_counts_one_invocation_at_any_thread_count() {
-        // More than two 63-fault words and 64-test blocks, so every call
-        // fans out to several partitions once it has more than one thread.
+        // More than two 63-fault words, so every call fans out to several
+        // partitions once it has more than one thread.
         let nl = synth_circuit();
         let u = FaultUniverse::full(&nl);
         let faults: Vec<FaultId> = u.representatives().to_vec();
@@ -897,18 +747,11 @@ mod tests {
         let tests = comb_tests(&nl, 3 * 64 - 5, 11);
         let seq = pattern_sequence(&nl, 24, 7, 3, 5);
         let init = vec![V3::Zero; nl.num_ffs()];
-        let runs: Vec<(&State, &Sequence)> = (0..3).map(|_| (&init, &seq)).collect();
         let which: Vec<usize> = (0..faults.len()).collect();
         for threads in [1, 2, 4] {
             let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
             let rec = par.end_states(&init, &seq, &faults, &u);
-            let calls: [(&str, &dyn Fn()); 10] = [
-                ("detect_block", &|| {
-                    par.detect_block(&tests[..64], &faults, &u);
-                }),
-                ("detect_all", &|| {
-                    par.detect_all(&tests, &faults, &u);
-                }),
+            let calls: [(&str, &dyn Fn()); 7] = [
                 ("detect_matrix", &|| {
                     par.detect_matrix(&tests, &faults, &u);
                 }),
@@ -929,9 +772,6 @@ mod tests {
                 }),
                 ("detects_all_from", &|| {
                     par.detects_all_from(&rec, &seq, &which, &u);
-                }),
-                ("detect_union", &|| {
-                    par.detect_union(&runs, &faults, &u, FinalObserve::FullState);
                 }),
             ];
             for (name, call) in calls {
@@ -975,7 +815,6 @@ mod tests {
             let out = claim_map(
                 SimConfig::with_threads(threads),
                 37,
-                "test.claim",
                 || 0usize,
                 |calls, i| {
                     *calls += 1;
@@ -984,7 +823,22 @@ mod tests {
             );
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
-        assert!(claim_map(SimConfig::with_threads(3), 0, "test.claim", || (), |_, i| i).is_empty());
+        assert!(claim_map(SimConfig::with_threads(3), 0, || (), |_, i| i).is_empty());
+    }
+
+    /// A job traced through a span scope (`serve --job-trace-dir`) sees
+    /// the partition spans its workers open, not the process-wide tracer.
+    #[test]
+    fn scoped_job_receives_its_workers_partition_spans() {
+        let tracer = std::sync::Arc::new(atspeed_trace::Tracer::new());
+        tracer.set_enabled(true);
+        {
+            let _scope = atspeed_trace::scope(tracer.clone());
+            claim_map(SimConfig::with_threads(2), 4, || (), |_, i| i);
+        }
+        let json = tracer.chrome_trace_json();
+        let begins = json.matches(r#""fsim.partition","cat":"atspeed","ph":"B""#);
+        assert_eq!(begins.count(), 4, "{json}");
     }
 
     #[test]
@@ -994,7 +848,6 @@ mod tests {
             claim_map(
                 SimConfig::with_threads(threads),
                 9,
-                "test.claim",
                 || (),
                 |_, _| stats::add_gate_evals(2),
             );

@@ -37,7 +37,7 @@
 //!   its partitions count none, so the total does not depend on the
 //!   thread count;
 //! - **faults dropped** — faults removed from further simulation by
-//!   detection, including cross-partition drops through the shared bitmap.
+//!   detection.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

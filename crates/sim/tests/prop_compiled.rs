@@ -229,8 +229,8 @@ proptest! {
         }
     }
 
-    /// Parallel fault sharding over the compiled engines returns the same
-    /// masks as the legacy brute-force oracle at 1 and 4 threads.
+    /// The fault-sharded detection matrix over the compiled engines returns
+    /// the same masks as the legacy brute-force oracle at 1 and 4 threads.
     #[test]
     fn parallel_compiled_matches_bruteforce(nl in arb_netlist(), seed in any::<u64>()) {
         let mut next = rng(seed);
@@ -244,11 +244,15 @@ proptest! {
                 )
             })
             .collect();
-        let oracle = CombFaultSim::new(&nl).detect_block_bruteforce(&tests, &faults, &u);
+        let oracle: Vec<Vec<u64>> = CombFaultSim::new(&nl)
+            .detect_block_bruteforce(&tests, &faults, &u)
+            .into_iter()
+            .map(|mask| vec![mask])
+            .collect();
         for threads in [1usize, 4] {
             let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
             prop_assert_eq!(
-                &par.detect_block(&tests, &faults, &u),
+                &par.detect_matrix(&tests, &faults, &u),
                 &oracle,
                 "threads = {}", threads
             );

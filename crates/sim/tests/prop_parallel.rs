@@ -65,9 +65,8 @@ fn sequence(nl: &Netlist, len: usize, bits: &mut Bits) -> Sequence {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Combinational ops: fault-sharded (`detect_block`, `detect_matrix`)
-    /// and test-sharded with the shared detection bitmap (`detect_all`)
-    /// all match the serial engine exactly.
+    /// The fault-sharded combinational matrix matches the serial engine
+    /// exactly, over a partial last 64-test block too.
     #[test]
     fn parallel_comb_matches_serial(
         nl in arb_netlist(),
@@ -82,16 +81,6 @@ proptest! {
 
         let mut serial = CombFaultSim::new(&nl);
         let par = ParallelFsim::new(&nl, SimConfig::with_threads(threads));
-
-        let block = &tests[..tests.len().min(64)];
-        prop_assert_eq!(
-            serial.detect_block(block, &faults, &u),
-            par.detect_block(block, &faults, &u)
-        );
-        prop_assert_eq!(
-            serial.detect_all(&tests, &faults, &u),
-            par.detect_all(&tests, &faults, &u)
-        );
         prop_assert_eq!(
             serial.detect_matrix(&tests, &faults, &u),
             par.detect_matrix(&tests, &faults, &u)
@@ -99,10 +88,11 @@ proptest! {
     }
 
     /// Sequential ops: fault-sharded `detect`/`profiles`/`profiles_bounded`
-    /// and the test-sharded `detect_union` report the serial results. The
-    /// circuits are large enough that most cases span several 63-fault
-    /// partitions, and long enough sequences make a one-word profile
-    /// budget truncate.
+    /// report the serial results, and the serial union over scan tests
+    /// (which drops each fault at its first detecting test) equals the
+    /// union of their fault-sharded `detect` sets. The circuits are large
+    /// enough that most cases span several 63-fault partitions, and long
+    /// enough sequences make a one-word profile budget truncate.
     #[test]
     fn parallel_seq_matches_serial(
         nl in arb_netlist_with_gates(40..160),
@@ -142,11 +132,15 @@ proptest! {
             .collect();
         let runs: Vec<(&State, &Sequence)> =
             runs_owned.iter().map(|(s, q)| (s, q)).collect();
-        let serial_union =
-            ParallelFsim::new(&nl, SimConfig::default()).detect_union(&runs, &faults, &u, FinalObserve::FullState);
+        let mut sharded_union = vec![false; faults.len()];
+        for &(si, s) in &runs {
+            for (d, hit) in sharded_union.iter_mut().zip(par.detect(si, s, &faults, &u, true)) {
+                *d |= hit;
+            }
+        }
         prop_assert_eq!(
-            serial_union,
-            par.detect_union(&runs, &faults, &u, FinalObserve::FullState)
+            serial.detect_union(&runs, &faults, &u, FinalObserve::FullState),
+            sharded_union
         );
     }
 }

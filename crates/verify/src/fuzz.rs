@@ -10,10 +10,10 @@
 //!    kernel ([`CompiledSim`]) on the full-pass and fault-injection paths,
 //!    over random 3-valued inputs; the walker injects the fault list
 //!    itself, the kernel through its [`Overrides`] overlay;
-//! 2. **comb-detect / matrix** — the serial PPSFP engine against the
-//!    test-sharded (fault-dropping) parallel front end, plus the
-//!    fault-sharded detection matrix against the detection bitmap
-//!    ([`ParallelFsim::check_matrix_consistency`]);
+//! 2. **matrix** — the fault-sharded detection matrix, row-unioned,
+//!    against the serial PPSFP engine's fault-dropping detection bitmap
+//!    ([`ParallelFsim::check_matrix_consistency`]) at each requested
+//!    thread count;
 //! 3. **seq-detect** — serial sequential fault simulation against the
 //!    fault-sharded parallel front end at each requested thread count;
 //! 4. **resume** — the end-of-prefix record resumed over the rest of the
@@ -36,8 +36,7 @@
 //!    [`SatAtpg`] agree on testable versus untestable;
 //! 8. **score** — Phase 1's lane-packed candidate scoring
 //!    ([`score_scan_ins`]) of 2–9 random scan-in states, one of them
-//!    repeated, against one [`SeqFaultSim::detect`] per state, serially and
-//!    at each requested thread count.
+//!    repeated, against one [`SeqFaultSim::detect`] per state.
 //!
 //! Any disagreement surfaces as a [`Divergence`]; [`run_fuzz`] then shrinks
 //! the case ([`crate::shrink`]) and dumps a reproduction bundle
@@ -113,9 +112,9 @@ impl Case {
 /// A disagreement between two engine implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
-    /// `seq-detect`, `resume`, `incremental`, `omission`, `atpg`, `score`,
-    /// or `synth` when generation itself errors). It is written into the
+    /// Which differential check failed (`logic`, `matrix`, `seq-detect`,
+    /// `resume`, `incremental`, `omission`, `atpg`, `score`, or `synth`
+    /// when generation itself errors). It is written into the
     /// repro bundle's `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
@@ -277,6 +276,31 @@ fn first_mismatch(a: &[bool], b: &[bool], faults: &[FaultId]) -> String {
     }
 }
 
+/// Serial vs fault-sharded sequential detection of `faults` by `(init,
+/// seq)` with a scan-out, at each thread count: one check per count.
+/// Returns the serial detections, which the later checks build on.
+pub(crate) fn check_seq_detect(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    faults: &[FaultId],
+    threads: &[usize],
+) -> Result<Vec<bool>, Divergence> {
+    let serial = SeqFaultSim::new(nl).detect(init, seq, faults, u, true);
+    for &t in threads {
+        let got =
+            ParallelFsim::new(nl, SimConfig::with_threads(t)).detect(init, seq, faults, u, true);
+        if got != serial {
+            return Err(Divergence {
+                check: "seq-detect",
+                detail: format!("threads {t}: {}", first_mismatch(&serial, &got, faults)),
+            });
+        }
+    }
+    Ok(serial)
+}
+
 /// Resumed vs whole-sequence simulation: the record after `seq[..split]`,
 /// resumed over `seq[split..]` with a scan-out, detects every fault the
 /// whole sequence detects (`detected`) and none of up to 8 faults it
@@ -379,16 +403,14 @@ pub(crate) fn check_incremental(
 
 /// Lane-packed candidate scoring against per-state simulation: 2–9 random
 /// scan-in states drawn from `seed`, one of them repeated, scored on
-/// `faults` over `seq` serially and at each thread count, must get the
-/// count of faults one [`SeqFaultSim::detect`] with a scan-out detects
-/// from each state.
+/// `faults` over `seq`, must get the count of faults one
+/// [`SeqFaultSim::detect`] with a scan-out detects from each state.
 pub(crate) fn check_score(
     nl: &Netlist,
     u: &FaultUniverse,
     seq: &Sequence,
     faults: &[FaultId],
     seed: u64,
-    threads: &[usize],
 ) -> Result<usize, Divergence> {
     let mut next = rng(seed);
     let n = 2 + (next() % 8) as usize;
@@ -408,18 +430,14 @@ pub(crate) fn check_score(
                 .count()
         })
         .collect();
-    let mut checks = 0;
-    for &t in std::iter::once(&1).chain(threads) {
-        let got = score_scan_ins(nl, &refs, seq, faults, u, SimConfig::with_threads(t));
-        if got != want {
-            return Err(Divergence {
-                check: "score",
-                detail: format!("threads {t}: lanes scored {got:?}, per-state detection {want:?}"),
-            });
-        }
-        checks += 1;
+    let got = score_scan_ins(nl, &refs, seq, faults, u);
+    if got != want {
+        return Err(Divergence {
+            check: "score",
+            detail: format!("lanes scored {got:?}, per-state detection {want:?}"),
+        });
     }
-    Ok(checks)
+    Ok(1)
 }
 
 /// PODEM against its independent references: each test it finds must
@@ -493,9 +511,8 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
     let faults = sample_faults(&u, case.fault_cap);
     report.faults = faults.len();
 
-    // Combinational detection: serial PPSFP vs the test-sharded parallel
-    // front end (which drops faults across partitions), plus the
-    // matrix-vs-bitmap consistency check on the fault-sharded path.
+    // Combinational detection: the fault-sharded matrix against the serial
+    // fault-dropping bitmap.
     let tests: Vec<CombTest> = (0..8 + case.seq_len * 3)
         .map(|_| {
             CombTest::new(
@@ -504,45 +521,19 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
             )
         })
         .collect();
-    let comb_serial = CombFaultSim::new(&nl).detect_all(&tests, &faults, &u);
     for &t in threads {
-        let par = ParallelFsim::new(&nl, SimConfig::with_threads(t));
-        let got = par.detect_all(&tests, &faults, &u);
-        if got != comb_serial {
-            return Err(Divergence {
-                check: "comb-detect",
-                detail: format!(
-                    "threads {t}: {}",
-                    first_mismatch(&comb_serial, &got, &faults)
-                ),
-            });
-        }
-        par.check_matrix_consistency(&tests, &faults, &u)
+        ParallelFsim::new(&nl, SimConfig::with_threads(t))
+            .check_matrix_consistency(&tests, &faults, &u)
             .map_err(|m| Divergence {
                 check: "matrix",
                 detail: format!("threads {t}: {m}"),
             })?;
-        report.checks += 2;
-    }
-
-    // Sequential detection: serial engine vs the fault-sharded parallel
-    // front end.
-    let (init, seq) = case_stimuli(case, &nl);
-    let seq_serial = SeqFaultSim::new(&nl).detect(&init, &seq, &faults, &u, true);
-    for &t in threads {
-        let got = ParallelFsim::new(&nl, SimConfig::with_threads(t))
-            .detect(&init, &seq, &faults, &u, true);
-        if got != seq_serial {
-            return Err(Divergence {
-                check: "seq-detect",
-                detail: format!(
-                    "threads {t}: {}",
-                    first_mismatch(&seq_serial, &got, &faults)
-                ),
-            });
-        }
         report.checks += 1;
     }
+
+    let (init, seq) = case_stimuli(case, &nl);
+    let seq_serial = check_seq_detect(&nl, &u, &init, &seq, &faults, threads)?;
+    report.checks += threads.len();
 
     let split = (next() as usize) % (seq.len() + 1);
     report.checks += check_resume(&nl, &u, &init, &seq, &faults, &seq_serial, split, threads)?;
@@ -574,7 +565,7 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
     }
 
     report.checks += check_atpg(&nl, &u, &faults)?;
-    report.checks += check_score(&nl, &u, &seq, &faults, next(), threads)?;
+    report.checks += check_score(&nl, &u, &seq, &faults, next())?;
 
     Ok(report)
 }
@@ -851,9 +842,9 @@ mod tests {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
         assert!(
-            rep.checks >= 15,
-            "logic(4) + comb(2) + seq(1) + resume(2) + incremental(1) + omission(2) + atpg(1) \
-             + score(2): {rep:?}"
+            rep.checks >= 13,
+            "logic(4) + matrix(1) + seq(1) + resume(2) + incremental(1) + omission(2) + atpg(1) \
+             + score(1): {rep:?}"
         );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);

@@ -21,12 +21,11 @@ use std::path::{Path, PathBuf};
 use atspeed_atpg::compact::{check_omission_differential, OmissionConfig};
 use atspeed_circuit::{bench_fmt, synth::generate, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{
-    try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
-};
+use atspeed_sim::{try_parse_values, ParseError, Sequence, State};
 
 use crate::fuzz::{
-    case_stimuli, check_atpg, check_incremental, check_resume, check_score, Case, Divergence,
+    case_stimuli, check_atpg, check_incremental, check_resume, check_score, check_seq_detect, Case,
+    Divergence,
 };
 
 /// Why a bundle failed to dump or load.
@@ -240,25 +239,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
     let nl = &bundle.netlist;
     let u = FaultUniverse::full(nl);
     let faults: Vec<FaultId> = u.representatives().to_vec();
-    let serial = SeqFaultSim::new(nl).detect(&bundle.init, &bundle.seq, &faults, &u, true);
-    for &t in threads {
-        let got = ParallelFsim::new(nl, SimConfig::with_threads(t)).detect(
-            &bundle.init,
-            &bundle.seq,
-            &faults,
-            &u,
-            true,
-        );
-        if let Some(i) = serial.iter().zip(&got).position(|(a, b)| a != b) {
-            return Err(Divergence {
-                check: "seq-detect",
-                detail: format!(
-                    "threads {t}: fault {:?} serial detected={} parallel detected={}",
-                    faults[i], serial[i], got[i]
-                ),
-            });
-        }
-    }
+    let serial = check_seq_detect(nl, &u, &bundle.init, &bundle.seq, &faults, threads)?;
     for split in 0..=bundle.seq.len() {
         check_resume(
             nl,
@@ -295,7 +276,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
         })?;
     }
     check_atpg(nl, &u, &faults)?;
-    check_score(nl, &u, &bundle.seq, &faults, REPLAY_SCORE_SEED, threads)?;
+    check_score(nl, &u, &bundle.seq, &faults, REPLAY_SCORE_SEED)?;
     Ok(ReplayReport {
         faults: faults.len(),
         detected: targets.len(),
