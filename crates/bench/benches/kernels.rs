@@ -1,12 +1,20 @@
 //! Kernel micro-benchmarks: the legacy pointer walker vs the compiled full
-//! pass over the ISCAS-89 circuits of the catalog, and Phase-2 vector
-//! omission on s298 at 1, 2 and 4 threads.
+//! pass, fault-free and under one 63-fault word, over the ISCAS-89
+//! circuits of the catalog and the layered 108k-gate `stress` circuit; and
+//! Phase-2 vector omission on s298 at 1, 2 and 4 threads.
+//!
+//! The catalog circuits' runs (consecutive ops of one level sharing a kind
+//! and a fanin) are a few ops long, the `stress` circuit's about a hundred,
+//! so the two shapes time the kernel's per-run dispatch and its inner
+//! loops respectively.
 //!
 //! The kernel workload is a sequence of reseed-and-evaluate rounds: round 0
 //! assigns every source net a random 3-valued word, later rounds reseed a
 //! small random subset, as consecutive cycles of a sequential simulation
-//! do. Both kernels compute identical values (the differential tests in
-//! `atspeed-sim` prove it); only the traversal differs.
+//! do. The faulty rows inject one word of 63 faults spread over the
+//! collapsed faults, fault `k` in slot `k + 1`, as a sequential fault
+//! simulation does. All kernels compute identical values (the differential
+//! tests in `atspeed-sim` prove it); only the traversal differs.
 //!
 //! The Criterion timings are for local comparison; the counts a change is
 //! judged by come from the benchmark in `perfbench/`.
@@ -14,9 +22,10 @@
 use atspeed_atpg::compact::{omit_vectors, OmissionConfig};
 use atspeed_atpg::random_t0;
 use atspeed_circuit::catalog::{self, BenchmarkInfo, Suite};
+use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::{NetId, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombSim, CompiledSim, SeqFaultSim, SimConfig, V3, W3};
+use atspeed_sim::{CombSim, CompiledSim, Overrides, SeqFaultSim, SimConfig, V3, W3};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -24,12 +33,19 @@ fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
-fn selected() -> Vec<BenchmarkInfo> {
-    catalog::all()
+/// The kernel circuits: the ISCAS-89 circuits of the catalog, then the
+/// `stress` binary's default circuit (same spec and synthesis seed).
+fn selected() -> Vec<Netlist> {
+    let mut nls: Vec<Netlist> = catalog::all()
         .iter()
-        .copied()
         .filter(|b| b.suite == Suite::Iscas89)
-        .collect()
+        .map(BenchmarkInfo::instantiate)
+        .collect();
+    let stress = SynthSpec::new("stress", 64, 32, 512, 100_000, 2001)
+        .with_layers(64)
+        .with_fanout_hubs(32);
+    nls.push(generate(&stress).expect("the stress spec is valid"));
+    nls
 }
 
 fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -59,9 +75,8 @@ struct Workload {
     rounds: Vec<Vec<(NetId, W3)>>,
 }
 
-fn make_workload(info: &BenchmarkInfo, num_rounds: usize) -> Workload {
-    let nl = info.instantiate();
-    let mut next = rng(0xBEEF ^ info.num_gates as u64);
+fn make_workload(nl: Netlist, num_rounds: usize) -> Workload {
+    let mut next = rng(0xBEEF ^ nl.num_gates() as u64);
     let mut sources: Vec<NetId> = nl.pis().to_vec();
     sources.extend(nl.ffs().iter().map(|ff| ff.q()));
     let mut rounds = Vec::with_capacity(num_rounds);
@@ -88,15 +103,36 @@ fn run_legacy(w: &Workload, sim: &mut CombSim<'_>, vals: &mut [W3]) {
     black_box(vals.first().copied());
 }
 
-/// One timed sweep with compiled full passes over a caller slice.
-fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, vals: &mut [W3]) {
+/// One timed sweep with compiled full passes over a caller slice, under
+/// `ov` when given.
+fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, ov: Option<&Overrides<'_>>, vals: &mut [W3]) {
     for round in &w.rounds {
         for &(net, val) in round {
             vals[net.index()] = val;
         }
-        sim.eval(vals);
+        match ov {
+            Some(ov) => sim.eval_with(vals, ov),
+            None => sim.eval(vals),
+        }
     }
     black_box(vals.first().copied());
+}
+
+/// One word of 63 faults stride-sampled from the collapsed faults, fault
+/// `k` in slot `k + 1`.
+fn fault_word<'a>(nl: &'a Netlist) -> Overrides<'a> {
+    let universe = FaultUniverse::full(nl);
+    let reps = universe.representatives();
+    let mut ov = Overrides::new(nl.compiled());
+    for (k, &f) in reps
+        .iter()
+        .step_by((reps.len() / 63).max(1))
+        .take(63)
+        .enumerate()
+    {
+        ov.add(universe.fault(f), 1 << (k + 1));
+    }
+    ov
 }
 
 /// The vector-omission workload: a random sequence over a catalog circuit
@@ -146,10 +182,10 @@ fn bench_kernels(c: &mut Criterion) {
     // Smoke mode (plain `cargo test`) keeps every group tiny.
     let (rounds, samples) = if bench_mode() { (64, 10) } else { (4, 1) };
 
-    for info in selected() {
-        let w = make_workload(&info, rounds);
+    for nl in selected() {
+        let w = make_workload(nl, rounds);
         let cc = w.nl.compiled();
-        let mut g = c.benchmark_group(format!("kernels_{}", info.name));
+        let mut g = c.benchmark_group(format!("kernels_{}", w.nl.name()));
         g.sample_size(samples);
         let mut legacy = CombSim::new(&w.nl);
         let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
@@ -157,8 +193,13 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| run_legacy(&w, &mut legacy, &mut vals))
         });
         let sim = CompiledSim::new(cc);
-        let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
-        g.bench_function("compiled", |b| b.iter(|| run_compiled(&w, &sim, &mut vals)));
+        let ov = fault_word(&w.nl);
+        g.bench_function("compiled", |b| {
+            b.iter(|| run_compiled(&w, &sim, None, &mut vals))
+        });
+        g.bench_function("compiled_63_faults", |b| {
+            b.iter(|| run_compiled(&w, &sim, Some(&ov), &mut vals))
+        });
         g.finish();
     }
 

@@ -13,6 +13,10 @@
 //!   a `pin_offsets` table) are stored once, in op order, so a full pass is
 //!   one linear sweep of three arrays ([`CompiledCircuit::ops`]). `op_of`
 //!   maps a gate to its op and `driver_op` a net to the op driving it;
+//! - the program's **runs**: maximal stretches of consecutive ops in one
+//!   level that share a kind and a fanin, one small record each (where the
+//!   run's ops and pins end, its kind and fanin), so a pass can dispatch
+//!   once per run ([`CompiledCircuit::runs`]);
 //! - the level `schedule` lists the gates level by level in id order
 //!   (`level_offsets` delimits each level) — the order searches that take
 //!   the first match, such as PODEM's D-frontier, walk;
@@ -21,9 +25,9 @@
 //! - per-gate levels and per-net observability flags are plain dense
 //!   arrays indexed by id.
 //!
-//! Grouping a level's ops by kind and fanin keeps the kernel's per-kind
-//! dispatch and pin loop predictable; gates of one level are independent,
-//! so no order within a level changes a value.
+//! Grouping a level's ops by kind and fanin forms the runs; gates of one
+//! level are independent, so no order within a level changes a value, and
+//! no op of a run reads another's output.
 //!
 //! The compiled view is built once per netlist — [`Netlist::compiled`]
 //! caches it — and [`CompiledCircuit::validate`] cross-checks every array
@@ -50,6 +54,9 @@ pub struct CompiledCircuit {
     outputs: Vec<NetId>,
     pin_offsets: Vec<u32>,
     pin_nets: Vec<NetId>,
+    // The run table, in op order: each run starts where the one before it
+    // ends.
+    runs: Vec<RunEnd>,
     // Gate → op position, and net → driving op (`NO_OP` for sources).
     op_of: Vec<u32>,
     driver_op: Vec<u32>,
@@ -152,6 +159,7 @@ impl CompiledCircuit {
             outputs: program.outputs,
             pin_offsets: program.pin_offsets,
             pin_nets: program.pin_nets,
+            runs: program.runs,
             op_of: program.op_of,
             driver_op: program.driver_op,
             gate_levels,
@@ -221,6 +229,7 @@ impl CompiledCircuit {
                 return Err(format!("op {op}: input span mismatch"));
             }
         }
+        self.validate_runs()?;
         // The schedule must list every gate once, level by level, in id
         // order within a level.
         let mut last: Option<(u32, GateId)> = None;
@@ -279,6 +288,49 @@ impl CompiledCircuit {
             if self.ff_q[fi] != ff.q() || self.ff_d[fi] != ff.d() {
                 return Err(format!("ff{fi}: q/d net mismatch"));
             }
+        }
+        Ok(())
+    }
+
+    /// Checks that the runs tile the program in order, that each lies in
+    /// one level with one kind and one fanin, and that adjacent runs of one
+    /// level differ (each run is maximal).
+    fn validate_runs(&self) -> Result<(), String> {
+        let mut start = 0;
+        let mut prev: Option<(usize, RunEnd)> = None;
+        for &run in &self.runs {
+            let ops = start..run.op_end as usize;
+            if ops.is_empty() || ops.end > self.kinds.len() {
+                return Err(format!(
+                    "run ending at op {} is empty or out of range",
+                    ops.end
+                ));
+            }
+            if run.pin_end != self.pin_offsets[ops.end] {
+                return Err(format!("run {ops:?}: pin end mismatch"));
+            }
+            // The last level starting at or before the run's first op is
+            // the (non-empty) level holding it.
+            let level = self
+                .level_offsets
+                .partition_point(|&o| o as usize <= ops.start)
+                - 1;
+            if ops.end > self.level_offsets[level + 1] as usize {
+                return Err(format!("run {ops:?} crosses the end of level {level}"));
+            }
+            if ops.clone().any(|op| {
+                self.kinds[op] != run.kind || self.op_inputs(op).len() != run.fanin.into()
+            }) {
+                return Err(format!("run {ops:?} mixes kinds or fanins"));
+            }
+            if prev.is_some_and(|(l, p)| l == level && (p.kind, p.fanin) == (run.kind, run.fanin)) {
+                return Err(format!("run {ops:?} continues the run before it"));
+            }
+            prev = Some((level, run));
+            start = ops.end;
+        }
+        if start != self.kinds.len() {
+            return Err("runs do not tile the program".into());
         }
         Ok(())
     }
@@ -388,6 +440,25 @@ impl CompiledCircuit {
             })
     }
 
+    /// The evaluation program as runs, in op order: maximal stretches of
+    /// consecutive ops in one level that share a kind and a fanin.
+    #[inline]
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = Run<'_>> + '_ {
+        let (mut op_lo, mut pin_lo) = (0, 0);
+        self.runs.iter().map(move |run| {
+            let ops = op_lo..run.op_end as usize;
+            let pins = pin_lo..run.pin_end as usize;
+            (op_lo, pin_lo) = (ops.end, pins.end);
+            Run {
+                kind: run.kind,
+                fanin: run.fanin.into(),
+                outputs: &self.outputs[ops.clone()],
+                pins: &self.pin_nets[pins],
+                ops,
+            }
+        })
+    }
+
     /// All gates by ascending level, in id order within a level (a valid
     /// evaluation order; searches that take the first match walk it).
     #[inline]
@@ -463,6 +534,35 @@ impl CompiledCircuit {
     }
 }
 
+/// One run of the evaluation program ([`CompiledCircuit::runs`]): ops
+/// `ops`, each computing `kind` over `fanin` pins. Op `ops.start + i`
+/// drives `outputs[i]` from `pins[i * fanin..(i + 1) * fanin]`. The ops sit
+/// in one level, so none reads another's output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run<'a> {
+    /// The logic function of every op.
+    pub kind: GateKind,
+    /// The input count of every op.
+    pub fanin: usize,
+    /// The op positions.
+    pub ops: Range<usize>,
+    /// The output nets, in op order.
+    pub outputs: &'a [NetId],
+    /// The input nets, `fanin` per op, in op order.
+    pub pins: &'a [NetId],
+}
+
+/// One run's record in the run table: its ops end at `op_end` and its pins
+/// at `pin_end`, and every op computes `kind` over `fanin` pins. A run
+/// starts where the one before it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RunEnd {
+    op_end: u32,
+    pin_end: u32,
+    kind: GateKind,
+    fanin: u16,
+}
+
 /// The op-ordered arrays of an evaluation program, laid out from an op
 /// order (a permutation of the gates).
 struct Program {
@@ -470,6 +570,7 @@ struct Program {
     outputs: Vec<NetId>,
     pin_offsets: Vec<u32>,
     pin_nets: Vec<NetId>,
+    runs: Vec<RunEnd>,
     op_of: Vec<u32>,
     driver_op: Vec<u32>,
 }
@@ -482,18 +583,39 @@ impl Program {
             outputs: Vec::with_capacity(ops.len()),
             pin_offsets: Vec::with_capacity(ops.len() + 1),
             pin_nets: Vec::with_capacity(total_pins),
+            runs: Vec::new(),
             op_of: vec![0; nl.num_gates()],
             driver_op: Vec::new(),
         };
         p.pin_offsets.push(0);
+        let mut run_level = 0;
         for (op, &gid) in ops.iter().enumerate() {
             let g = nl.gate(gid);
+            let op = u32::try_from(op).expect("gate count overflow");
             p.kinds.push(g.kind());
             p.outputs.push(g.output());
             p.pin_nets.extend_from_slice(g.inputs());
-            p.pin_offsets
-                .push(u32::try_from(p.pin_nets.len()).expect("pin count overflow"));
-            p.op_of[gid.index()] = u32::try_from(op).expect("gate count overflow");
+            let pin_end = u32::try_from(p.pin_nets.len()).expect("pin count overflow");
+            p.pin_offsets.push(pin_end);
+            p.op_of[gid.index()] = op;
+            // The op extends the last run if it shares its level, kind and
+            // fanin, and starts a new one otherwise.
+            let level = nl.level(g.output());
+            let end = RunEnd {
+                op_end: op + 1,
+                pin_end,
+                kind: g.kind(),
+                fanin: u16::try_from(g.inputs().len()).expect("fanin is at most MAX_FANIN"),
+            };
+            match p.runs.last_mut() {
+                Some(run)
+                    if run_level == level && (run.kind, run.fanin) == (end.kind, end.fanin) =>
+                {
+                    *run = end;
+                }
+                _ => p.runs.push(end),
+            }
+            run_level = level;
         }
         p.driver_op = nl
             .net_ids()
@@ -570,6 +692,7 @@ mod tests {
             outputs: p.outputs,
             pin_offsets: p.pin_offsets,
             pin_nets: p.pin_nets,
+            runs: p.runs,
             op_of: p.op_of,
             driver_op: p.driver_op,
             ..cc.clone()
@@ -600,6 +723,18 @@ mod tests {
                 assert_eq!(pins, cc.op_inputs(op));
                 assert_eq!(cc.driver_op(out), Some(op), "{}: op {op}", nl.name());
             }
+            // Each run hands out its ops' kinds, outputs and pins.
+            let mut next = 0;
+            for run in cc.runs() {
+                assert_eq!(run.ops.start, next, "{}", nl.name());
+                next = run.ops.end;
+                for (i, op) in run.ops.clone().enumerate() {
+                    assert_eq!(run.kind, cc.op_kind(op));
+                    assert_eq!(run.outputs[i], cc.op_output(op));
+                    assert_eq!(&run.pins[i * run.fanin..][..run.fanin], cc.op_inputs(op));
+                }
+            }
+            assert_eq!(next, nl.num_gates());
         }
     }
 
@@ -621,6 +756,40 @@ mod tests {
         across.swap(l1.start, l2.start);
         let err = with_program(&nl, &cc, &across).validate(&nl).unwrap_err();
         assert!(err.contains("not level-sorted"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_run_merged_across_a_level() {
+        let nl = generate(&SynthSpec::new("runs", 7, 5, 11, 240, 3)).unwrap();
+        let cc = CompiledCircuit::compile(&nl);
+        // Dropping the run boundary at the start of level 2 merges level
+        // 1's last run with level 2's first; splitting a run in two leaves
+        // two adjacent runs that should be one.
+        assert_eq!(cc.validate(&nl), Ok(()));
+        let boundary = cc.ops_at_level(2).start as u32;
+        let mut merged = cc.clone();
+        merged.runs.retain(|run| run.op_end != boundary);
+        let err = merged.validate(&nl).unwrap_err();
+        assert!(err.contains("crosses the end of level 1"), "{err}");
+        let run = cc
+            .runs()
+            .find(|run| run.ops.len() >= 2)
+            .expect("a run of two ops");
+        let mut split = cc.clone();
+        let at = split
+            .runs
+            .iter()
+            .position(|r| r.op_end as usize == run.ops.end)
+            .unwrap();
+        let first = run.ops.start as u32 + 1;
+        let head = RunEnd {
+            op_end: first,
+            pin_end: cc.pin_offsets[first as usize],
+            ..split.runs[at]
+        };
+        split.runs.insert(at, head);
+        let err = split.validate(&nl).unwrap_err();
+        assert!(err.contains("continues the run before it"), "{err}");
     }
 
     #[test]

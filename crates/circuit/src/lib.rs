@@ -50,7 +50,7 @@ mod netlist;
 pub mod stats;
 pub mod synth;
 
-pub use compiled::CompiledCircuit;
+pub use compiled::{CompiledCircuit, Run};
 pub use error::CircuitError;
 pub use gate::{GateKind, MAX_FANIN};
 pub use id::{FfId, GateId, NetId, PoId};

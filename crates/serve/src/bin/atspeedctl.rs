@@ -12,6 +12,10 @@
 //! atspeedctl shutdown [--addr HOST:PORT]
 //! ```
 //!
+//! `--threads` is at most [`atspeed_sim::MAX_THREADS`] and `--t0-len` at
+//! most [`atspeed_core::MAX_T0_LEN`], the bounds the server applies: a
+//! value above either fails here, with exit code 1, before connecting.
+//!
 //! `submit` sends a `.bench` netlist — from a file, or instantiated from
 //! the paper's benchmark catalog with `--circuit s298` — plus a pipeline
 //! config, prints the response header (`cache = hit|miss`, fingerprints,
@@ -23,8 +27,9 @@
 use std::process::ExitCode;
 
 use atspeed_circuit::{bench_fmt, catalog};
-use atspeed_core::{PipelineConfig, T0Source};
+use atspeed_core::{PipelineConfig, T0Source, MAX_T0_LEN};
 use atspeed_serve::Client;
+use atspeed_sim::SimConfig;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4715";
 
@@ -73,7 +78,12 @@ fn run() -> Result<(), String> {
             "--t0" => t0 = value("a source")?,
             "--t0-len" => {
                 let v = value("a length")?;
-                t0_len = v.parse().map_err(|_| format!("bad length `{v}`"))?;
+                t0_len = v.parse().map_err(|_| format!("bad --t0-len `{v}`"))?;
+                if t0_len > MAX_T0_LEN {
+                    return Err(format!(
+                        "bad --t0-len `{v}` (expected at most {MAX_T0_LEN})"
+                    ));
+                }
             }
             "--phase4" => {
                 args.config.phase4 = parse_flag(&value("0 or 1")?)?;
@@ -82,9 +92,8 @@ fn run() -> Result<(), String> {
                 args.config.verify = parse_flag(&value("0 or 1")?)?;
             }
             "--threads" => {
-                let v = value("a count")?;
                 args.config.sim.threads =
-                    v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
+                    SimConfig::parse_threads("--threads", &value("a count")?)?;
             }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`")),

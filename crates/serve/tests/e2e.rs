@@ -512,6 +512,34 @@ fn shutdown_racing_worker_startup_never_hangs() {
     });
 }
 
+/// `atspeedctl` bounds `--threads` and `--t0-len` itself. Nothing listens
+/// on the address it is given, so only a rejection made before connecting
+/// names the flag; one left to the server would fail to connect instead.
+#[test]
+fn client_rejects_numeric_flags_above_their_bounds() {
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener.local_addr().expect("local addr").to_string()
+    };
+    let threads = (atspeed_sim::MAX_THREADS + 1).to_string();
+    let t0_len = (atspeed_core::MAX_T0_LEN + 1).to_string();
+    for (flag, value) in [
+        ("--threads", threads.as_str()),
+        ("--t0-len", t0_len.as_str()),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_atspeedctl"))
+            .args(["submit", "--addr", &addr, "--circuit", "s298", flag, value])
+            .output()
+            .expect("spawn atspeedctl");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag} `{value}`")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
 /// Flags retired with the evaluation-kernel knob are unknown arguments:
 /// both binaries refuse them before binding or connecting.
 #[test]

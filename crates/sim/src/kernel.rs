@@ -2,10 +2,12 @@
 //! evaluation program of a [`CompiledCircuit`], on a value array the
 //! caller owns, and the [`Overrides`] overlay that injects faults into it.
 //!
-//! [`CompiledSim`] walks the program's ops in order — kind, output net and
-//! pin span stored once each, in op order, grouped by kind and fanin within
-//! each level — and folds each op's function directly over its pin span:
-//! no gate-id lookups, no per-gate pointer chase, no per-call input buffer.
+//! [`CompiledSim`] walks the program run by run ([`CompiledCircuit::runs`]:
+//! consecutive ops of one level sharing a kind and a fanin) and dispatches
+//! once per run into a loop specialised for that kind and fanin, whose pin
+//! count and fold are constants: no per-op kind dispatch, no pin-offset
+//! loads, no gate-id lookups, no per-call input buffer. Pairs the circuits
+//! rarely use share one generic loop.
 //!
 //! The caller keeps one [`W3`] word (64 slots) per net, indexed by
 //! [`NetId`], seeds the source nets (primary inputs and flip-flop outputs)
@@ -21,7 +23,7 @@
 //! one 64-slot word — so a pass over `G` gates credits `G` gate
 //! evaluations.
 
-use atspeed_circuit::{CompiledCircuit, FfId, GateKind, NetId, PoId};
+use atspeed_circuit::{CompiledCircuit, FfId, GateKind, NetId, PoId, Run};
 
 use crate::fault::{Fault, FaultSite};
 use crate::logic::W3;
@@ -77,6 +79,51 @@ fn eval_op_forced(kind: GateKind, span: &[NetId], vals: &[W3], entry: &[Force]) 
     entry[0].apply(out)
 }
 
+/// Evaluates a run whose ops all have `N` pins, folded with `fold` and
+/// complemented when `INVERT`: with both fixed, the pin loop unrolls.
+#[inline(always)]
+fn fixed_run<const N: usize, const INVERT: bool>(
+    outputs: &[NetId],
+    pins: &[NetId],
+    vals: &mut [W3],
+    fold: impl Fn(W3, W3) -> W3,
+) {
+    for (out, span) in outputs.iter().zip(pins.chunks_exact(N)) {
+        let acc = span[1..].iter().fold(vals[span[0].index()], |acc, net| {
+            fold(acc, vals[net.index()])
+        });
+        vals[out.index()] = if INVERT { acc.not() } else { acc };
+    }
+}
+
+/// Evaluates one run fault-free, dispatching once on its kind and fanin.
+/// The pairs the circuits use get a specialised loop; the rest (3-input
+/// XOR, 1-input AND family, gates wider than 4) share a generic one.
+fn eval_run(run: &Run<'_>, vals: &mut [W3]) {
+    use GateKind::{And, Buf, Nand, Nor, Not, Or, Xnor, Xor};
+    let (outs, pins) = (run.outputs, run.pins);
+    match (run.kind, run.fanin) {
+        (Buf, 1) => fixed_run::<1, false>(outs, pins, vals, W3::and),
+        (Not, 1) => fixed_run::<1, true>(outs, pins, vals, W3::and),
+        (And, 2) => fixed_run::<2, false>(outs, pins, vals, W3::and),
+        (And, 3) => fixed_run::<3, false>(outs, pins, vals, W3::and),
+        (Nand, 2) => fixed_run::<2, true>(outs, pins, vals, W3::and),
+        (Nand, 3) => fixed_run::<3, true>(outs, pins, vals, W3::and),
+        (Or, 2) => fixed_run::<2, false>(outs, pins, vals, W3::or),
+        (Or, 3) => fixed_run::<3, false>(outs, pins, vals, W3::or),
+        (Nor, 2) => fixed_run::<2, true>(outs, pins, vals, W3::or),
+        (Nor, 3) => fixed_run::<3, true>(outs, pins, vals, W3::or),
+        (Xor, 2) => fixed_run::<2, false>(outs, pins, vals, W3::xor),
+        (Xnor, 2) => fixed_run::<2, true>(outs, pins, vals, W3::xor),
+        (Xor, 4) => fixed_run::<4, false>(outs, pins, vals, W3::xor),
+        (kind, fanin) => {
+            for (i, out) in outs.iter().enumerate() {
+                vals[out.index()] = eval_op(kind, &pins[i * fanin..(i + 1) * fanin], vals);
+            }
+        }
+    }
+}
+
 /// Levelized full-pass evaluator over a [`CompiledCircuit`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledSim<'a> {
@@ -102,40 +149,49 @@ impl<'a> CompiledSim<'a> {
     ///
     /// Panics if `vals` is shorter than the circuit's net count.
     pub fn eval(&self, vals: &mut [W3]) {
-        let cc = self.cc;
-        assert!(vals.len() >= cc.num_nets());
-        crate::stats::add_gate_evals(cc.num_gates() as u64);
-        for (kind, out, span) in cc.ops() {
-            vals[out.index()] = eval_op(kind, span, vals);
-        }
+        self.pass(vals, &[], &[]);
     }
 
     /// Full levelized pass with the faults of `ov` injected: stems on
-    /// source nets force the seeded values first, then each op is
-    /// evaluated with its overlay entry, if it has one.
+    /// source nets force the seeded values first, then each run is
+    /// evaluated fault-free and its faulty ops are evaluated again from
+    /// their overlay entries.
     ///
     /// # Panics
     ///
     /// Panics if `vals` is shorter than the circuit's net count, or if `ov`
     /// was built for another circuit.
     pub fn eval_with(&self, vals: &mut [W3], ov: &Overrides<'_>) {
-        let cc = self.cc;
-        assert!(vals.len() >= cc.num_nets());
         assert_eq!(
-            ov.op_slot.len(),
-            cc.num_gates(),
+            ov.cc.num_gates(),
+            self.cc.num_gates(),
             "overlay of another circuit"
         );
-        crate::stats::add_gate_evals(cc.num_gates() as u64);
         for &(net, force) in &ov.sources {
             vals[net.index()] = force.apply(vals[net.index()]);
         }
-        for ((kind, out, span), &slot) in cc.ops().zip(&ov.op_slot) {
-            vals[out.index()] = if slot == 0 {
-                eval_op(kind, span, vals)
-            } else {
-                eval_op_forced(kind, span, vals, &ov.forces[slot as usize..])
-            };
+        self.pass(vals, &ov.faulty, &ov.forces);
+    }
+
+    /// The pass itself. `faulty` lists the faulty ops in ascending op
+    /// order, each with the position of its entry in `forces`. Ops of one
+    /// run never read each other's outputs, so re-evaluating a run's faulty
+    /// ops after the run overwrites only their own fault-free outputs.
+    fn pass(&self, vals: &mut [W3], faulty: &[(u32, u32)], forces: &[Force]) {
+        let cc = self.cc;
+        assert!(vals.len() >= cc.num_nets());
+        crate::stats::add_gate_evals(cc.num_gates() as u64);
+        debug_assert!(faulty.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut next = 0;
+        for run in cc.runs() {
+            eval_run(&run, vals);
+            while let Some(&(op, e)) = faulty.get(next).filter(|f| (f.0 as usize) < run.ops.end) {
+                let i = op as usize - run.ops.start;
+                let span = &run.pins[i * run.fanin..(i + 1) * run.fanin];
+                vals[run.outputs[i].index()] =
+                    eval_op_forced(run.kind, span, vals, &forces[e as usize..]);
+                next += 1;
+            }
         }
     }
 }
@@ -172,24 +228,23 @@ impl Force {
 /// primary-output position — leaving all other consumers fault-free.
 ///
 /// Gate faults live in a per-op overlay over the circuit's evaluation
-/// program: `op_slot` holds one `u32` per op, 0 for a fault-free op, else
-/// the position of the op's entry in a small table — the output's force
-/// pair followed by one force pair per input pin. A fault-free op costs the
-/// kernel one slot load, a faulty one one table entry. When one slot
-/// carries both stuck values at one site, stuck-at-1 wins.
+/// program: the faulty ops in ascending op order, each with the position of
+/// its entry in a small table — the output's force pair followed by one
+/// force pair per input pin. The kernel walks that list beside the program
+/// and re-evaluates each faulty op from its entry after its run; a
+/// fault-free op costs nothing extra. When one slot carries both stuck
+/// values at one site, stuck-at-1 wins.
 ///
-/// The overlay is sized for a circuit once and reused across passes via
-/// [`Overrides::clear`], which costs in proportion to the injected faults,
-/// not the circuit size.
+/// The overlay's size follows the injected faults, not the circuit, and it
+/// is reused across passes via [`Overrides::clear`].
 #[derive(Debug, Clone)]
 pub struct Overrides<'a> {
     cc: &'a CompiledCircuit,
-    op_slot: Vec<u32>,
-    // Entries, each `1 + fanin` long; index 0 is a placeholder so that a
-    // zero slot means "no entry".
+    // Entries, each `1 + fanin` long.
     forces: Vec<Force>,
-    // The ops that own an entry, for `clear`.
-    touched: Vec<usize>,
+    // The ops that own an entry, in ascending op order, each with its
+    // entry's position in `forces`.
+    faulty: Vec<(u32, u32)>,
     // Stems on primary inputs and flip-flop outputs, forced before a pass.
     sources: Vec<(NetId, Force)>,
     ff_pins: Vec<(FfId, bool, u64)>,
@@ -201,22 +256,19 @@ impl<'a> Overrides<'a> {
     pub fn new(cc: &'a CompiledCircuit) -> Self {
         Overrides {
             cc,
-            op_slot: vec![0; cc.num_gates()],
-            forces: vec![Force::default()],
-            touched: Vec::new(),
+            forces: Vec::new(),
+            faulty: Vec::new(),
             sources: Vec::new(),
             ff_pins: Vec::new(),
             po_pins: Vec::new(),
         }
     }
 
-    /// Removes all injected faults; cost is proportional to how many faults
-    /// were injected, not to the circuit size.
+    /// Removes all injected faults, keeping the lists' capacity; the cost
+    /// does not depend on the circuit size.
     pub fn clear(&mut self) {
-        for op in self.touched.drain(..) {
-            self.op_slot[op] = 0;
-        }
-        self.forces.truncate(1);
+        self.forces.clear();
+        self.faulty.clear();
         self.sources.clear();
         self.ff_pins.clear();
         self.po_pins.clear();
@@ -259,24 +311,25 @@ impl<'a> Overrides<'a> {
     }
 
     /// The position of `op`'s entry, appending a fault-free one first if
-    /// the op has none.
+    /// the op has none. The op joins `faulty` at its sorted position.
     fn entry(&mut self, op: usize) -> usize {
-        match self.op_slot[op] {
-            0 => {
+        let op = op as u32;
+        match self.faulty.binary_search_by_key(&op, |&(o, _)| o) {
+            Ok(i) => self.faulty[i].1 as usize,
+            Err(i) => {
                 let e = self.forces.len();
-                let len = 1 + self.cc.op_inputs(op).len();
+                let len = 1 + self.cc.op_inputs(op as usize).len();
                 self.forces.resize(e + len, Force::default());
-                self.op_slot[op] = u32::try_from(e).expect("overlay table overflow");
-                self.touched.push(op);
+                let pos = u32::try_from(e).expect("overlay table overflow");
+                self.faulty.insert(i, (op, pos));
                 e
             }
-            e => e as usize,
         }
     }
 
     /// Whether no faults are injected.
     pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
+        self.faulty.is_empty()
             && self.sources.is_empty()
             && self.ff_pins.is_empty()
             && self.po_pins.is_empty()
@@ -547,6 +600,146 @@ mod tests {
                 sim.eval_with(&mut stale, &ov);
             }
             assert_eq!(fresh, stale, "round {round}");
+        }
+    }
+
+    /// Every gate kind at each fanin in {1, 2, 3, 4, 5, 17, 256} it
+    /// accepts, two gates per pair in each of two layers (the second reads
+    /// the first), so every dispatch arm, the generic loop included, runs
+    /// a run of several ops, some of them reading faulty outputs.
+    fn every_arm() -> Netlist {
+        const FANINS: [usize; 7] = [1, 2, 3, 4, 5, 17, 256];
+        let mut b = atspeed_circuit::NetlistBuilder::new("arms");
+        let mut layer: Vec<String> = (0..256).map(|i| format!("i{i}")).collect();
+        for pi in &layer {
+            b.input(pi);
+        }
+        for l in 0..2 {
+            let mut next = Vec::new();
+            for kind in GateKind::ALL {
+                for fanin in FANINS.into_iter().filter(|&n| kind.accepts_fanin(n)) {
+                    for copy in 0..2 {
+                        let name = format!("l{l}_{kind}{fanin}_{copy}");
+                        // A stride prime to 256 keeps layer 1's pins distinct.
+                        let ins: Vec<&str> = (0..fanin)
+                            .map(|p| layer[(next.len() + 7 * p) % layer.len()].as_str())
+                            .collect();
+                        b.gate(kind, &name, &ins);
+                        next.push(name);
+                    }
+                }
+            }
+            layer = next;
+        }
+        for po in &layer {
+            b.output(po);
+        }
+        b.finish().unwrap()
+    }
+
+    /// Runs the kernel under `injected` and the walker with the same
+    /// faults, from the same random sources with X, and compares every net.
+    fn assert_pass_matches_walker(
+        nl: &Netlist,
+        injected: &[(Fault, u64)],
+        r: &mut impl FnMut() -> u64,
+    ) {
+        let cc = nl.compiled();
+        let mut ov = Overrides::new(cc);
+        for &(fault, mask) in injected {
+            ov.add(fault, mask);
+        }
+        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        seed_sources(nl, &mut vals, r);
+        let mut reference = vals.clone();
+        CompiledSim::new(cc).eval_with(&mut vals, &ov);
+        CombSim::new(nl).eval_with(&mut reference, injected);
+        assert_eq!(vals, reference, "{injected:?}");
+    }
+
+    #[test]
+    fn every_dispatch_arm_matches_the_walker() {
+        let nl = every_arm();
+        let cc = nl.compiled();
+        let mut pairs: Vec<(GateKind, usize)> =
+            cc.runs().map(|run| (run.kind, run.fanin)).collect();
+        pairs.sort();
+        pairs.dedup();
+        assert_eq!(pairs.len(), 6 * 7 + 2, "{pairs:?}");
+        let mut r = rng(0xa2b5);
+
+        // Fault-free, through both entry points.
+        let sim = CompiledSim::new(cc);
+        for _ in 0..4 {
+            let mut vals = vec![W3::ALL_X; nl.num_nets()];
+            seed_sources(&nl, &mut vals, &mut r);
+            let mut reference = vals.clone();
+            let mut with = vals.clone();
+            sim.eval(&mut vals);
+            sim.eval_with(&mut with, &Overrides::new(cc));
+            CombSim::new(&nl).eval(&mut reference);
+            assert_eq!(vals, reference);
+            assert_eq!(with, reference);
+        }
+
+        // Each op's output and every pin, one site per slot: stuck-at-0,
+        // stuck-at-1, then both in one slot (stuck-at-1 wins).
+        let sites: Vec<FaultSite> = nl
+            .gate_ids()
+            .flat_map(|gid| {
+                let g = nl.gate(gid);
+                std::iter::once(FaultSite::Stem(g.output()))
+                    .chain((0..g.inputs().len()).map(move |p| FaultSite::GatePin(gid, p as u8)))
+            })
+            .collect();
+        for chunk in sites.chunks(63) {
+            let slot = |k: usize| 1u64 << (k + 1);
+            for stucks in [&[false][..], &[true], &[false, true]] {
+                let injected: Vec<(Fault, u64)> = chunk
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, &site)| {
+                        stucks
+                            .iter()
+                            .map(move |&stuck| (Fault { site, stuck }, slot(k)))
+                    })
+                    .collect();
+                assert_pass_matches_walker(&nl, &injected, &mut r);
+            }
+        }
+
+        // Faulty ops at the program's ends and two neighbours inside a run.
+        let run = cc
+            .runs()
+            .find(|run| run.ops.len() >= 2)
+            .expect("a run of two ops");
+        let ops = [0, cc.num_gates() - 1, run.ops.start, run.ops.start + 1];
+        let injected: Vec<(Fault, u64)> = ops
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &op)| {
+                let gid = nl
+                    .gate_ids()
+                    .find(|&g| cc.op_of(g) == op)
+                    .expect("op owns a gate");
+                let last_pin = (cc.op_inputs(op).len() - 1) as u8;
+                [
+                    (
+                        FaultSite::Stem(cc.op_output(op)),
+                        i % 2 == 0,
+                        1u64 << (2 * i + 1),
+                    ),
+                    (
+                        FaultSite::GatePin(gid, last_pin),
+                        i % 2 == 1,
+                        1u64 << (2 * i + 2),
+                    ),
+                ]
+            })
+            .map(|(site, stuck, mask)| (Fault { site, stuck }, mask))
+            .collect();
+        for _ in 0..8 {
+            assert_pass_matches_walker(&nl, &injected, &mut r);
         }
     }
 
