@@ -10,8 +10,11 @@
 //!
 //! PODEM implies one candidate assignment at a time, so there is no
 //! pattern dimension to fill. Instead the good and the faulty machine
-//! share one dual-rail [`W3`] word per net, slot 0 good and slot 1 faulty,
-//! and one gate evaluation serves both.
+//! share one dual-rail [`W3`] word per value slot, bit 0 good and bit 1
+//! faulty, and one gate evaluation serves both. Every per-net array is
+//! indexed by value slot ([`CompiledCircuit::slot_of`]), so assignable
+//! input `i` (the primary inputs, then the flip-flop outputs) is slot `i`,
+//! and the fault's nets are converted once per call.
 //!
 //! Each search step pays only for what it changes. A call starts with one
 //! full pass; after that, implication is event-driven: only the ops
@@ -21,14 +24,14 @@
 //! search, the X-path check and the observation check walk the cone
 //! instead of the circuit.
 
-use atspeed_circuit::{CompiledCircuit, Driver, GateId, NetId, Netlist};
+use atspeed_circuit::{CompiledCircuit, Driver, GateId, Netlist, Slot};
 use atspeed_sim::fault::{Fault, FaultSite};
 use atspeed_sim::{CombTest, V3, W3};
 use atspeed_trace::{Counter, Histogram};
 
 use crate::scoap::Scoap;
 
-/// The word slots of the two machines: slot 0 good, slot 1 faulty.
+/// The word bits of the two machines: bit 0 good, bit 1 faulty.
 const BOTH: u64 = 0b11;
 const FAULTY: u64 = 0b10;
 
@@ -61,20 +64,21 @@ pub enum PodemOutcome {
 
 /// PODEM test generator with reusable scratch state.
 ///
-/// All value propagation (implication, D-frontier scan, X-path check) runs
-/// over the flat [`CompiledCircuit`] program and CSR pin spans; the netlist
-/// is only consulted for driver lookups during backtrace and cone set-up.
+/// All value propagation (implication, D-frontier scan, X-path check) and
+/// the backtrace run over the flat [`CompiledCircuit`] program and CSR pin
+/// spans; the netlist is only consulted to find a stem fault's driving
+/// gate.
 #[derive(Debug)]
 pub struct Podem<'a> {
     nl: &'a Netlist,
     cc: &'a CompiledCircuit,
     cfg: PodemConfig,
-    /// Assignable inputs: primary inputs, then flip-flop Q nets.
-    cinputs: Vec<NetId>,
+    /// One value per assignable input: the source slots, primary inputs
+    /// then flip-flop outputs, so input `i` is slot `i`.
     assignment: Vec<V3>,
     /// Assignable inputs changed since the last implication.
     changed: Vec<usize>,
-    /// Both machines' value per net (slots 0 and 1; the others stay X).
+    /// Both machines' value per slot (bits 0 and 1; the others stay X).
     vals: Vec<W3>,
     /// How the current fault forces the faulty machine.
     inject: Inject,
@@ -85,7 +89,8 @@ pub struct Podem<'a> {
     queued: Vec<bool>,
     /// Pin scratch for one gate evaluation, as wide as the widest gate.
     gins: Vec<W3>,
-    /// X-path reachability; only the current cone's nets are meaningful.
+    /// X-path reachability per slot; only the current cone's slots are
+    /// meaningful.
     reach: Vec<bool>,
     /// SCOAP measures guiding the backtrace input choices.
     scoap: Scoap,
@@ -98,13 +103,16 @@ pub struct Podem<'a> {
 #[derive(Debug, Clone, Copy)]
 struct Inject {
     stuck: bool,
-    /// A stem fault's net: its value is the stuck value.
-    stem: Option<NetId>,
+    /// The slot whose value excites the fault (it must carry the
+    /// complement of the stuck value).
+    site: Slot,
+    /// A stem fault's slot: its value is the stuck value.
+    stem: Option<Slot>,
     /// A gate-pin fault's op and pin: that pin reads the stuck value.
     pin: Option<(usize, usize)>,
 }
 
-/// The nets a fault can make differ, and what lives on them.
+/// The slots a fault can make differ, and what lives on them.
 ///
 /// For a stem fault it is the site net and its transitive fanout; for a
 /// gate-pin fault, the faulted gate's output and its fanout. Observation-pin
@@ -113,16 +121,16 @@ struct Inject {
 /// which the machines differ.
 #[derive(Debug)]
 struct Cone {
-    /// Per net: inside the cone.
+    /// Per slot: inside the cone.
     member: Vec<bool>,
-    /// The cone's nets, in discovery order (what `member` marks).
-    nets: Vec<NetId>,
-    /// The gates driving cone nets, in `schedule()` order.
+    /// The cone's slots, in discovery order (what `member` marks).
+    slots: Vec<Slot>,
+    /// The gates writing cone slots, in `schedule()` order.
     gates: Vec<GateId>,
     /// Their ops, in program order.
     ops: Vec<u32>,
-    /// The cone's observed nets (primary outputs and flip-flop D nets).
-    observed: Vec<NetId>,
+    /// The cone's observed slots (primary outputs and flip-flop D nets).
+    observed: Vec<Slot>,
 }
 
 /// The lowest and highest levels holding queued ops.
@@ -158,25 +166,23 @@ impl<'a> Podem<'a> {
     /// Creates a generator for `nl`.
     pub fn new(nl: &'a Netlist, cfg: PodemConfig) -> Self {
         let cc = nl.compiled();
-        let mut cinputs: Vec<NetId> = cc.pis().to_vec();
-        cinputs.extend(cc.ff_qs().iter().copied());
         let widest = cc.ops().map(|(_, _, ins)| ins.len()).max().unwrap_or(0);
         Podem {
             nl,
             cc,
             cfg,
-            assignment: vec![V3::X; cinputs.len()],
-            cinputs,
+            assignment: vec![V3::X; cc.num_sources()],
             changed: Vec::new(),
             vals: vec![W3::ALL_X; cc.num_nets()],
             inject: Inject {
                 stuck: false,
+                site: Slot::from_index(0),
                 stem: None,
                 pin: None,
             },
             cone: Cone {
                 member: vec![false; cc.num_nets()],
-                nets: Vec::new(),
+                slots: Vec::new(),
                 gates: Vec::new(),
                 ops: Vec::new(),
                 observed: Vec::new(),
@@ -238,7 +244,7 @@ impl<'a> Podem<'a> {
             }
             let step = self
                 .objective(fault)
-                .and_then(|(net, val)| self.backtrace(net, val));
+                .and_then(|(slot, val)| self.backtrace(slot, val));
             match step {
                 Some((input, value)) => {
                     decisions.push((input, value, false));
@@ -282,66 +288,67 @@ impl<'a> Podem<'a> {
         outcome
     }
 
-    /// The net whose value excites the fault (must be driven to the
-    /// complement of the stuck value).
-    fn site_net(&self, fault: Fault) -> NetId {
-        match fault.site {
-            FaultSite::Stem(n) => n,
-            FaultSite::GatePin(g, p) => self.cc.inputs(g)[p as usize],
-            FaultSite::FfPin(f) => self.cc.ff_d(f),
-            FaultSite::PoPin(p) => self.cc.pos()[p.index()],
-        }
-    }
-
-    /// Records the fault's forcing and marks its fanout cone, clearing only
-    /// what the previous fault marked.
+    /// Records the fault's site and forcing, converting its nets to slots
+    /// once, and marks its fanout cone, clearing only what the previous
+    /// fault marked.
     fn build_cone(&mut self, fault: Fault) {
         let cc = self.cc;
+        let site = match fault.site {
+            FaultSite::Stem(n) => cc.slot_of(n),
+            FaultSite::GatePin(g, p) => cc.inputs(g)[p as usize],
+            FaultSite::FfPin(f) => cc.ff_d(f),
+            FaultSite::PoPin(p) => cc.pos()[p.index()],
+        };
         self.inject = Inject {
             stuck: fault.stuck,
+            site,
             stem: None,
             pin: None,
         };
         let cone = &mut self.cone;
-        for net in cone.nets.drain(..) {
-            cone.member[net.index()] = false;
+        for slot in cone.slots.drain(..) {
+            cone.member[slot.index()] = false;
         }
         cone.gates.clear();
         cone.ops.clear();
         cone.observed.clear();
-        let seed = match fault.site {
+        // The seed slot, and the gate writing it if any.
+        let (seed, driver) = match fault.site {
             FaultSite::Stem(net) => {
-                self.inject.stem = Some(net);
-                net
+                self.inject.stem = Some(site);
+                match self.nl.driver(net) {
+                    Driver::Gate(g) => (site, Some(g)),
+                    _ => (site, None),
+                }
             }
             FaultSite::GatePin(g, p) => {
                 self.inject.pin = Some((cc.op_of(g), usize::from(p)));
-                cc.output(g)
+                (cc.gate_slot(g), Some(g))
             }
             FaultSite::FfPin(_) | FaultSite::PoPin(_) => return,
         };
         cone.member[seed.index()] = true;
-        cone.nets.push(seed);
+        cone.slots.push(seed);
+        cone.gates.extend(driver);
         let mut next = 0;
-        while let Some(&net) = cone.nets.get(next) {
+        while let Some(&slot) = cone.slots.get(next) {
             next += 1;
-            for &g in cc.fanout_gates(net) {
-                let out = cc.output(g);
+            for &g in cc.fanout_gates(slot) {
+                let out = cc.gate_slot(g);
                 if !cone.member[out.index()] {
                     cone.member[out.index()] = true;
-                    cone.nets.push(out);
+                    cone.slots.push(out);
+                    cone.gates.push(g);
                 }
             }
         }
-        for &net in &cone.nets {
-            if let Driver::Gate(g) = self.nl.driver(net) {
-                cone.gates.push(g);
-                cone.ops.push(cc.op_of(g) as u32);
-            }
-            if cc.observed(net) {
-                cone.observed.push(net);
+        for &slot in &cone.slots {
+            if cc.observed(slot) {
+                cone.observed.push(slot);
             }
         }
+        cone.ops
+            .extend(cone.gates.iter().map(|&g| cc.op_of(g) as u32));
         cone.gates.sort_unstable_by_key(|&g| (cc.gate_level(g), g));
         cone.ops.sort_unstable();
     }
@@ -354,7 +361,7 @@ impl<'a> Podem<'a> {
     /// Evaluates both machines over the whole program from the current
     /// assignment.
     fn full_pass(&mut self) {
-        for i in 0..self.cinputs.len() {
+        for i in 0..self.assignment.len() {
             self.set_input(i);
         }
         for op in 0..self.cc.num_gates() {
@@ -372,7 +379,7 @@ impl<'a> Podem<'a> {
         for k in 0..self.changed.len() {
             let input = self.changed[k];
             if self.set_input(input) {
-                self.schedule_fanout(self.cinputs[input], &mut pending);
+                self.schedule_fanout(Slot::from_index(input), &mut pending);
             }
         }
         self.changed.clear();
@@ -382,7 +389,7 @@ impl<'a> Podem<'a> {
                 let op = op as usize;
                 self.queued[op] = false;
                 if self.eval_op(op) {
-                    self.schedule_fanout(self.cc.op_output(op), &mut pending);
+                    self.schedule_fanout(self.cc.op_slot(op), &mut pending);
                 }
             }
             level += 1;
@@ -397,11 +404,11 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Queues the ops reading `net`. They sit at higher levels than its
+    /// Queues the ops reading `slot`. They sit at higher levels than its
     /// driver, so the bucket being drained never receives an op.
-    fn schedule_fanout(&mut self, net: NetId, pending: &mut Pending) {
+    fn schedule_fanout(&mut self, slot: Slot, pending: &mut Pending) {
         let cc = self.cc;
-        for &g in cc.fanout_gates(net) {
+        for &g in cc.fanout_gates(slot) {
             let op = cc.op_of(g);
             if !self.queued[op] {
                 self.queued[op] = true;
@@ -413,19 +420,18 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Copies assignable input `input` into both machines; returns whether
-    /// its value changed.
+    /// Copies assignable input `input` into both machines (its slot is
+    /// `input`); returns whether its value changed.
     fn set_input(&mut self, input: usize) -> bool {
-        let net = self.cinputs[input];
         let mut w = match self.assignment[input].to_bool() {
             Some(b) => W3::ALL_X.force(b, BOTH),
             None => W3::ALL_X,
         };
-        if self.inject.stem == Some(net) {
+        if self.inject.stem == Some(Slot::from_index(input)) {
             w = w.force(self.inject.stuck, FAULTY);
         }
-        let changed = self.vals[net.index()] != w;
-        self.vals[net.index()] = w;
+        let changed = self.vals[input] != w;
+        self.vals[input] = w;
         changed
     }
 
@@ -433,10 +439,10 @@ impl<'a> Podem<'a> {
     /// output changed.
     fn eval_op(&mut self, op: usize) -> bool {
         let cc = self.cc;
-        let out = cc.op_output(op);
+        let out = cc.op_slot(op);
         let ins = cc.op_inputs(op);
-        for (p, &inet) in ins.iter().enumerate() {
-            self.gins[p] = self.vals[inet.index()];
+        for (p, &pin) in ins.iter().enumerate() {
+            self.gins[p] = self.vals[pin.index()];
         }
         if let Some((pin_op, pin)) = self.inject.pin {
             if pin_op == op {
@@ -452,8 +458,8 @@ impl<'a> Podem<'a> {
         changed
     }
 
-    fn good(&self, net: NetId) -> V3 {
-        self.vals[net.index()].get(0)
+    fn good(&self, slot: Slot) -> V3 {
+        self.vals[slot.index()].get(0)
     }
 
     fn error_observed(&self, fault: Fault) -> bool {
@@ -461,7 +467,7 @@ impl<'a> Podem<'a> {
             // Observation-pin faults are detected as soon as the observed
             // net carries the complement of the stuck value.
             FaultSite::FfPin(_) | FaultSite::PoPin(_) => {
-                self.good(self.site_net(fault)) == V3::from_bool(!fault.stuck)
+                self.good(self.inject.site) == V3::from_bool(!fault.stuck)
             }
             _ => self
                 .cone
@@ -471,9 +477,9 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Picks the next objective `(net, value)`, or `None` to backtrack.
-    fn objective(&mut self, fault: Fault) -> Option<(NetId, bool)> {
-        let site = self.site_net(fault);
+    /// Picks the next objective `(slot, value)`, or `None` to backtrack.
+    fn objective(&mut self, fault: Fault) -> Option<(Slot, bool)> {
+        let site = self.inject.site;
         let want = !fault.stuck;
         match self.good(site) {
             V3::X => return Some((site, want)),
@@ -496,11 +502,11 @@ impl<'a> Podem<'a> {
     /// Only cone gates can read a net on which the machines differ, so
     /// walking the cone in `schedule()` order finds the same first gate as
     /// walking the whole schedule.
-    fn d_frontier_objective(&mut self, fault: Fault) -> Option<(NetId, bool)> {
+    fn d_frontier_objective(&mut self, fault: Fault) -> Option<(Slot, bool)> {
         self.xpath_reach();
         let cc = self.cc;
         for &gid in &self.cone.gates {
-            let out = cc.output(gid);
+            let out = cc.gate_slot(gid);
             // Output already resolved in both machines: not frontier.
             if !is_x(self.vals[out.index()]) {
                 continue;
@@ -509,9 +515,9 @@ impl<'a> Podem<'a> {
                 continue;
             }
             let mut has_error_input = false;
-            let mut x_input: Option<NetId> = None;
-            for (p, &inet) in cc.inputs(gid).iter().enumerate() {
-                let mut w = self.vals[inet.index()];
+            let mut x_input: Option<Slot> = None;
+            for (p, &pin) in cc.inputs(gid).iter().enumerate() {
+                let mut w = self.vals[pin.index()];
                 if let FaultSite::GatePin(fg, fp) = fault.site {
                     if fg == gid && usize::from(fp) == p {
                         w = w.force(fault.stuck, FAULTY);
@@ -520,27 +526,27 @@ impl<'a> Podem<'a> {
                 if differs(w) {
                     has_error_input = true;
                 } else if w.get(0) == V3::X && x_input.is_none() {
-                    x_input = Some(inet);
+                    x_input = Some(pin);
                 }
             }
             if has_error_input {
-                if let Some(inet) = x_input {
+                if let Some(pin) = x_input {
                     let value = match cc.kind(gid).controlling_value() {
                         Some(c) => !c,
                         // XOR-class and buffers propagate for any binary
                         // side value; prefer 0.
                         None => false,
                     };
-                    return Some((inet, value));
+                    return Some((pin, value));
                 }
             }
         }
         None
     }
 
-    /// Marks the cone nets from which an observable is reachable through
-    /// composite-X nets. A path from a cone net stays in the cone, so one
-    /// reverse sweep of the cone's ops decides every cone net; marks left
+    /// Marks the cone slots from which an observable is reachable through
+    /// composite-X slots. A path from a cone slot stays in the cone, so one
+    /// reverse sweep of the cone's ops decides every cone slot; marks left
     /// on the inputs feeding the cone are never read.
     fn xpath_reach(&mut self) {
         let Podem {
@@ -550,8 +556,8 @@ impl<'a> Podem<'a> {
             reach,
             ..
         } = self;
-        for &net in &cone.nets {
-            reach[net.index()] = false;
+        for &slot in &cone.slots {
+            reach[slot.index()] = false;
         }
         for &o in &cone.observed {
             if is_x(vals[o.index()]) {
@@ -560,56 +566,54 @@ impl<'a> Podem<'a> {
         }
         // Reverse program order is reverse level order.
         for &op in cone.ops.iter().rev() {
-            let out = cc.op_output(op as usize);
+            let out = cc.op_slot(op as usize);
             if !reach[out.index()] || !is_x(vals[out.index()]) {
                 continue;
             }
-            for &inet in cc.op_inputs(op as usize) {
-                if is_x(vals[inet.index()]) {
-                    reach[inet.index()] = true;
+            for &pin in cc.op_inputs(op as usize) {
+                if is_x(vals[pin.index()]) {
+                    reach[pin.index()] = true;
                 }
             }
         }
     }
 
     /// Walks an objective back to an unassigned input; `None` on dead end.
-    fn backtrace(&self, mut net: NetId, mut value: bool) -> Option<(usize, bool)> {
+    /// A source slot is the assignable input of the same index.
+    fn backtrace(&self, mut slot: Slot, mut value: bool) -> Option<(usize, bool)> {
         loop {
-            match self.nl.driver(net) {
-                Driver::Pi(i) => {
+            match self.cc.slot_op(slot) {
+                None => {
+                    let i = slot.index();
                     return (self.assignment[i] == V3::X).then_some((i, value));
                 }
-                Driver::Ff(f) => {
-                    let idx = self.cc.pis().len() + f.index();
-                    return (self.assignment[idx] == V3::X).then_some((idx, value));
-                }
-                Driver::Gate(gid) => {
-                    let kind = self.cc.kind(gid);
+                Some(op) => {
+                    let kind = self.cc.op_kind(op);
                     let base = if kind.inverts() { !value } else { value };
                     match kind {
                         atspeed_circuit::GateKind::Not | atspeed_circuit::GateKind::Buf => {
-                            net = self.cc.inputs(gid)[0];
+                            slot = self.cc.op_inputs(op)[0];
                             value = base;
                         }
                         atspeed_circuit::GateKind::Xor | atspeed_circuit::GateKind::Xnor => {
                             // Choose the easiest-to-control X input (SCOAP);
                             // aim for the parity implied by the known inputs.
-                            let mut chosen: Option<NetId> = None;
+                            let mut chosen: Option<Slot> = None;
                             let mut parity = false;
-                            for &inet in self.cc.inputs(gid) {
-                                match self.good(inet) {
+                            for &pin in self.cc.op_inputs(op) {
+                                match self.good(pin) {
                                     V3::X => {
                                         let cost =
-                                            |n: NetId| self.scoap.cc0(n).min(self.scoap.cc1(n));
-                                        if chosen.is_none_or(|c| cost(inet) < cost(c)) {
-                                            chosen = Some(inet);
+                                            |s: Slot| self.scoap.cc0(s).min(self.scoap.cc1(s));
+                                        if chosen.is_none_or(|c| cost(pin) < cost(c)) {
+                                            chosen = Some(pin);
                                         }
                                     }
                                     V3::One => parity = !parity,
                                     _ => {}
                                 }
                             }
-                            net = chosen?;
+                            slot = chosen?;
                             value = base ^ parity;
                         }
                         _ => {
@@ -634,12 +638,12 @@ impl<'a> Podem<'a> {
                             // suffices, take the cheapest X input; when all
                             // inputs must be non-controlling, take the
                             // hardest first so infeasible goals fail fast.
-                            let mut chosen: Option<NetId> = None;
-                            for &inet in self.cc.inputs(gid) {
-                                if self.good(inet) != V3::X {
+                            let mut chosen: Option<Slot> = None;
+                            for &pin in self.cc.op_inputs(op) {
+                                if self.good(pin) != V3::X {
                                     continue;
                                 }
-                                let cost = self.scoap.cc(inet, target);
+                                let cost = self.scoap.cc(pin, target);
                                 let better = match chosen {
                                     None => true,
                                     Some(cur) => {
@@ -652,10 +656,10 @@ impl<'a> Podem<'a> {
                                     }
                                 };
                                 if better {
-                                    chosen = Some(inet);
+                                    chosen = Some(pin);
                                 }
                             }
-                            net = chosen?;
+                            slot = chosen?;
                             value = target;
                         }
                     }
@@ -865,6 +869,56 @@ mod tests {
                 }
                 other => panic!("{net} stuck-at-0 should be testable, got {other:?}"),
             }
+        }
+    }
+
+    /// The search works on value slots, so it must make the same decisions
+    /// on a copy of a circuit whose nets are interned in reverse order
+    /// (same gates, inputs and flip-flops, so the same slots, under other
+    /// net ids): same outcome, test, backtracks and depth for every fault.
+    #[test]
+    fn search_does_not_depend_on_net_numbering() {
+        use atspeed_circuit::synth::{generate, SynthSpec};
+        use atspeed_circuit::NetId;
+        let nl = generate(&SynthSpec::new("renum", 6, 3, 8, 200, 5)).unwrap();
+        let name = |net: NetId| nl.net_name(net);
+        let mut b = NetlistBuilder::new("renum");
+        for i in (0..nl.num_nets()).rev() {
+            b.net(name(NetId::from_index(i)));
+        }
+        for &pi in nl.pis() {
+            b.input(name(pi));
+        }
+        for ff in nl.ffs() {
+            b.dff(name(ff.q()), name(ff.d()));
+        }
+        for g in nl.gates() {
+            let ins: Vec<&str> = g.inputs().iter().map(|&n| name(n)).collect();
+            b.gate(g.kind(), name(g.output()), &ins);
+        }
+        for &po in nl.pos() {
+            b.output(name(po));
+        }
+        let copy = b.finish().unwrap();
+        assert_ne!(nl.pis()[0], copy.pis()[0], "the copy renumbers the nets");
+        let u = FaultUniverse::full(&nl);
+        let mut a = Podem::new(&nl, PodemConfig::default());
+        let mut b = Podem::new(&copy, PodemConfig::default());
+        for &fid in u.representatives() {
+            let fault = u.fault(fid);
+            let site = match fault.site {
+                FaultSite::Stem(net) => FaultSite::Stem(copy.find_net(name(net)).unwrap()),
+                other => other,
+            };
+            let moved = Fault { site, ..fault };
+            let (mut bt_a, mut depth_a, mut bt_b, mut depth_b) = (0, 0, 0, 0);
+            assert_eq!(
+                a.search(fault, &mut bt_a, &mut depth_a),
+                b.search(moved, &mut bt_b, &mut depth_b),
+                "{}",
+                fault.describe(&nl)
+            );
+            assert_eq!((bt_a, depth_a), (bt_b, depth_b), "{}", fault.describe(&nl));
         }
     }
 

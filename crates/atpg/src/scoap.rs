@@ -12,16 +12,18 @@
 //!   themselves.
 //!
 //! The measures are computed over the full-scan view (flip-flop outputs are
-//! controllable like primary inputs). [`Podem`](crate::podem) uses them to
+//! controllable like primary inputs), and indexed like every value array of
+//! the compiled circuit: by value slot
+//! ([`CompiledCircuit::slot_of`](atspeed_circuit::CompiledCircuit::slot_of)). [`Podem`](crate::podem) uses them to
 //! steer its backtrace: when one input of a gate must take the controlling
 //! value, picking the *cheapest* X input resolves the objective with the
 //! fewest implied assignments; when all inputs must be non-controlling, the
 //! *most expensive* input is assigned first so that infeasible objectives
 //! fail fast.
 
-use atspeed_circuit::{CompiledCircuit, GateKind, Netlist};
+use atspeed_circuit::{CompiledCircuit, GateKind, Netlist, Slot};
 
-/// SCOAP measures for every net of a netlist.
+/// SCOAP measures for every net of a netlist, by value slot.
 #[derive(Debug, Clone)]
 pub struct Scoap {
     cc0: Vec<u32>,
@@ -45,13 +47,10 @@ impl Scoap {
         let n = cc.num_nets();
         let mut cc0 = vec![INF; n];
         let mut cc1 = vec![INF; n];
-        // Sources: primary inputs and (scanned) flip-flop outputs cost 1.
-        for i in 0..n {
-            if !cc.gate_driven(atspeed_circuit::NetId::from_index(i)) {
-                cc0[i] = 1;
-                cc1[i] = 1;
-            }
-        }
+        // Sources: primary inputs and (scanned) flip-flop outputs, the
+        // slots below `num_sources`, cost 1.
+        cc0[..cc.num_sources()].fill(1);
+        cc1[..cc.num_sources()].fill(1);
         // Forward pass in levelized order.
         for &gid in cc.schedule() {
             let ins = cc.inputs(gid);
@@ -84,7 +83,7 @@ impl Scoap {
                     cc1[ins[0].index()].saturating_add(1),
                 ),
             };
-            let out = cc.output(gid).index();
+            let out = cc.gate_slot(gid).index();
             if cc.kind(gid).inverts() {
                 cc0[out] = c_out1.min(INF);
                 cc1[out] = c_out0.min(INF);
@@ -96,13 +95,13 @@ impl Scoap {
 
         // Backward pass for observability.
         let mut co = vec![INF; n];
-        for (i, slot) in co.iter_mut().enumerate() {
-            if cc.observed(atspeed_circuit::NetId::from_index(i)) {
-                *slot = 0;
+        for (i, c) in co.iter_mut().enumerate() {
+            if cc.observed(Slot::from_index(i)) {
+                *c = 0;
             }
         }
         for &gid in cc.schedule().iter().rev() {
-            let out_co = co[cc.output(gid).index()];
+            let out_co = co[cc.gate_slot(gid).index()];
             if out_co >= INF {
                 continue;
             }
@@ -134,32 +133,32 @@ impl Scoap {
         Scoap { cc0, cc1, co }
     }
 
-    /// Controllability to 0 of a net.
+    /// Controllability to 0 of the net in a slot.
     #[inline]
-    pub fn cc0(&self, net: atspeed_circuit::NetId) -> u32 {
-        self.cc0[net.index()]
+    pub fn cc0(&self, slot: Slot) -> u32 {
+        self.cc0[slot.index()]
     }
 
-    /// Controllability to 1 of a net.
+    /// Controllability to 1 of the net in a slot.
     #[inline]
-    pub fn cc1(&self, net: atspeed_circuit::NetId) -> u32 {
-        self.cc1[net.index()]
+    pub fn cc1(&self, slot: Slot) -> u32 {
+        self.cc1[slot.index()]
     }
 
     /// Controllability to a given value.
     #[inline]
-    pub fn cc(&self, net: atspeed_circuit::NetId, value: bool) -> u32 {
+    pub fn cc(&self, slot: Slot, value: bool) -> u32 {
         if value {
-            self.cc1(net)
+            self.cc1(slot)
         } else {
-            self.cc0(net)
+            self.cc0(slot)
         }
     }
 
-    /// Observability of a net.
+    /// Observability of the net in a slot.
     #[inline]
-    pub fn co(&self, net: atspeed_circuit::NetId) -> u32 {
-        self.co[net.index()]
+    pub fn co(&self, slot: Slot) -> u32 {
+        self.co[slot.index()]
     }
 
     /// A combined per-fault difficulty estimate: controllability of the
@@ -174,7 +173,8 @@ impl Scoap {
             FaultSite::FfPin(f) => nl.ff(f).d(),
             FaultSite::PoPin(p) => nl.pos()[p.index()],
         };
-        self.cc(net, !fault.stuck).saturating_add(self.co(net))
+        let slot = nl.compiled().slot_of(net);
+        self.cc(slot, !fault.stuck).saturating_add(self.co(slot))
     }
 }
 
@@ -202,16 +202,17 @@ mod tests {
     fn inputs_cost_one_and_observed_nets_cost_zero() {
         let nl = s27();
         let s = Scoap::compute(&nl);
+        let at = |net| nl.compiled().slot_of(net);
         for &pi in nl.pis() {
-            assert_eq!(s.cc0(pi), 1);
-            assert_eq!(s.cc1(pi), 1);
+            assert_eq!(s.cc0(at(pi)), 1);
+            assert_eq!(s.cc1(at(pi)), 1);
         }
         for ff in nl.ffs() {
-            assert_eq!(s.cc0(ff.q()), 1, "pseudo-PI");
-            assert_eq!(s.co(ff.d()), 0, "pseudo-PO");
+            assert_eq!(s.cc0(at(ff.q())), 1, "pseudo-PI");
+            assert_eq!(s.co(at(ff.d())), 0, "pseudo-PO");
         }
         for &po in nl.pos() {
-            assert_eq!(s.co(po), 0);
+            assert_eq!(s.co(at(po)), 0);
         }
     }
 
@@ -224,8 +225,8 @@ mod tests {
         b.output("y");
         let nl = b.finish().unwrap();
         let s = Scoap::compute(&nl);
-        let y = nl.find_net("y").unwrap();
-        let a = nl.find_net("a").unwrap();
+        let at = |name| nl.compiled().slot_of(nl.find_net(name).unwrap());
+        let (y, a) = (at("y"), at("a"));
         // y=0: one input at 0 (cost 1) + 1 = 2; y=1: both at 1 + 1 = 3.
         assert_eq!(s.cc0(y), 2);
         assert_eq!(s.cc1(y), 3);
@@ -242,7 +243,7 @@ mod tests {
         b.output("y");
         let nl = b.finish().unwrap();
         let s = Scoap::compute(&nl);
-        let y = nl.find_net("y").unwrap();
+        let y = nl.compiled().slot_of(nl.find_net("y").unwrap());
         // y=1 needs both inputs 0: 1+1+1 = 3; y=0 needs one input 1: 2.
         assert_eq!(s.cc1(y), 3);
         assert_eq!(s.cc0(y), 2);
@@ -257,7 +258,7 @@ mod tests {
         b.output("y");
         let nl = b.finish().unwrap();
         let s = Scoap::compute(&nl);
-        let y = nl.find_net("y").unwrap();
+        let y = nl.compiled().slot_of(nl.find_net("y").unwrap());
         // Even parity (00 or 11): 2 + 1 = 3; odd parity likewise 3.
         assert_eq!(s.cc0(y), 3);
         assert_eq!(s.cc1(y), 3);
@@ -272,9 +273,8 @@ mod tests {
         b.output("y");
         let nl = b.finish().unwrap();
         let s = Scoap::compute(&nl);
-        let a = nl.find_net("a").unwrap();
-        let x = nl.find_net("x").unwrap();
-        let y = nl.find_net("y").unwrap();
+        let at = |name| nl.compiled().slot_of(nl.find_net(name).unwrap());
+        let (a, x, y) = (at("a"), at("x"), at("y"));
         assert!(s.cc1(a) < s.cc1(x));
         assert!(s.cc1(x) < s.cc1(y));
         assert!(s.co(a) > s.co(x), "observability decreases toward outputs");

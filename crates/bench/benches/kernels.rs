@@ -13,8 +13,11 @@
 //! small random subset, as consecutive cycles of a sequential simulation
 //! do. The faulty rows inject one word of 63 faults spread over the
 //! collapsed faults, fault `k` in slot `k + 1`, as a sequential fault
-//! simulation does. All kernels compute identical values (the differential
-//! tests in `atspeed-sim` prove it); only the traversal differs.
+//! simulation does. The walker indexes its value array by net and the
+//! compiled kernel by value slot; before timing a circuit, the bench
+//! compares one compiled pass with the walker's through `slot_of`,
+//! fault-free and under the fault word, and panics on any difference, so a
+//! layout mistake cannot be timed unnoticed.
 //!
 //! The Criterion timings are for local comparison; the counts a change is
 //! judged by come from the benchmark in `perfbench/`.
@@ -25,7 +28,7 @@ use atspeed_circuit::catalog::{self, BenchmarkInfo, Suite};
 use atspeed_circuit::synth::{generate, SynthSpec};
 use atspeed_circuit::{NetId, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{CombSim, CompiledSim, Overrides, SeqFaultSim, SimConfig, V3, W3};
+use atspeed_sim::{CombSim, CompiledSim, Fault, Overrides, SeqFaultSim, SimConfig, V3, W3};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -69,10 +72,12 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
 }
 
 /// Pre-generated reseed rounds: round 0 assigns every source, later rounds
-/// a ~1/8 subset.
+/// a ~1/8 subset. Source `k` (the primary inputs, then the flip-flop
+/// outputs) is net `sources[k]` and value slot `k`.
 struct Workload {
     nl: Netlist,
-    rounds: Vec<Vec<(NetId, W3)>>,
+    sources: Vec<NetId>,
+    rounds: Vec<Vec<(usize, W3)>>,
 }
 
 fn make_workload(nl: Netlist, num_rounds: usize) -> Workload {
@@ -81,35 +86,51 @@ fn make_workload(nl: Netlist, num_rounds: usize) -> Workload {
     sources.extend(nl.ffs().iter().map(|ff| ff.q()));
     let mut rounds = Vec::with_capacity(num_rounds);
     for r in 0..num_rounds {
-        let mut round: Vec<(NetId, W3)> = Vec::new();
-        for &s in &sources {
+        let mut round: Vec<(usize, W3)> = Vec::new();
+        for k in 0..sources.len() {
             if r == 0 || next() & 7 == 0 {
-                round.push((s, random_w3(&mut next)));
+                round.push((k, random_w3(&mut next)));
             }
         }
         rounds.push(round);
     }
-    Workload { nl, rounds }
+    Workload {
+        nl,
+        sources,
+        rounds,
+    }
 }
 
-/// One timed sweep over every round with the legacy pointer walker.
+/// Seeds `round` into a net-indexed array (the walker's layout).
+fn seed_nets(w: &Workload, round: &[(usize, W3)], vals: &mut [W3]) {
+    for &(k, val) in round {
+        vals[w.sources[k].index()] = val;
+    }
+}
+
+/// Seeds `round` into an array indexed by value slot (the kernel's
+/// layout): source `k` is slot `k`.
+fn seed_slots(round: &[(usize, W3)], vals: &mut [W3]) {
+    for &(k, val) in round {
+        vals[k] = val;
+    }
+}
+
+/// One timed sweep over every round with the legacy pointer walker, on a
+/// net-indexed array.
 fn run_legacy(w: &Workload, sim: &mut CombSim<'_>, vals: &mut [W3]) {
     for round in &w.rounds {
-        for &(net, val) in round {
-            vals[net.index()] = val;
-        }
+        seed_nets(w, round, vals);
         sim.eval(vals);
     }
     black_box(vals.first().copied());
 }
 
-/// One timed sweep with compiled full passes over a caller slice, under
-/// `ov` when given.
+/// One timed sweep with compiled full passes over a caller slice indexed
+/// by value slot, under `ov` when given.
 fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, ov: Option<&Overrides<'_>>, vals: &mut [W3]) {
     for round in &w.rounds {
-        for &(net, val) in round {
-            vals[net.index()] = val;
-        }
+        seed_slots(round, vals);
         match ov {
             Some(ov) => sim.eval_with(vals, ov),
             None => sim.eval(vals),
@@ -120,19 +141,48 @@ fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, ov: Option<&Overrides<'_>>,
 
 /// One word of 63 faults stride-sampled from the collapsed faults, fault
 /// `k` in slot `k + 1`.
-fn fault_word<'a>(nl: &'a Netlist) -> Overrides<'a> {
+fn fault_word(nl: &Netlist) -> Vec<(Fault, u64)> {
     let universe = FaultUniverse::full(nl);
     let reps = universe.representatives();
-    let mut ov = Overrides::new(nl.compiled());
-    for (k, &f) in reps
-        .iter()
+    reps.iter()
         .step_by((reps.len() / 63).max(1))
         .take(63)
         .enumerate()
-    {
-        ov.add(universe.fault(f), 1 << (k + 1));
+        .map(|(k, &f)| (universe.fault(f), 1 << (k + 1)))
+        .collect()
+}
+
+/// Runs one compiled pass and one walker pass from round 0's sources,
+/// seeded as the timed sweeps seed them, fault-free and under `faults`
+/// (`ov` is their overlay), and panics unless every net's value agrees
+/// through `slot_of`.
+fn check_against_walker(w: &Workload, faults: &[(Fault, u64)], ov: &Overrides<'_>) {
+    let nl = &w.nl;
+    let cc = nl.compiled();
+    let mut seeded = vec![W3::ALL_X; nl.num_nets()];
+    let mut seeded_slots = vec![W3::ALL_X; nl.num_nets()];
+    seed_nets(w, &w.rounds[0], &mut seeded);
+    seed_slots(&w.rounds[0], &mut seeded_slots);
+    for (path, injected) in [("fault-free", &[][..]), ("63-fault word", faults)] {
+        let mut reference = seeded.clone();
+        let mut vals = seeded_slots.clone();
+        CombSim::new(nl).eval_with(&mut reference, injected);
+        if injected.is_empty() {
+            CompiledSim::new(cc).eval(&mut vals);
+        } else {
+            CompiledSim::new(cc).eval_with(&mut vals, ov);
+        }
+        if let Some(net) = nl
+            .net_ids()
+            .find(|&net| vals[cc.slot_of(net).index()] != reference[net.index()])
+        {
+            panic!(
+                "{} ({path}): the compiled pass and the walker differ on net `{}`",
+                nl.name(),
+                nl.net_name(net)
+            );
+        }
     }
-    ov
 }
 
 /// The vector-omission workload: a random sequence over a catalog circuit
@@ -185,15 +235,21 @@ fn bench_kernels(c: &mut Criterion) {
     for nl in selected() {
         let w = make_workload(nl, rounds);
         let cc = w.nl.compiled();
+        let faults = fault_word(&w.nl);
+        let mut ov = Overrides::new(cc);
+        for &(fault, mask) in &faults {
+            ov.add(fault, mask);
+        }
+        check_against_walker(&w, &faults, &ov);
         let mut g = c.benchmark_group(format!("kernels_{}", w.nl.name()));
         g.sample_size(samples);
         let mut legacy = CombSim::new(&w.nl);
-        let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
+        let mut net_vals = vec![W3::ALL_X; w.nl.num_nets()];
         g.bench_function("legacy", |b| {
-            b.iter(|| run_legacy(&w, &mut legacy, &mut vals))
+            b.iter(|| run_legacy(&w, &mut legacy, &mut net_vals))
         });
         let sim = CompiledSim::new(cc);
-        let ov = fault_word(&w.nl);
+        let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
         g.bench_function("compiled", |b| {
             b.iter(|| run_compiled(&w, &sim, None, &mut vals))
         });

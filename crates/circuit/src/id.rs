@@ -60,6 +60,15 @@ id_type!(
     PoId,
     "po"
 );
+id_type!(
+    /// A position in a value array laid out by a
+    /// [`CompiledCircuit`](crate::CompiledCircuit): the primary inputs,
+    /// then the flip-flop outputs, then each op's output in program order.
+    /// [`CompiledCircuit::slot_of`](crate::CompiledCircuit::slot_of) maps a
+    /// net to its slot.
+    Slot,
+    "s"
+);
 
 #[cfg(test)]
 mod tests {

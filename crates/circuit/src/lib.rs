@@ -53,5 +53,5 @@ pub mod synth;
 pub use compiled::{CompiledCircuit, Run};
 pub use error::CircuitError;
 pub use gate::{GateKind, MAX_FANIN};
-pub use id::{FfId, GateId, NetId, PoId};
+pub use id::{FfId, GateId, NetId, PoId, Slot};
 pub use netlist::{Driver, Ff, Gate, Netlist, NetlistBuilder, Sink};

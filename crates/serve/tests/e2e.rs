@@ -9,9 +9,10 @@ use std::sync::Arc;
 use atspeed_circuit::bench_fmt;
 use atspeed_core::{PipelineConfig, T0Source};
 use atspeed_serve::{
-    decode_result_summary, CacheBudget, CacheOutcome, Client, ClientError, ServeConfig, Server,
-    MAX_FRAME,
+    decode_result_summary, read_frame, write_frame, CacheBudget, CacheOutcome, Client, ClientError,
+    Frame, FrameKind, ResponseHeader, ServeConfig, Server, SubmitRequest, MAX_FRAME,
 };
+use atspeed_sim::SimConfig;
 
 fn start() -> Server {
     Server::start(ServeConfig::default()).expect("bind loopback")
@@ -312,6 +313,142 @@ fn malformed_frames_get_explicit_protocol_errors() {
         client.shutdown().unwrap();
     }
     server.wait();
+}
+
+/// One seeded mutation of `bytes`: a truncation, flipped bytes, spliced-in
+/// garbage or a duplicated chunk, sometimes two of them.
+fn mutate(bytes: &[u8], next: &mut impl FnMut() -> u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..1 + next() % 2 {
+        let at = |next: &mut dyn FnMut() -> u64, len: usize| (next() % (len as u64 + 1)) as usize;
+        match next() % 4 {
+            0 => out.truncate(at(next, out.len())),
+            1 => {
+                for _ in 0..1 + next() % 4 {
+                    if !out.is_empty() {
+                        let i = at(next, out.len() - 1);
+                        out[i] = next() as u8;
+                    }
+                }
+            }
+            2 => {
+                let garbage: Vec<u8> = (0..next() % 33).map(|_| next() as u8).collect();
+                let i = at(next, out.len());
+                out.splice(i..i, garbage);
+            }
+            _ => {
+                let (a, b) = (at(next, out.len()), at(next, out.len()));
+                let chunk = out[a.min(b)..a.max(b)].to_vec();
+                let i = at(next, out.len());
+                out.splice(i..i, chunk);
+            }
+        }
+    }
+    out
+}
+
+/// Decodes `payload` the way the server reads a Submit and the client a
+/// reply header: bytes to text through [`Frame::text_payload`], then each
+/// decoder. Either may accept or reject the text; neither may panic.
+fn decode_payload(kind: FrameKind, payload: Vec<u8>) {
+    let text = Frame { kind, payload }.text_payload();
+    let _ = SubmitRequest::decode(&text, SimConfig::default());
+    let _ = ResponseHeader::decode(&text);
+}
+
+/// Malformed ATSP input cannot panic: valid Submit payloads, reply headers
+/// and whole frames, each truncated, byte-flipped, spliced with garbage or
+/// with a chunk duplicated, go through `read_frame` and both payload
+/// decoders, which must return `Ok` or a `ProtocolError` every time.
+#[test]
+fn mutated_frames_and_payloads_never_panic() {
+    let submit = |name: &str, config: PipelineConfig| SubmitRequest {
+        name: name.to_owned(),
+        config,
+        bench: s27_bench(),
+    };
+    let submits = [
+        submit("s27", quick_config()),
+        submit(
+            "dir",
+            PipelineConfig {
+                t0_source: T0Source::Directed { max_len: 64 },
+                phase4: false,
+                ..PipelineConfig::default()
+            },
+        ),
+    ];
+    let header = ResponseHeader {
+        cache: CacheOutcome::Hit,
+        netlist_fp: "0123456789abcdef".to_owned(),
+        config_fp: "fedcba9876543210".to_owned(),
+        wall_us: 1234,
+    };
+    let mut payloads: Vec<(FrameKind, Vec<u8>)> = submits
+        .iter()
+        .map(|req| (FrameKind::Submit, req.encode().into_bytes()))
+        .collect();
+    payloads.push((FrameKind::ResultHeader, header.encode().into_bytes()));
+    payloads.push((FrameKind::Ping, Vec::new()));
+    let frames: Vec<Vec<u8>> = payloads
+        .iter()
+        .map(|(kind, payload)| {
+            let mut wire = Vec::new();
+            write_frame(
+                &mut wire,
+                &Frame {
+                    kind: *kind,
+                    payload: payload.clone(),
+                },
+            )
+            .unwrap();
+            wire
+        })
+        .collect();
+    // The valid inputs decode.
+    for req in &submits {
+        assert_eq!(
+            SubmitRequest::decode(&req.encode(), SimConfig::default()).unwrap(),
+            *req
+        );
+    }
+    assert_eq!(ResponseHeader::decode(&header.encode()).unwrap(), header);
+
+    let mut frames_read = 0;
+    for seed in [1u64, 2001, 4242] {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..1000 {
+            let (kind, payload) = &payloads[case % payloads.len()];
+            let wire = &frames[case % frames.len()];
+            let bad_payload = mutate(payload, &mut next);
+            let bad_wire = mutate(wire, &mut next);
+            let outcome = std::panic::catch_unwind(|| {
+                decode_payload(*kind, bad_payload.clone());
+                match read_frame(&mut bad_wire.as_slice()) {
+                    Ok(frame) => {
+                        decode_payload(frame.kind, frame.payload);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            });
+            match outcome {
+                Ok(read) => frames_read += usize::from(read),
+                Err(_) => panic!(
+                    "seed {seed} case {case} panicked: payload {bad_payload:?}, frame {bad_wire:?}"
+                ),
+            }
+        }
+    }
+    // Some mutations leave a readable frame, so its payload reaches the
+    // decoders too.
+    assert!(frames_read > 0);
 }
 
 #[test]

@@ -225,7 +225,7 @@ impl<'a> Word<'a> {
         Word {
             cc,
             ov: Overrides::new(cc),
-            state: vec![W3::ALL_X; cc.ff_qs().len()],
+            state: vec![W3::ALL_X; cc.num_ffs()],
             active: 0,
         }
     }
@@ -267,7 +267,7 @@ impl<'a> Word<'a> {
     /// each slot's state, the overlay injected — and returns the active
     /// slots a primary output detects.
     pub(crate) fn eval(&self, vals: &mut [W3], vector: &[V3]) -> u64 {
-        debug_assert_eq!(vector.len(), self.cc.pis().len(), "input width mismatch");
+        debug_assert_eq!(vector.len(), self.cc.num_pis(), "input width mismatch");
         seed_sources(self.cc, vals, vector, &self.state);
         CompiledSim::new(self.cc).eval_with(vals, &self.ov);
         let mut mask = 0u64;
@@ -1374,12 +1374,11 @@ impl<'a> IncrementalSim<'a> {
 /// Writes one cycle's sources: the input vector broadcast to every slot,
 /// and each slot's flip-flop state.
 pub(crate) fn seed_sources(cc: &CompiledCircuit, vals: &mut [W3], vector: &[V3], state: &[W3]) {
-    for (i, &pi) in cc.pis().iter().enumerate() {
-        vals[pi.index()] = W3::broadcast(vector[i]);
+    let (pis, ffs) = (cc.num_pis(), cc.num_ffs());
+    for (w, &v) in vals[..pis].iter_mut().zip(&vector[..pis]) {
+        *w = W3::broadcast(v);
     }
-    for (f, &q) in cc.ff_qs().iter().enumerate() {
-        vals[q.index()] = state[f];
-    }
+    vals[pis..pis + ffs].copy_from_slice(&state[..ffs]);
 }
 
 /// Appends slot `slot` of a per-flip-flop state to `out`, packed 64

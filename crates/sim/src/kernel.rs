@@ -9,21 +9,26 @@
 //! loads, no gate-id lookups, no per-call input buffer. Pairs the circuits
 //! rarely use share one generic loop.
 //!
-//! The caller keeps one [`W3`] word (64 slots) per net, indexed by
-//! [`NetId`], seeds the source nets (primary inputs and flip-flop outputs)
-//! and calls [`CompiledSim::eval`], or [`CompiledSim::eval_with`] to inject
-//! faults. Every pass evaluates every op in order, so afterwards the array
-//! holds a consistent evaluation of every net whatever it held before:
-//! engines reuse one array across cycles and fault chunks with no change
-//! tracking and no allocation. There is deliberately no event-driven delta
-//! pass: skipping unchanged cones costs more in queue bookkeeping than it
-//! saves (DESIGN.md, "One evaluation kernel").
+//! The caller keeps one [`W3`] word (64 machines) per value slot, in the
+//! circuit's slot order ([`CompiledCircuit::slot_of`]): the primary
+//! inputs, then the flip-flop outputs, then every op's output in program
+//! order. It seeds the source slots `0..S` and calls
+//! [`CompiledSim::eval`], or [`CompiledSim::eval_with`] to inject faults.
+//! A run's ops write one contiguous stretch of slots and read only slots
+//! below it, so the pass splits the array at the run's first output slot
+//! and writes the run's outputs as one slice. Every pass evaluates every
+//! op in order, so afterwards the array holds a consistent evaluation of
+//! every slot whatever it held before: engines reuse one array across
+//! cycles and fault chunks with no change tracking and no allocation.
+//! There is deliberately no event-driven delta pass: skipping unchanged
+//! cones costs more in queue bookkeeping than it saves (DESIGN.md, "One
+//! evaluation kernel").
 //!
 //! Throughput counters are in **gate-word** units — one gate advanced by
 //! one 64-slot word — so a pass over `G` gates credits `G` gate
 //! evaluations.
 
-use atspeed_circuit::{CompiledCircuit, FfId, GateKind, NetId, PoId, Run};
+use atspeed_circuit::{CompiledCircuit, FfId, GateKind, PoId, Run, Slot};
 
 use crate::fault::{Fault, FaultSite};
 use crate::logic::W3;
@@ -45,18 +50,18 @@ pub(crate) fn combine(kind: GateKind, a: W3, b: W3) -> W3 {
 /// staging buffer. The per-kind dispatch is hoisted out of the pin loop so
 /// each fold body is a straight run of rail ops the compiler vectorizes.
 #[inline(always)]
-fn eval_op(kind: GateKind, span: &[NetId], vals: &[W3]) -> W3 {
+fn eval_op(kind: GateKind, span: &[Slot], vals: &[W3]) -> W3 {
     let first = vals[span[0].index()];
     let base = match kind {
         GateKind::And | GateKind::Nand => span[1..]
             .iter()
-            .fold(first, |acc, &net| acc.and(vals[net.index()])),
+            .fold(first, |acc, &pin| acc.and(vals[pin.index()])),
         GateKind::Or | GateKind::Nor => span[1..]
             .iter()
-            .fold(first, |acc, &net| acc.or(vals[net.index()])),
+            .fold(first, |acc, &pin| acc.or(vals[pin.index()])),
         GateKind::Xor | GateKind::Xnor => span[1..]
             .iter()
-            .fold(first, |acc, &net| acc.xor(vals[net.index()])),
+            .fold(first, |acc, &pin| acc.xor(vals[pin.index()])),
         GateKind::Not | GateKind::Buf => first,
     };
     if kind.inverts() {
@@ -69,56 +74,59 @@ fn eval_op(kind: GateKind, span: &[NetId], vals: &[W3]) -> W3 {
 /// Evaluates a faulty op from its overlay entry: `entry[0]` forces the
 /// output, `entry[1 + p]` input pin `p`.
 #[inline(never)]
-fn eval_op_forced(kind: GateKind, span: &[NetId], vals: &[W3], entry: &[Force]) -> W3 {
+fn eval_op_forced(kind: GateKind, span: &[Slot], vals: &[W3], entry: &[Force]) -> W3 {
     let pins = &entry[1..=span.len()];
     let mut acc = pins[0].apply(vals[span[0].index()]);
-    for (&net, pin) in span[1..].iter().zip(&pins[1..]) {
-        acc = combine(kind, acc, pin.apply(vals[net.index()]));
+    for (&slot, pin) in span[1..].iter().zip(&pins[1..]) {
+        acc = combine(kind, acc, pin.apply(vals[slot.index()]));
     }
     let out = if kind.inverts() { acc.not() } else { acc };
     entry[0].apply(out)
 }
 
 /// Evaluates a run whose ops all have `N` pins, folded with `fold` and
-/// complemented when `INVERT`: with both fixed, the pin loop unrolls.
+/// complemented when `INVERT`: with both fixed, the pin loop unrolls. The
+/// pins read `below`, the outputs fill `outs` in order.
 #[inline(always)]
 fn fixed_run<const N: usize, const INVERT: bool>(
-    outputs: &[NetId],
-    pins: &[NetId],
-    vals: &mut [W3],
+    outs: &mut [W3],
+    pins: &[Slot],
+    below: &[W3],
     fold: impl Fn(W3, W3) -> W3,
 ) {
-    for (out, span) in outputs.iter().zip(pins.chunks_exact(N)) {
-        let acc = span[1..].iter().fold(vals[span[0].index()], |acc, net| {
-            fold(acc, vals[net.index()])
+    for (out, span) in outs.iter_mut().zip(pins.chunks_exact(N)) {
+        let acc = span[1..].iter().fold(below[span[0].index()], |acc, pin| {
+            fold(acc, below[pin.index()])
         });
-        vals[out.index()] = if INVERT { acc.not() } else { acc };
+        *out = if INVERT { acc.not() } else { acc };
     }
 }
 
-/// Evaluates one run fault-free, dispatching once on its kind and fanin.
-/// The pairs the circuits use get a specialised loop; the rest (3-input
-/// XOR, 1-input AND family, gates wider than 4) share a generic one.
-fn eval_run(run: &Run<'_>, vals: &mut [W3]) {
+/// Evaluates one run fault-free into `outs` (its output slots), reading
+/// its pins from `below` (every slot under them), dispatching once on its
+/// kind and fanin. The pairs the circuits use get a specialised loop; the
+/// rest (3-input XOR, 1-input AND family, gates wider than 4) share a
+/// generic one.
+fn eval_run(run: &Run<'_>, below: &[W3], outs: &mut [W3]) {
     use GateKind::{And, Buf, Nand, Nor, Not, Or, Xnor, Xor};
-    let (outs, pins) = (run.outputs, run.pins);
+    let pins = run.pins;
     match (run.kind, run.fanin) {
-        (Buf, 1) => fixed_run::<1, false>(outs, pins, vals, W3::and),
-        (Not, 1) => fixed_run::<1, true>(outs, pins, vals, W3::and),
-        (And, 2) => fixed_run::<2, false>(outs, pins, vals, W3::and),
-        (And, 3) => fixed_run::<3, false>(outs, pins, vals, W3::and),
-        (Nand, 2) => fixed_run::<2, true>(outs, pins, vals, W3::and),
-        (Nand, 3) => fixed_run::<3, true>(outs, pins, vals, W3::and),
-        (Or, 2) => fixed_run::<2, false>(outs, pins, vals, W3::or),
-        (Or, 3) => fixed_run::<3, false>(outs, pins, vals, W3::or),
-        (Nor, 2) => fixed_run::<2, true>(outs, pins, vals, W3::or),
-        (Nor, 3) => fixed_run::<3, true>(outs, pins, vals, W3::or),
-        (Xor, 2) => fixed_run::<2, false>(outs, pins, vals, W3::xor),
-        (Xnor, 2) => fixed_run::<2, true>(outs, pins, vals, W3::xor),
-        (Xor, 4) => fixed_run::<4, false>(outs, pins, vals, W3::xor),
+        (Buf, 1) => fixed_run::<1, false>(outs, pins, below, W3::and),
+        (Not, 1) => fixed_run::<1, true>(outs, pins, below, W3::and),
+        (And, 2) => fixed_run::<2, false>(outs, pins, below, W3::and),
+        (And, 3) => fixed_run::<3, false>(outs, pins, below, W3::and),
+        (Nand, 2) => fixed_run::<2, true>(outs, pins, below, W3::and),
+        (Nand, 3) => fixed_run::<3, true>(outs, pins, below, W3::and),
+        (Or, 2) => fixed_run::<2, false>(outs, pins, below, W3::or),
+        (Or, 3) => fixed_run::<3, false>(outs, pins, below, W3::or),
+        (Nor, 2) => fixed_run::<2, true>(outs, pins, below, W3::or),
+        (Nor, 3) => fixed_run::<3, true>(outs, pins, below, W3::or),
+        (Xor, 2) => fixed_run::<2, false>(outs, pins, below, W3::xor),
+        (Xnor, 2) => fixed_run::<2, true>(outs, pins, below, W3::xor),
+        (Xor, 4) => fixed_run::<4, false>(outs, pins, below, W3::xor),
         (kind, fanin) => {
-            for (i, out) in outs.iter().enumerate() {
-                vals[out.index()] = eval_op(kind, &pins[i * fanin..(i + 1) * fanin], vals);
+            for (out, span) in outs.iter_mut().zip(pins.chunks_exact(fanin)) {
+                *out = eval_op(kind, span, below);
             }
         }
     }
@@ -142,12 +150,12 @@ impl<'a> CompiledSim<'a> {
         self.cc
     }
 
-    /// Full levelized pass, fault-free: fills in every gate output from the
-    /// seeded source nets.
+    /// Full levelized pass, fault-free: fills in every op's output slot
+    /// from the seeded source slots.
     ///
     /// # Panics
     ///
-    /// Panics if `vals` is shorter than the circuit's net count.
+    /// Panics if `vals` is shorter than the circuit's slot count.
     pub fn eval(&self, vals: &mut [W3]) {
         self.pass(vals, &[], &[]);
     }
@@ -159,24 +167,26 @@ impl<'a> CompiledSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `vals` is shorter than the circuit's net count, or if `ov`
-    /// was built for another circuit.
+    /// Panics if `vals` is shorter than the circuit's slot count, or if
+    /// `ov` was built for another circuit.
     pub fn eval_with(&self, vals: &mut [W3], ov: &Overrides<'_>) {
         assert_eq!(
             ov.cc.num_gates(),
             self.cc.num_gates(),
             "overlay of another circuit"
         );
-        for &(net, force) in &ov.sources {
-            vals[net.index()] = force.apply(vals[net.index()]);
+        for &(slot, force) in &ov.sources {
+            vals[slot.index()] = force.apply(vals[slot.index()]);
         }
         self.pass(vals, &ov.faulty, &ov.forces);
     }
 
     /// The pass itself. `faulty` lists the faulty ops in ascending op
-    /// order, each with the position of its entry in `forces`. Ops of one
-    /// run never read each other's outputs, so re-evaluating a run's faulty
-    /// ops after the run overwrites only their own fault-free outputs.
+    /// order, each with the position of its entry in `forces`. Each run
+    /// splits the array at its first output slot: its pins read the part
+    /// below, its outputs are the stretch above. Ops of one run never read
+    /// each other's outputs, so re-evaluating a run's faulty ops after the
+    /// run overwrites only their own fault-free outputs.
     fn pass(&self, vals: &mut [W3], faulty: &[(u32, u32)], forces: &[Force]) {
         let cc = self.cc;
         assert!(vals.len() >= cc.num_nets());
@@ -184,12 +194,13 @@ impl<'a> CompiledSim<'a> {
         debug_assert!(faulty.windows(2).all(|w| w[0].0 < w[1].0));
         let mut next = 0;
         for run in cc.runs() {
-            eval_run(&run, vals);
+            let (below, above) = vals.split_at_mut(run.outputs.start);
+            let outs = &mut above[..run.outputs.len()];
+            eval_run(&run, below, outs);
             while let Some(&(op, e)) = faulty.get(next).filter(|f| (f.0 as usize) < run.ops.end) {
                 let i = op as usize - run.ops.start;
                 let span = &run.pins[i * run.fanin..(i + 1) * run.fanin];
-                vals[run.outputs[i].index()] =
-                    eval_op_forced(run.kind, span, vals, &forces[e as usize..]);
+                outs[i] = eval_op_forced(run.kind, span, below, &forces[e as usize..]);
                 next += 1;
             }
         }
@@ -245,8 +256,9 @@ pub struct Overrides<'a> {
     // The ops that own an entry, in ascending op order, each with its
     // entry's position in `forces`.
     faulty: Vec<(u32, u32)>,
-    // Stems on primary inputs and flip-flop outputs, forced before a pass.
-    sources: Vec<(NetId, Force)>,
+    // Stems on primary inputs and flip-flop outputs, by source slot,
+    // forced before a pass.
+    sources: Vec<(Slot, Force)>,
     ff_pins: Vec<(FfId, bool, u64)>,
     po_pins: Vec<(PoId, bool, u64)>,
 }
@@ -284,20 +296,23 @@ impl<'a> Overrides<'a> {
     /// Panics if a gate-pin fault names a pin its gate does not have.
     pub fn add(&mut self, fault: Fault, mask: u64) {
         match fault.site {
-            FaultSite::Stem(net) => match self.cc.driver_op(net) {
-                Some(op) => {
-                    let e = self.entry(op);
-                    self.forces[e].add(fault.stuck, mask);
-                }
-                None => match self.sources.iter_mut().find(|(n, _)| *n == net) {
-                    Some((_, force)) => force.add(fault.stuck, mask),
-                    None => {
-                        let mut force = Force::default();
-                        force.add(fault.stuck, mask);
-                        self.sources.push((net, force));
+            FaultSite::Stem(net) => {
+                let slot = self.cc.slot_of(net);
+                match self.cc.slot_op(slot) {
+                    Some(op) => {
+                        let e = self.entry(op);
+                        self.forces[e].add(fault.stuck, mask);
                     }
-                },
-            },
+                    None => match self.sources.iter_mut().find(|(s, _)| *s == slot) {
+                        Some((_, force)) => force.add(fault.stuck, mask),
+                        None => {
+                            let mut force = Force::default();
+                            force.add(fault.stuck, mask);
+                            self.sources.push((slot, force));
+                        }
+                    },
+                }
+            }
             FaultSite::GatePin(gate, pin) => {
                 let op = self.cc.op_of(gate);
                 let pin = usize::from(pin);
@@ -391,6 +406,7 @@ mod tests {
         }
     }
 
+    /// Seeds the source nets of a net-indexed array (the walker's layout).
     fn seed_sources(nl: &Netlist, vals: &mut [W3], r: &mut impl FnMut() -> u64) {
         for &pi in nl.pis() {
             vals[pi.index()] = random_w3(r);
@@ -398,6 +414,16 @@ mod tests {
         for ff in nl.ffs() {
             vals[ff.q().index()] = random_w3(r);
         }
+    }
+
+    /// A net-indexed array laid out in the kernel's slot order.
+    fn by_slot(nl: &Netlist, vals: &[W3]) -> Vec<W3> {
+        let cc = nl.compiled();
+        let mut slots = vec![W3::ALL_X; vals.len()];
+        for net in nl.net_ids() {
+            slots[cc.slot_of(net).index()] = vals[net.index()];
+        }
+        slots
     }
 
     #[test]
@@ -408,14 +434,14 @@ mod tests {
         ] {
             let sim = CompiledSim::new(nl.compiled());
             let mut legacy = CombSim::new(&nl);
-            let mut vals = vec![W3::ALL_X; nl.num_nets()];
+            let mut reference = vec![W3::ALL_X; nl.num_nets()];
             let mut r = rng(0xfeed);
             for _ in 0..10 {
-                seed_sources(&nl, &mut vals, &mut r);
-                let mut reference = vals.clone();
+                seed_sources(&nl, &mut reference, &mut r);
+                let mut vals = by_slot(&nl, &reference);
                 sim.eval(&mut vals);
                 legacy.eval(&mut reference);
-                assert_eq!(vals, reference);
+                assert_eq!(vals, by_slot(&nl, &reference));
             }
         }
     }
@@ -426,7 +452,7 @@ mod tests {
         let u = FaultUniverse::full(&nl);
         let sim = CompiledSim::new(nl.compiled());
         let mut legacy = CombSim::new(&nl);
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        let mut reference = vec![W3::ALL_X; nl.num_nets()];
         let mut ov = Overrides::new(nl.compiled());
         let mut r = rng(0xbeef);
         let faults: Vec<_> = u.all_ids().collect();
@@ -440,11 +466,11 @@ mod tests {
             for &(fault, mask) in &injected {
                 ov.add(fault, mask);
             }
-            seed_sources(&nl, &mut vals, &mut r);
-            let mut reference = vals.clone();
+            seed_sources(&nl, &mut reference, &mut r);
+            let mut vals = by_slot(&nl, &reference);
             sim.eval_with(&mut vals, &ov);
             legacy.eval_with(&mut reference, &injected);
-            assert_eq!(vals, reference);
+            assert_eq!(vals, by_slot(&nl, &reference));
         }
     }
 
@@ -476,6 +502,7 @@ mod tests {
             }
             let mut a = vec![W3::ALL_X; nl.num_nets()];
             seed_sources(&nl, &mut a, &mut r);
+            let mut a = by_slot(&nl, &a);
             let mut b = a.clone();
             sim.eval_with(&mut a, &reused);
             sim.eval_with(&mut b, &fresh);
@@ -498,7 +525,7 @@ mod tests {
             .expect("s27 has a two-input gate");
         let gid = atspeed_circuit::GateId::from_index(gid);
         let sites = [
-            FaultSite::Stem(cc.output(gid)),
+            FaultSite::Stem(nl.gate(gid).output()),
             FaultSite::GatePin(gid, 1),
             FaultSite::Stem(nl.pis()[0]),
         ];
@@ -506,16 +533,16 @@ mod tests {
             let mut ov = Overrides::new(cc);
             ov.add(Fault { site, stuck: false }, 0b110);
             ov.add(Fault { site, stuck: true }, 0b010);
-            let mut vals = vec![W3::ALL_X; nl.num_nets()];
-            seed_sources(&nl, &mut vals, &mut rng(0x51));
-            let mut reference = vals.clone();
+            let mut reference = vec![W3::ALL_X; nl.num_nets()];
+            seed_sources(&nl, &mut reference, &mut rng(0x51));
+            let mut vals = by_slot(&nl, &reference);
             sim.eval_with(&mut vals, &ov);
             let injected = [
                 (Fault { site, stuck: true }, 0b010),
                 (Fault { site, stuck: false }, 0b110),
             ];
             CombSim::new(&nl).eval_with(&mut reference, &injected);
-            assert_eq!(vals, reference, "{site:?}");
+            assert_eq!(vals, by_slot(&nl, &reference), "{site:?}");
         }
     }
 
@@ -557,12 +584,13 @@ mod tests {
         assert!(!ov.is_empty());
         ov.clear();
         assert!(ov.is_empty());
+        let cc = nl.compiled();
         let mut vals = vec![W3::ALL_X; nl.num_nets()];
         for name in ["a", "b", "s"] {
-            vals[nl.find_net(name).unwrap().index()] = W3::ALL_ZERO;
+            vals[cc.slot_of(nl.find_net(name).unwrap()).index()] = W3::ALL_ZERO;
         }
         sim.eval_with(&mut vals, &ov);
-        assert_eq!(vals[y.index()], W3::ALL_ZERO);
+        assert_eq!(vals[cc.slot_of(y).index()], W3::ALL_ZERO);
         assert_eq!(
             ov.apply_po_pin(PoId::from_index(0), W3::ALL_ZERO),
             W3::ALL_ZERO
@@ -582,16 +610,13 @@ mod tests {
             ov.add(u.fault(fid), 1u64 << (k + 1));
         }
         let mut r = rng(0xabc);
+        let sources = nl.compiled().num_sources();
         for round in 0..10 {
             let mut fresh = vec![W3::ALL_X; nl.num_nets()];
             seed_sources(&nl, &mut fresh, &mut r);
+            let mut fresh = by_slot(&nl, &fresh);
             let mut stale: Vec<W3> = (0..nl.num_nets()).map(|_| random_w3(&mut r)).collect();
-            for &pi in nl.pis() {
-                stale[pi.index()] = fresh[pi.index()];
-            }
-            for ff in nl.ffs() {
-                stale[ff.q().index()] = fresh[ff.q().index()];
-            }
+            stale[..sources].copy_from_slice(&fresh[..sources]);
             if round % 2 == 0 {
                 sim.eval(&mut fresh);
                 sim.eval(&mut stale);
@@ -649,12 +674,12 @@ mod tests {
         for &(fault, mask) in injected {
             ov.add(fault, mask);
         }
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
-        seed_sources(nl, &mut vals, r);
-        let mut reference = vals.clone();
+        let mut reference = vec![W3::ALL_X; nl.num_nets()];
+        seed_sources(nl, &mut reference, r);
+        let mut vals = by_slot(nl, &reference);
         CompiledSim::new(cc).eval_with(&mut vals, &ov);
         CombSim::new(nl).eval_with(&mut reference, injected);
-        assert_eq!(vals, reference, "{injected:?}");
+        assert_eq!(vals, by_slot(nl, &reference), "{injected:?}");
     }
 
     #[test]
@@ -671,15 +696,15 @@ mod tests {
         // Fault-free, through both entry points.
         let sim = CompiledSim::new(cc);
         for _ in 0..4 {
-            let mut vals = vec![W3::ALL_X; nl.num_nets()];
-            seed_sources(&nl, &mut vals, &mut r);
-            let mut reference = vals.clone();
+            let mut reference = vec![W3::ALL_X; nl.num_nets()];
+            seed_sources(&nl, &mut reference, &mut r);
+            let mut vals = by_slot(&nl, &reference);
             let mut with = vals.clone();
             sim.eval(&mut vals);
             sim.eval_with(&mut with, &Overrides::new(cc));
             CombSim::new(&nl).eval(&mut reference);
-            assert_eq!(vals, reference);
-            assert_eq!(with, reference);
+            assert_eq!(vals, by_slot(&nl, &reference));
+            assert_eq!(with, by_slot(&nl, &reference));
         }
 
         // Each op's output and every pin, one site per slot: stuck-at-0,
@@ -725,7 +750,7 @@ mod tests {
                 let last_pin = (cc.op_inputs(op).len() - 1) as u8;
                 [
                     (
-                        FaultSite::Stem(cc.op_output(op)),
+                        FaultSite::Stem(nl.gate(gid).output()),
                         i % 2 == 0,
                         1u64 << (2 * i + 1),
                     ),

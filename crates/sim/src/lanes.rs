@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use atspeed_circuit::{CompiledCircuit, FfId, NetId, Netlist, PoId};
+use atspeed_circuit::{CompiledCircuit, FfId, Netlist, PoId, Slot};
 
 use crate::fault::{Fault, FaultId, FaultUniverse};
 use crate::fsim_seq::{seed_sources, SeqFaultSim};
@@ -84,8 +84,8 @@ struct Lanes<'a> {
     /// States in the group (slots `j < count` of a lane are real).
     count: usize,
     faults: Vec<Fault>,
-    /// The net whose good value decides whether a fault is excited.
-    sites: Vec<NetId>,
+    /// The slot whose good value decides whether a fault is excited.
+    sites: Vec<Slot>,
     /// The good machines: slot `l × width + j` runs state `j`.
     good_state: Vec<W3>,
     /// Per fault word: the live slots (undetected, state differs from the
@@ -114,7 +114,7 @@ impl<'a> Lanes<'a> {
         let lanes = 64 / width;
         let lane_valid = low_bits(count);
         let repeat = repeat_mask(width);
-        let good_state: Vec<W3> = (0..cc.ff_qs().len())
+        let good_state: Vec<W3> = (0..cc.num_ffs())
             .map(|f| {
                 let mut lane = W3::ALL_X;
                 for j in 0..width {
@@ -139,7 +139,10 @@ impl<'a> Lanes<'a> {
             width,
             count,
             faults: faults.iter().map(|&f| universe.fault(f)).collect(),
-            sites: faults.iter().map(|&f| universe.site_net(nl, f)).collect(),
+            sites: faults
+                .iter()
+                .map(|&f| cc.slot_of(universe.site_net(nl, f)))
+                .collect(),
             live: vec![0; words],
             detected: vec![0; words],
             valid,
@@ -229,7 +232,7 @@ impl<'a> Lanes<'a> {
     /// are detected.
     fn run(mut self, seq: &Sequence) -> Vec<usize> {
         let cc = self.cc;
-        let ffs = cc.ff_qs().len();
+        let ffs = cc.num_ffs();
         let words = self.live.len();
         let vectors = seq.as_slice();
         let good_pass = |vals: &mut [W3], vector: &[V3], state: &[W3]| {

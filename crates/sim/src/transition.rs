@@ -20,7 +20,7 @@
 //! pairs `(t, t+1)` for `t < L(T)-1` are at-speed pairs, and the final
 //! cycle's capture may also be observed by the scan-out.
 
-use atspeed_circuit::{NetId, Netlist};
+use atspeed_circuit::{NetId, Netlist, Slot};
 
 use crate::fault::{Fault, FaultSite};
 use crate::fsim_seq::{seed_sources, slots, FinalObserve, Word, FAULTS_PER_PASS};
@@ -155,6 +155,8 @@ impl<'a> TransitionFaultSim<'a> {
         // The good value at each fault's net in the previous cycle; X
         // before the first cycle, so nothing is armed in cycle 0.
         let mut before = vec![V3::X; chunk.len()];
+        // Each fault's net as a value slot, looked up once per word.
+        let sites: Vec<Slot> = chunk.iter().map(|f| cc.slot_of(f.net)).collect();
         // Machines whose fault has been armed at least once: only their
         // divergence is a real fault effect (un-armed machines track the
         // good machine exactly, since no injection ever touches them).
@@ -170,7 +172,7 @@ impl<'a> TransitionFaultSim<'a> {
             CompiledSim::new(cc).eval(&mut self.vals);
             let good = &self.vals;
             let armed = word.inject(chunk.iter().enumerate().filter_map(|(k, f)| {
-                let now = good[f.net.index()].get(0);
+                let now = good[sites[k].index()].get(0);
                 let launches = match (std::mem::replace(&mut before[k], now), now) {
                     (V3::Zero, V3::One) => f.rising,
                     (V3::One, V3::Zero) => !f.rising,

@@ -7,15 +7,27 @@
 //! compiled full-pass and override paths, including 3-valued X inputs and
 //! fault injection. The walker injects faults from a plain list itself, so
 //! the kernel's [`Overrides`] overlay is checked against code it shares
-//! nothing with.
+//! nothing with. The walker indexes its values by net and the kernel by
+//! value slot, so the two are compared through
+//! [`CompiledCircuit::slot_of`].
+//!
+//! A numbering-independence property rebuilds a circuit with its nets
+//! interned in a shuffled order: every engine must return the same
+//! verdicts on both copies, which share one slot layout but not one net
+//! numbering.
+
+use std::collections::HashMap;
 
 use atspeed_circuit::synth::{generate, SynthSpec};
-use atspeed_circuit::{catalog, CompiledCircuit, FfId, GateId, NetId, Netlist, PoId};
+use atspeed_circuit::{
+    catalog, CompiledCircuit, FfId, GateId, NetId, Netlist, NetlistBuilder, PoId,
+};
 use atspeed_sim::comb::inject;
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, Fault, FaultSite, Overrides, ParallelFsim,
-    SeqSim, Sequence, SimConfig, V3, W3,
+    score_scan_ins, stats, CombFaultSim, CombSim, CombTest, CompiledSim, Fault, FaultSite,
+    Overrides, ParallelFsim, SeqFaultSim, SeqSim, Sequence, SimConfig, State, TransitionFault,
+    TransitionFaultSim, V3, W3,
 };
 use proptest::prelude::*;
 
@@ -49,8 +61,8 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
     }
 }
 
-/// Seeds the source nets (primary inputs and flip-flop outputs) of `vals`
-/// with random 3-valued words.
+/// Seeds the source nets (primary inputs and flip-flop outputs) of the
+/// net-indexed `vals` with random 3-valued words.
 fn seed_sources(nl: &Netlist, vals: &mut [W3], next: &mut impl FnMut() -> u64) {
     for &pi in nl.pis() {
         vals[pi.index()] = random_w3(next);
@@ -58,6 +70,17 @@ fn seed_sources(nl: &Netlist, vals: &mut [W3], next: &mut impl FnMut() -> u64) {
     for ff in nl.ffs() {
         vals[ff.q().index()] = random_w3(next);
     }
+}
+
+/// A net-indexed value array (the walker's layout) laid out by slot (the
+/// kernel's).
+fn by_slot(nl: &Netlist, vals: &[W3]) -> Vec<W3> {
+    let cc = nl.compiled();
+    let mut slots = vec![W3::ALL_X; vals.len()];
+    for net in nl.net_ids() {
+        slots[cc.slot_of(net).index()] = vals[net.index()];
+    }
+    slots
 }
 
 /// A random 3-valued word, X in about half the slots.
@@ -130,6 +153,50 @@ fn stacked_faults(nl: &Netlist, next: &mut impl FnMut() -> u64) -> Vec<(Fault, u
     faults
 }
 
+/// `nl` rebuilt with the same primary inputs, flip-flops, gates and
+/// primary outputs in the same order, its nets interned in a shuffled
+/// order first: the same circuit, the same gate, flip-flop and output ids
+/// and so the same value-slot layout, under a different net numbering.
+fn renumbered(nl: &Netlist, next: &mut impl FnMut() -> u64) -> Netlist {
+    let mut order: Vec<NetId> = nl.net_ids().collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let name = |net: NetId| nl.net_name(net);
+    let mut b = NetlistBuilder::new(nl.name());
+    for &net in &order {
+        b.net(name(net));
+    }
+    for &pi in nl.pis() {
+        b.input(name(pi));
+    }
+    for ff in nl.ffs() {
+        b.dff(name(ff.q()), name(ff.d()));
+    }
+    for g in nl.gates() {
+        let ins: Vec<&str> = g.inputs().iter().map(|&n| name(n)).collect();
+        b.gate(g.kind(), name(g.output()), &ins);
+    }
+    for &po in nl.pos() {
+        b.output(name(po));
+    }
+    b.finish()
+        .expect("a renumbered copy of a valid netlist is valid")
+}
+
+/// The net of `to` carrying the name of `from`'s net `net`.
+fn same_net(from: &Netlist, to: &Netlist, net: NetId) -> NetId {
+    to.find_net(from.net_name(net))
+        .expect("both copies name the same nets")
+}
+
+/// Gate-words credited while `f` runs, with its result.
+fn with_work<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let scope = stats::scoped();
+    let out = f();
+    (out, scope.report().totals().gate_evals)
+}
+
 /// The overlay of `faults` over `cc`.
 fn overlay<'a>(cc: &'a CompiledCircuit, faults: &[(Fault, u64)]) -> Overrides<'a> {
     let mut ov = Overrides::new(cc);
@@ -149,13 +216,13 @@ proptest! {
         let cc = nl.compiled();
         let sim = CompiledSim::new(cc);
         let mut legacy = CombSim::new(&nl);
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        let mut reference = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
-            seed_sources(&nl, &mut vals, &mut next);
-            let mut reference = vals.clone();
+            seed_sources(&nl, &mut reference, &mut next);
+            let mut vals = by_slot(&nl, &reference);
             legacy.eval(&mut reference);
             sim.eval(&mut vals);
-            prop_assert_eq!(&vals, &reference);
+            prop_assert_eq!(&vals, &by_slot(&nl, &reference));
         }
     }
 
@@ -170,13 +237,13 @@ proptest! {
         let ov = overlay(cc, &faults);
         let sim = CompiledSim::new(cc);
         let mut legacy = CombSim::new(&nl);
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        let mut reference = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
-            seed_sources(&nl, &mut vals, &mut next);
-            let mut reference = vals.clone();
+            seed_sources(&nl, &mut reference, &mut next);
+            let mut vals = by_slot(&nl, &reference);
             legacy.eval_with(&mut reference, &faults);
             sim.eval_with(&mut vals, &ov);
-            prop_assert_eq!(&vals, &reference);
+            prop_assert_eq!(&vals, &by_slot(&nl, &reference));
         }
     }
 
@@ -193,27 +260,28 @@ proptest! {
         let ov = overlay(cc, &faults);
         let sim = CompiledSim::new(cc);
         let mut legacy = CombSim::new(&nl);
-        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        let mut reference = vec![W3::ALL_X; nl.num_nets()];
         for _ in 0..4 {
             for net in nl.pis().iter().copied().chain(nl.ffs().iter().map(|ff| ff.q())) {
-                vals[net.index()] = x_heavy_w3(&mut next);
+                reference[net.index()] = x_heavy_w3(&mut next);
             }
-            let mut reference = vals.clone();
+            let mut vals = by_slot(&nl, &reference);
             legacy.eval_with(&mut reference, &faults);
             sim.eval_with(&mut vals, &ov);
             for net in nl.net_ids() {
-                for slot in 0..64 {
+                let at = cc.slot_of(net).index();
+                for machine in 0..64 {
                     prop_assert_eq!(
-                        vals[net.index()].get(slot),
-                        reference[net.index()].get(slot),
-                        "net {} slot {}", nl.net_name(net), slot
+                        vals[at].get(machine),
+                        reference[net.index()].get(machine),
+                        "net {} machine {}", nl.net_name(net), machine
                     );
                 }
             }
             for (k, &po) in nl.pos().iter().enumerate() {
                 let po_id = PoId::from_index(k);
                 prop_assert_eq!(
-                    ov.apply_po_pin(po_id, vals[po.index()]),
+                    ov.apply_po_pin(po_id, vals[cc.pos()[k].index()]),
                     inject(&faults, FaultSite::PoPin(po_id), reference[po.index()]),
                     "PO {}", k
                 );
@@ -221,7 +289,7 @@ proptest! {
             for (f, ff) in nl.ffs().iter().enumerate() {
                 let ff_id = FfId::from_index(f);
                 prop_assert_eq!(
-                    ov.apply_ff_pin(ff_id, vals[ff.d().index()]),
+                    ov.apply_ff_pin(ff_id, vals[cc.ff_d(ff_id).index()]),
                     inject(&faults, FaultSite::FfPin(ff_id), reference[ff.d().index()]),
                     "FF {}", f
                 );
@@ -257,6 +325,107 @@ proptest! {
                 "threads = {}", threads
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every engine gives the same per-fault verdicts, with the same
+    /// gate-words, on a circuit and on a copy whose nets are interned in a
+    /// shuffled order, faults mapped by site. The two copies share one
+    /// value-slot layout and differ only in their `NetId`s, so a consumer
+    /// that indexed a value array by net would read different slots in
+    /// each, and a fault site converted wrongly would land elsewhere.
+    #[test]
+    fn verdicts_do_not_depend_on_net_numbering(nl in arb_netlist(), seed in any::<u64>()) {
+        let mut next = rng(seed);
+        let copy = renumbered(&nl, &mut next);
+        let (u, cu) = (FaultUniverse::full(&nl), FaultUniverse::full(&copy));
+        let copy_ids: HashMap<Fault, FaultId> = cu.all_ids().map(|id| (cu.fault(id), id)).collect();
+        let faults: Vec<FaultId> = u.all_ids().collect();
+        let mapped: Vec<FaultId> = faults
+            .iter()
+            .map(|&id| {
+                let fault = u.fault(id);
+                let site = match fault.site {
+                    FaultSite::Stem(net) => FaultSite::Stem(same_net(&nl, &copy, net)),
+                    other => other,
+                };
+                copy_ids[&Fault { site, ..fault }]
+            })
+            .collect();
+        let value = |r: u64| match r % 5 {
+            0 => V3::X,
+            n => V3::from_bool(n & 1 == 1),
+        };
+        let init: State = (0..nl.num_ffs()).map(|_| value(next())).collect();
+        let seq: Sequence = (0..6)
+            .map(|_| (0..nl.num_pis()).map(|_| value(next())).collect::<Vec<_>>())
+            .collect();
+
+        let (mut a, mut b) = (SeqFaultSim::new(&nl), SeqFaultSim::new(&copy));
+        for scan_out in [false, true] {
+            prop_assert_eq!(
+                with_work(|| a.detect(&init, &seq, &faults, &u, scan_out)),
+                with_work(|| b.detect(&init, &seq, &mapped, &cu, scan_out)),
+                "detect, scan-out {}", scan_out
+            );
+        }
+        prop_assert_eq!(
+            with_work(|| a.profiles(&init, &seq, &faults, &u)),
+            with_work(|| b.profiles(&init, &seq, &mapped, &cu)),
+            "profiles"
+        );
+        // The end-state records name each copy's own fault ids, so they are
+        // compared through what resuming from them decides, fault by fault.
+        let (ra, wa) = with_work(|| a.end_states(&init, &seq, &faults, &u));
+        let (rb, wb) = with_work(|| b.end_states(&init, &seq, &mapped, &cu));
+        prop_assert_eq!(wa, wb, "end-state work");
+        let suffix: Sequence = seq.as_slice()[..2].iter().cloned().collect();
+        for k in 0..faults.len() {
+            prop_assert_eq!(
+                with_work(|| a.detects_all_from(&ra, &suffix, &[k], &u)),
+                with_work(|| b.detects_all_from(&rb, &suffix, &[k], &cu)),
+                "resumed from the end states, fault {}", k
+            );
+        }
+
+        let other: State = (0..nl.num_ffs()).map(|_| value(next())).collect();
+        let states = [&init, &other, &init];
+        prop_assert_eq!(
+            with_work(|| score_scan_ins(&nl, &states, &seq, &faults, &u)),
+            with_work(|| score_scan_ins(&copy, &states, &seq, &mapped, &cu)),
+            "lane scores"
+        );
+
+        let tests: Vec<CombTest> = (0..8)
+            .map(|_| {
+                CombTest::new(
+                    (0..nl.num_ffs()).map(|_| value(next())).collect(),
+                    (0..nl.num_pis()).map(|_| value(next())).collect(),
+                )
+            })
+            .collect();
+        prop_assert_eq!(
+            with_work(|| CombFaultSim::new(&nl).detect_all(&tests, &faults, &u)),
+            with_work(|| CombFaultSim::new(&copy).detect_all(&tests, &mapped, &cu)),
+            "PPSFP"
+        );
+
+        let transitions: Vec<TransitionFault> = nl
+            .net_ids()
+            .map(|net| TransitionFault { net, rising: next() & 1 == 1 })
+            .collect();
+        let moved: Vec<TransitionFault> = transitions
+            .iter()
+            .map(|t| TransitionFault { net: same_net(&nl, &copy, t.net), ..*t })
+            .collect();
+        prop_assert_eq!(
+            with_work(|| TransitionFaultSim::new(&nl).detect(&init, &seq, &transitions)),
+            with_work(|| TransitionFaultSim::new(&copy).detect(&init, &seq, &moved)),
+            "transition faults"
+        );
     }
 }
 

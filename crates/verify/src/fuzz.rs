@@ -210,18 +210,21 @@ fn random_faults(u: &FaultUniverse, next: &mut impl FnMut() -> u64) -> Vec<(Faul
     faults
 }
 
-/// Legacy walker vs compiled kernel on the full and override paths.
+/// Legacy walker vs compiled kernel on the full and override paths. The
+/// walker's values are indexed by net and the kernel's by value slot, so
+/// every net is compared through `slot_of`.
 fn check_logic(
     nl: &Netlist,
     u: &FaultUniverse,
     next: &mut impl FnMut() -> u64,
 ) -> Result<usize, Divergence> {
-    let sim = CompiledSim::new(nl.compiled());
+    let cc = nl.compiled();
+    let sim = CompiledSim::new(cc);
     let mut legacy = CombSim::new(nl);
     let mut vals = vec![W3::ALL_X; nl.num_nets()];
     let mut reference = vec![W3::ALL_X; nl.num_nets()];
     let faults = random_faults(u, next);
-    let mut ov = Overrides::new(nl.compiled());
+    let mut ov = Overrides::new(cc);
     for &(fault, mask) in &faults {
         ov.add(fault, mask);
     }
@@ -235,7 +238,7 @@ fn check_logic(
             .chain(nl.ffs().iter().map(|ff| ff.q()))
         {
             let w = random_w3(next);
-            vals[net.index()] = w;
+            vals[cc.slot_of(net).index()] = w;
             reference[net.index()] = w;
         }
         let path = if pass < 3 {
@@ -249,14 +252,14 @@ fn check_logic(
         };
         if let Some(net) = nl
             .net_ids()
-            .find(|n| vals[n.index()] != reference[n.index()])
+            .find(|&n| vals[cc.slot_of(n).index()] != reference[n.index()])
         {
             return Err(Divergence {
                 check: "logic",
                 detail: format!(
                     "{path} pass: net `{}` compiled {:?} vs legacy {:?}",
                     nl.net_name(net),
-                    vals[net.index()],
+                    vals[cc.slot_of(net).index()],
                     reference[net.index()],
                 ),
             });
