@@ -37,7 +37,9 @@ pub fn inject(faults: &[(Fault, u64)], site: FaultSite, w: W3) -> W3 {
 /// implementation for differential tests. Hot paths should use the compiled
 /// kernel ([`CompiledSim`](crate::kernel::CompiledSim)) instead, which
 /// evaluates the flat [`CompiledCircuit`](atspeed_circuit::CompiledCircuit)
-/// arrays.
+/// arrays over a value array in slot order, so a differential test compares
+/// the two through
+/// [`CompiledCircuit::slot_of`](atspeed_circuit::CompiledCircuit::slot_of).
 #[derive(Debug, Clone)]
 pub struct CombSim<'a> {
     nl: &'a Netlist,
